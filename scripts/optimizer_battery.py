@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Multi-start projected gradient ascent experiment.
+"""Multi-start Riemannian gradient ascent experiment.
 
-Runs the ascent from random interior starts and reports how close every run
-gets to the equicorrelated optimum, plus a certificate for the last run.
+Runs the ascent on four unit vectors (optimize.maximize) from random interior
+starts and reports how close every run gets to the equicorrelated optimum,
+plus a certificate for the last run.
 
 Usage: python scripts/optimizer_battery.py [--starts 20] [--seed N]
 """

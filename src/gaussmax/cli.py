@@ -15,6 +15,8 @@ import numpy as np
 
 from . import closedform, geometry, montecarlo, optimize, verify
 from .corrmat import (
+    EPS_ONE,
+    EPS_PSD,
     CorrelationMatrix4,
     classify,
     load_matrix,
@@ -41,8 +43,8 @@ def _matrix_from_args(args) -> CorrelationMatrix4:
 
 def _tolerances() -> dict:
     return {
-        "eps_psd": 1e-10,
-        "eps_one": 1e-12,
+        "eps_psd": EPS_PSD,
+        "eps_one": EPS_ONE,
         "eps_clamp": closedform.EPS_CLAMP,
     }
 
@@ -276,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p)
     p.set_defaults(fn=_cmd_dihedrals)
 
-    p = sub.add_parser("optimize", help="projected gradient ascent to the maximizer")
+    p = sub.add_parser("optimize",
+                       help="Riemannian gradient ascent on four unit vectors to the maximizer")
     p.add_argument("--start", choices=("identity", "random", "file"), default="identity")
     p.add_argument("--file", help="start matrix when --start file")
     p.add_argument("--seed", type=int, default=0)

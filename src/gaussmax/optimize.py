@@ -1,9 +1,15 @@
-"""Projected gradient ascent over the elliptope, certifying numerically that
+"""Riemannian gradient ascent over the elliptope, certifying numerically that
 the value is maximized exactly at the all-(-1/3) matrix.
 
-The maximizer is singular, so the ascent must be able to ride the positive-
-semidefinite boundary: feasibility is restored after every step by the
-alternating-projection (Dykstra-corrected) nearest-correlation-matrix map.
+A 4x4 correlation matrix is the Gram matrix V V^T of four unit vectors, the
+rows of V (the Burer-Monteiro factorization); the all-(-1/3) matrix is the
+regular tetrahedron.  The ascent moves each row along its sphere and
+renormalizes, so every iterate is a correlation matrix by construction and
+the singular maximizer is reached without any projection.  It stops where
+the Riemannian gradient vanishes and the matrix S = diag(d) - G is positive
+semidefinite (G the gradient in the correlations, d_i = <(G V)_i, v_i>); a
+saddle that fails the second test is left along a direction orthogonal to
+the rows.
 """
 
 from __future__ import annotations
@@ -22,14 +28,11 @@ _COLS = np.array([p[1] for p in PAIRS])
 
 @dataclass(frozen=True)
 class AscentConfig:
-    step_init: float = 0.1
+    step_init: float = 4.0
     backtrack: float = 0.5
     armijo: float = 1e-4
-    grad_tol: float = 1e-8      # on the projected-gradient norm at step_init
-    value_tol: float = 1e-14    # accepted-step value gain below this stops; 0 disables
+    grad_tol: float = 1e-8      # on the Riemannian gradient norm and on -min eig(S)
     max_iters: int = 10_000
-    proj_tol: float = 1e-11
-    keep_trajectory: bool = True
 
 
 @dataclass(frozen=True)
@@ -37,26 +40,26 @@ class OptResult:
     argmax: CorrelationMatrix4
     value: float
     iterations: int
-    trajectory_summary: tuple[tuple[float, float, float], ...]  # (value, step, proj residual)
+    # (value after the step, step size eta, Riemannian gradient norm before it)
+    trajectory_summary: tuple[tuple[float, float, float], ...]
     converged: bool
+    # both from the last iteration, which ran at argmax when converged
+    grad_norm: float = float("nan")   # Riemannian gradient norm
+    s_min_eig: float = float("nan")   # smallest eigenvalue of S; nan if not tested
 
 
-def _sym_from_off(off: np.ndarray) -> np.ndarray:
-    m = np.eye(4)
-    m[_ROWS, _COLS] = off
-    m[_COLS, _ROWS] = off
-    return m
-
-
-def _project_arr(sym: np.ndarray, tol: float = 1e-11, max_iters: int = 1000):
-    """Nearest correlation matrix by alternating projections between the PSD
-    cone (with Dykstra correction) and the unit-diagonal affine set.
-
-    Returns (matrix, fixed-point residual).  The default tolerance sits
-    an order below the domain PSD tolerance so that projected iterates always
-    classify as valid.
-    """
-    x = np.asarray(sym, dtype=float).copy()
+def project_elliptope(sym, tol: float = 1e-11, max_iters: int = 1000) -> CorrelationMatrix4:
+    """Nearest (Frobenius) correlation matrix to a symmetric 4x4 input, by
+    alternating projections between the PSD cone (with Dykstra correction)
+    and the unit-diagonal affine set."""
+    sym = np.asarray(sym, dtype=float)
+    if sym.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("entries must be finite")
+    if np.max(np.abs(sym - sym.T)) > 1e-12:
+        raise ValueError("matrix must be symmetric")
+    x = sym.copy()
     np.fill_diagonal(x, 1.0)
     correction = np.zeros_like(x)
     for _ in range(max_iters):
@@ -69,74 +72,85 @@ def _project_arr(sym: np.ndarray, tol: float = 1e-11, max_iters: int = 1000):
         residual = float(np.max(np.abs(x_new - x)))
         x = x_new
         if residual < tol:
-            return x, residual
+            return CorrelationMatrix4(tuple(np.clip(x[i, j], -1.0, 1.0) for i, j in PAIRS))
     raise RuntimeError(f"projection did not reach residual {tol} in {max_iters} iterations")
 
 
-def project_elliptope(sym, tol: float = 1e-11, max_iters: int = 1000) -> CorrelationMatrix4:
-    """Nearest (Frobenius) correlation matrix to a symmetric 4x4 input."""
-    sym = np.asarray(sym, dtype=float)
-    if sym.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("entries must be finite")
-    if np.max(np.abs(sym - sym.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric")
-    x, _ = _project_arr(sym, tol=tol, max_iters=max_iters)
-    return CorrelationMatrix4(tuple(np.clip(x[i, j], -1.0, 1.0) for i, j in PAIRS))
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _gram(v: np.ndarray) -> CorrelationMatrix4:
+    return CorrelationMatrix4(tuple(np.clip((v @ v.T)[_ROWS, _COLS], -1.0, 1.0)))
 
 
 def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptResult:
-    """Backtracking projected gradient ascent on the expected maximum."""
+    """Backtracking Riemannian gradient ascent on the expected maximum, over
+    four unit vectors whose Gram matrix is the correlation matrix."""
     cfg = cfg or AscentConfig()
     tag = classify(start).tag
     if tag in (DomainTag.INVALID, DomainTag.DEGENERATE_UNIT_PAIR):
         raise ValueError("start must have all correlations != 1")
-    off = start.array().copy()
-    value = closedform.f_max(CorrelationMatrix4(tuple(off)))
+    w, u = np.linalg.eigh(start.matrix())
+    v = _unit_rows(u * np.sqrt(np.clip(w, 0.0, None)))
+    m = _gram(v)
+    value = closedform.f_max(m)
+
+    def line_search(direction, gain, power):
+        """Armijo backtracking from step_init, where gain * eta**power is the
+        predicted increase.  Returns (rows, matrix, value, eta) or None."""
+        eta = cfg.step_init
+        while eta > 1e-16:
+            cand = _unit_rows(v + eta * direction)
+            cand_m = _gram(cand)
+            cand_val = closedform.f_max(cand_m)
+            if cand_val >= value + cfg.armijo * gain * eta ** power:
+                return cand, cand_m, cand_val, eta
+            eta *= cfg.backtrack
+        return None
+
     trajectory: list[tuple[float, float, float]] = []
     converged = False
     iterations = 0
+    grad_norm = s_min = float("nan")
     for it in range(1, cfg.max_iters + 1):
-        grad = closedform.gradient(CorrelationMatrix4(tuple(off)))
-        cur = _sym_from_off(off)
-        gmat = _sym_from_off(grad)
-        np.fill_diagonal(gmat, 0.0)
-        # the first trial doubles as the projected-gradient measurement
-        eta = cfg.step_init
-        cand, proj_res = _project_arr(cur + eta * gmat, tol=cfg.proj_tol)
-        cand_off = np.clip(cand[_ROWS, _COLS], -1.0, 1.0)
-        step = cand_off - off
-        if float(np.linalg.norm(step)) / eta <= cfg.grad_tol:
-            converged = True
-            break
-        accepted = False
-        while eta > 1e-16:
-            cand_val = closedform.f_max(CorrelationMatrix4(tuple(cand_off)))
-            if cand_val >= value + cfg.armijo * float(grad @ step):
-                accepted = True
+        g = np.zeros((4, 4))
+        g[_ROWS, _COLS] = g[_COLS, _ROWS] = closedform.gradient(m)
+        e = g @ v
+        d = np.einsum("ij,ij->i", e, v)
+        r = e - d[:, None] * v
+        grad_norm = float(np.linalg.norm(r))
+        s_min = float("nan")
+        step = line_search(r, grad_norm ** 2, 1) if grad_norm > cfg.grad_tol else None
+        if step is None or step[2] <= value:
+            # stationary, or the gradient step gains nothing in floating point:
+            # test the second-order condition S = diag(d) - G >= 0
+            s_eig, s_vec = np.linalg.eigh(np.diag(d) - g)
+            s_min = float(s_eig[0])
+            if s_min < -cfg.grad_tol:
+                # a saddle: with w the right singular vector of V's smallest
+                # singular value (orthogonal to every row when V is rank
+                # deficient), the step u w^T gains -s_min * eta^2 / 2 to
+                # second order, u the eigenvector of s_min
+                escape = np.outer(s_vec[:, 0], np.linalg.svd(v)[2][-1])
+                step = line_search(escape, -0.5 * s_min, 2)
+            elif grad_norm <= cfg.grad_tol:
+                converged = True
                 break
-            eta *= cfg.backtrack
-            cand, proj_res = _project_arr(cur + eta * gmat, tol=cfg.proj_tol)
-            cand_off = np.clip(cand[_ROWS, _COLS], -1.0, 1.0)
-            step = cand_off - off
-        if not accepted:
+            # else keep the gradient step: the first-order test has not passed
+        if step is None:
             break
-        delta = cand_val - value
-        off, value = cand_off, cand_val
+        v, m, value, eta = step
         iterations = it
-        if cfg.keep_trajectory:
-            trajectory.append((float(value), float(eta), float(proj_res)))
-        if cfg.value_tol > 0 and delta <= cfg.value_tol:
-            converged = True
-            break
-    argmax = CorrelationMatrix4(tuple(off))
+        trajectory.append((float(value), float(eta), grad_norm))
     return OptResult(
-        argmax=argmax,
-        value=closedform.f_max(argmax),
+        argmax=m,
+        value=value,
         iterations=iterations,
         trajectory_summary=tuple(trajectory),
         converged=converged,
+        grad_norm=grad_norm,
+        s_min_eig=s_min,
     )
 
 
@@ -193,6 +207,8 @@ def certify(res: OptResult, n_random: int = 100, seed: int = 20240401,
             "target": target,
             "argmax_max_dev": dist,
             "worst_random_value": float(worst_random),
+            "grad_norm": res.grad_norm,
+            "s_min_eig": res.s_min_eig,
             "value_ok": bool(value_ok),
             "dist_ok": bool(dist_ok),
             "random_ok": bool(random_ok),

@@ -13,6 +13,7 @@ from gaussmax.optimize import (
     optimal_value,
     project_elliptope,
     random_interior,
+    random_psd,
 )
 
 
@@ -81,6 +82,30 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize(CorrelationMatrix4((0, 0, 1.0, 0, 0, 0)))
 
+    def test_escapes_planar_square_saddle(self):
+        # v3 = -v1, v4 = -v2, v1 orthogonal to v2: the Riemannian gradient is
+        # exactly zero here, so only the second-order test moves the ascent on
+        res = maximize(CorrelationMatrix4((0.0, -1.0, 0.0, 0.0, -1.0, 0.0)))
+        assert res.converged
+        assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
+        assert abs(res.value - F_STAR) <= 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rank_deficient_starts_converge(self, rng, dim):
+        for _ in range(5):
+            res = maximize(random_psd(rng, dim))
+            assert res.converged
+            assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
+            assert abs(res.value - F_STAR) <= 1e-6
+
+    def test_records_optimality_measures(self):
+        cfg = AscentConfig()
+        res = maximize(CorrelationMatrix4.identity(), cfg)
+        assert res.converged
+        assert res.grad_norm <= cfg.grad_tol
+        assert res.s_min_eig >= -cfg.grad_tol
+        assert all(t[2] > cfg.grad_tol for t in res.trajectory_summary)
+
     def test_iteration_budget_respected(self):
         res = maximize(CorrelationMatrix4.identity(), AscentConfig(max_iters=3))
         assert res.iterations <= 3
@@ -93,6 +118,8 @@ class TestCertify:
         rep = certify(res, n_random=50)
         assert rep.passed
         assert rep.details["value_ok"] and rep.details["dist_ok"] and rep.details["random_ok"]
+        assert rep.details["grad_norm"] == res.grad_norm
+        assert rep.details["s_min_eig"] == res.s_min_eig
 
     def test_fake_too_large_value_fails(self):
         res = maximize(CorrelationMatrix4.identity())
@@ -130,3 +157,12 @@ class TestBasin:
             assert res.converged
             assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
             assert abs(res.value - F_STAR) <= 1e-6
+
+    def test_battery20_converges_tightly(self, battery20):
+        worst = 0.0
+        for start in battery20:
+            res = maximize(start)
+            assert res.converged
+            assert res.iterations <= 100
+            worst = max(worst, float(np.max(np.abs(res.argmax.array() + 1.0 / 3.0))))
+        assert worst <= 1e-6
