@@ -15,6 +15,7 @@ import numpy as np
 
 from . import closedform, geometry, montecarlo, optimize, verify
 from .corrmat import (
+    EPS_CLAMP,
     EPS_ONE,
     EPS_PSD,
     CorrelationMatrix4,
@@ -45,7 +46,7 @@ def _tolerances() -> dict:
     return {
         "eps_psd": EPS_PSD,
         "eps_one": EPS_ONE,
-        "eps_clamp": closedform.EPS_CLAMP,
+        "eps_clamp": EPS_CLAMP,
     }
 
 

@@ -1,9 +1,10 @@
 """Closed-form expected maximum of a 4-D centered unit-variance Gaussian
 vector, with exact first and second derivatives in the six correlations.
 
-Everything is evaluated from the derived quantities of ``corrmat``; the
-same complement table drives the value, gradient and Hessian so the three
-stay consistent by construction.
+Everything is evaluated from one ``corrmat.derive`` pass per call: its
+``tag`` picks the branch and its ``cosines`` are the arccos arguments, so
+the value, gradient and Hessian read a single copy of each derived
+quantity and stay consistent by construction.
 """
 
 from __future__ import annotations
@@ -20,46 +21,14 @@ from .corrmat import (
     PAIRS,
     CorrelationMatrix4,
     DomainTag,
-    classify,
     derive,
     triangle_factor,
 )
 
 SQRT_PI3 = float(np.sqrt(np.pi ** 3))
 
-# Clamp tolerance for arccos arguments: excursions beyond it indicate a broken
-# derived quantity rather than roundoff.
-EPS_CLAMP = 1e-9
-# Both the quadratic combination and the radical below this magnitude are
-# treated as the 0/0 = 1 limit (the term then contributes nothing).
-EPS_ZERO_OVER_ZERO = 1e-14
-
 # Upper bound for the value on coplanar configurations, 4*pi / (2*sqrt(pi^3)).
 COPLANAR_BOUND = float(4 * np.pi / (2 * SQRT_PI3))
-
-
-def _safe_arccos_arg(lt: np.ndarray, rad_sq: np.ndarray) -> np.ndarray:
-    """arccos argument lt / sqrt(rad_sq) with the 0/0 -> 1 convention and
-    clamping to [-1, 1] within EPS_CLAMP."""
-    lt = np.atleast_1d(np.asarray(lt, dtype=float))
-    rad_sq = np.atleast_1d(np.asarray(rad_sq, dtype=float))
-    rad = np.sqrt(np.maximum(rad_sq, 0.0))
-    degenerate = rad < EPS_ZERO_OVER_ZERO
-    arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
-    if np.any(np.abs(arg) > 1.0 + EPS_CLAMP):
-        raise ValueError(f"arccos argument out of range: {arg}")
-    return np.clip(arg, -1.0, 1.0)
-
-
-def dihedral_cosines(m: CorrelationMatrix4) -> np.ndarray:
-    """The six arccos arguments of the closed form, in pair storage order.
-
-    Entry (k, l) equals the cosine of the outer dihedral angle along edge
-    (k, l) of the embedded tetrahedron.
-    """
-    d = derive(m)
-    rad_sq = d.lambda_prime * d.a_tilde ** 2 + d.lambda_tilde ** 2
-    return _safe_arccos_arg(d.lambda_tilde, rad_sq)
 
 
 def _dedupe_classes(m: CorrelationMatrix4) -> list[int]:
@@ -107,37 +76,28 @@ def _f_max_degenerate(m: CorrelationMatrix4) -> float:
 
 def f_max(m: CorrelationMatrix4) -> float:
     """Expected maximum of the 4 coordinates, exact closed form."""
-    cls = classify(m)
-    if cls.tag is DomainTag.INVALID:
-        raise ValueError("not a correlation matrix")
-    if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:
-        return _f_max_degenerate(m)
     d = derive(m)
-    rad_sq = d.lambda_prime * d.a_tilde ** 2 + d.lambda_tilde ** 2
-    arg = _safe_arccos_arg(d.lambda_tilde, rad_sq)
-    return float(np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(arg))
+    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        return _f_max_degenerate(m)
+    return float(np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines))
                  / (2 * SQRT_PI3))
 
 
 def gradient(m: CorrelationMatrix4) -> np.ndarray:
     """The six partial derivatives of f_max, storage order; all negative."""
-    cls = classify(m)
-    if cls.tag in (DomainTag.INVALID, DomainTag.DEGENERATE_UNIT_PAIR):
-        raise ValueError("gradient requires all correlations != 1")
     d = derive(m)
-    rad_sq = d.lambda_prime * d.a_tilde ** 2 + d.lambda_tilde ** 2
-    arg = _safe_arccos_arg(d.lambda_tilde, rad_sq)
-    return -np.arccos(arg) / (4 * np.sqrt(np.pi ** 3 * d.lambda_prime))
+    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        raise ValueError("gradient requires all correlations != 1")
+    return -np.arccos(d.cosines) / (4 * np.sqrt(np.pi ** 3 * d.lambda_prime))
 
 
 def hessian(m: CorrelationMatrix4) -> np.ndarray:
     """Symmetric 6x6 matrix of second partials of f_max (interior only)."""
-    if classify(m).tag is not DomainTag.INTERIOR_S:
-        raise ValueError("hessian requires an interior (positive definite) matrix")
     d = derive(m)
+    if d.tag is not DomainTag.INTERIOR_S:
+        raise ValueError("hessian requires an interior (positive definite) matrix")
     lp, lt, at = d.lambda_prime, d.lambda_tilde, d.a_tilde
-    rad_sq = lp * at ** 2 + lt ** 2
-    arg = _safe_arccos_arg(lt, rad_sq)
+    arg = d.cosines
     h = np.empty((6, 6))
     for s, (k, l) in enumerate(PAIRS):
         mm, nn = PAIR_COMPLEMENT[s]

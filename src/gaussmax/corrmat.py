@@ -34,6 +34,13 @@ for _t, (_i, _j) in enumerate(PAIRS):
 EPS_PSD = 1e-10   # absolute tolerance on the smallest eigenvalue
 EPS_ONE = 1e-12   # tolerance for detecting an off-diagonal equal to 1
 
+# Clamp tolerance for arccos arguments: excursions beyond it indicate a broken
+# derived quantity rather than roundoff.
+EPS_CLAMP = 1e-9
+# The arccos radical below this size times the squared scale of the simplex
+# is treated as the 0/0 = 1 limit (the term then contributes nothing).
+EPS_ZERO_OVER_ZERO = 1e-14
+
 
 class DomainTag(Enum):
     INTERIOR_S = "InteriorS"
@@ -166,8 +173,11 @@ def triangle_factor(cp: np.ndarray, tri: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class CorrDerived:
-    """Derived quantities of a correlation matrix.
+    """Derived quantities of a correlation matrix: the single source that the
+    closed-form value, gradient and Hessian and the dihedral angles read.
 
+    ``tag`` is the domain class found by the one ``classify`` call in
+    ``derive``; ``cosines`` are the six arccos arguments of the closed form.
     a_sq is None when the matrix is singular (the ratio form is undefined).
     """
 
@@ -177,10 +187,32 @@ class CorrDerived:
     a_tilde: float             # sqrt(2 det sigma2) >= 0
     a_sq: Optional[float]      # a_tilde^2 / (2 det), only when det > 0
     det_lambda: float
+    tag: DomainTag             # never INVALID: derive raises instead
+
+    @property
+    def cosines(self) -> np.ndarray:
+        """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2
+        + lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to
+        [-1, 1] within EPS_CLAMP.  Entry (k, l) is the cosine of the outer
+        dihedral angle along edge (k, l) of the embedded tetrahedron.
+
+        Computed on access, so that ``derive`` never raises on a matrix with
+        a unit pair, whose arguments the closed form does not use.
+        """
+        lp, lt = self.lambda_prime, self.lambda_tilde
+        rad = np.sqrt(np.maximum(lp * self.a_tilde ** 2 + lt ** 2, 0.0))
+        # the radical is homogeneous of degree 2 in lp and vanishes only when
+        # a correlation equals 1, so the 0/0 cut-off scales with the simplex
+        degenerate = rad <= EPS_ZERO_OVER_ZERO * min(1.0, float(np.max(lp))) ** 2
+        arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
+        if np.any(np.abs(arg) > 1.0 + EPS_CLAMP):
+            raise ValueError(f"arccos argument out of range: {arg}")
+        return np.clip(arg, -1.0, 1.0)
 
 
 def derive(m: CorrelationMatrix4) -> CorrDerived:
-    if classify(m).tag is DomainTag.INVALID:
+    tag = classify(m).tag
+    if tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
     lp = 1.0 - m.array()
     lt = quad_combination(m)
@@ -192,7 +224,7 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     lp.flags.writeable = False
     lt.flags.writeable = False
     s2.flags.writeable = False
-    return CorrDerived(lp, lt, s2, a_tilde, a_sq, det_lambda)
+    return CorrDerived(lp, lt, s2, a_tilde, a_sq, det_lambda, tag)
 
 
 @dataclass(frozen=True)

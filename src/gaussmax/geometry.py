@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .closedform import _safe_arccos_arg
 from .corrmat import (
     PAIR_INDEX,
     PAIRS,
@@ -144,13 +143,10 @@ def dihedrals(m: CorrelationMatrix4) -> DihedralSet:
     cos(alpha) along edge (k,l) is the arccos argument of the closed form;
     the angle is stored under the facet pair sharing that edge.
     """
-    cls = classify(m)
-    if cls.tag in (DomainTag.INVALID, DomainTag.DEGENERATE_UNIT_PAIR):
-        raise ValueError("dihedrals require all correlations != 1")
     d = derive(m)
-    rad_sq = d.lambda_prime * d.a_tilde ** 2 + d.lambda_tilde ** 2
-    cosines = _safe_arccos_arg(d.lambda_tilde, rad_sq)
-    alpha = np.array([np.arccos(cosines[EDGE_OF_FACET_PAIR[t]]) for t in range(6)])
+    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        raise ValueError("dihedrals require all correlations != 1")
+    alpha = np.arccos(d.cosines[list(EDGE_OF_FACET_PAIR)])
     alpha.flags.writeable = False
     return DihedralSet(alpha)
 
@@ -320,16 +316,22 @@ def h_func(x: float, y: float, z: float) -> float:
     return float(v @ np.linalg.solve(g, v))
 
 
+def _gamma_entries(x, y, z, xy_entry=None):
+    """The off-diagonal entries s, e, xi of Gamma (pairs xy, xz, yz) and its
+    determinant; vectorized in z."""
+    s = f_width_inv(x * y) if xy_entry is None else xy_entry
+    e = _f_inv_arr(np.asarray(x * z, dtype=float))
+    xi = _f_inv_arr(np.asarray(y * z, dtype=float))
+    return s, e, xi, 1.0 - s * s - e * e - xi * xi + 2.0 * s * e * xi
+
+
 def h_func_expanded(x, y, z, xy_entry=None):
     """Vectorized H through the expanded rational form; z may be an array.
 
     Returns (H, det) so scans can keep only det > 0 points.  ``xy_entry``
     lets callers reuse f_width_inv(x*y) across a z-sweep.
     """
-    s = f_width_inv(x * y) if xy_entry is None else xy_entry
-    e = _f_inv_arr(np.asarray(x * z, dtype=float))
-    xi = _f_inv_arr(np.asarray(y * z, dtype=float))
-    det = 1.0 - s * s - e * e - xi * xi + 2.0 * s * e * xi
+    s, e, xi, det = _gamma_entries(x, y, z, xy_entry)
     num = (
         x * x * (1 - xi * xi) + y * y * (1 - e * e) + z * z * (1 - s * s)
         + 2 * x * y * (e * xi - s) + 2 * x * z * (s * xi - e) + 2 * y * z * (s * e - xi)
@@ -340,10 +342,7 @@ def h_func_expanded(x, y, z, xy_entry=None):
 def gamma_det(x, y, z):
     """det of the 3x3 matrix with unit diagonal and f_width_inv of the
     pairwise products off the diagonal; vectorized in z."""
-    s = f_width_inv(x * y)
-    e = _f_inv_arr(np.asarray(x * z, dtype=float))
-    xi = _f_inv_arr(np.asarray(y * z, dtype=float))
-    return 1.0 - s * s - e * e - xi * xi + 2.0 * s * e * xi
+    return _gamma_entries(x, y, z)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -99,72 +99,68 @@ def _check_args(n: int, shards):
         raise ValueError("shards must be >= 1")
 
 
-def _run_shards(worker, pairs: int, shards: int):
-    sizes = _shard_sizes(pairs, shards)
-    with ThreadPoolExecutor(max_workers=min(thread_count(), shards)) as pool:
-        return list(pool.map(worker, range(shards), sizes))
+def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
+                 accumulate, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-column sums and sums of squares over n antithetic draws.
+
+    ``accumulate(x, s, s2)`` adds one block of draws x (and their antithetic
+    mates -x) into the shard's length-``width`` sums s and s2 in place.
+    Shard partials are reduced in shard order with exact summation.
+    """
+    _check_args(n, shards)
+    nshards = shards if shards is not None else _default_shards(n)
+    lt = sample_factor(m).T
+
+    def worker(shard: int, size: int):
+        rng = _shard_rng(seed, shard)
+        s = np.zeros(width)
+        s2 = np.zeros(width)
+        left = size
+        while left > 0:
+            b = min(left, _BLOCK)
+            accumulate(rng.standard_normal((b, 4)) @ lt, s, s2)
+            left -= b
+        return s, s2
+
+    sizes = _shard_sizes(n // 2, nshards)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), nshards)) as pool:
+        parts = list(pool.map(worker, range(nshards), sizes))
+    s = np.array([math.fsum(p[0][i] for p in parts) for i in range(width)])
+    s2 = np.array([math.fsum(p[1][i] for p in parts) for i in range(width)])
+    return s, s2
+
+
+def _add_max(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
+    hi = x.max(axis=1)
+    lo = x.min(axis=1)
+    # antithetic mate of each draw contributes max(-x) = -min(x)
+    s[0] += float(hi.sum() - lo.sum())
+    s2[0] += float(hi @ hi + lo @ lo)
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
     """Sample mean of max(X_1..X_4) over n draws (n/2 antithetic pairs)."""
-    _check_args(n, shards)
-    nshards = shards if shards is not None else _default_shards(n)
-    lt = sample_factor(m).T
-    pairs = n // 2
-
-    def worker(shard: int, size: int):
-        rng = _shard_rng(seed, shard)
-        s = s2 = 0.0
-        left = size
-        while left > 0:
-            b = min(left, _BLOCK)
-            x = rng.standard_normal((b, 4)) @ lt
-            hi = x.max(axis=1)
-            lo = x.min(axis=1)
-            # antithetic mate of each draw contributes max(-x) = -min(x)
-            s += float(hi.sum() - lo.sum())
-            s2 += float(hi @ hi + lo @ lo)
-            left -= b
-        return s, s2
-
-    parts = _run_shards(worker, pairs, nshards)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
+    s, s2 = _sample_sums(m, n, seed, shards, _add_max, 1)
+    mean = float(s[0]) / n
+    var = max(float(s2[0]) / n - mean * mean, 0.0)
     return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+
+
+def _add_order_stats(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
+    asc = np.sort(x, axis=1)
+    for desc in (asc[:, ::-1], -asc):  # draw and its antithetic mate
+        r3 = desc[:, 2] - 3.0 * desc[:, 0]
+        r2 = desc[:, 1] + 3.0 * desc[:, 0]
+        cols = (desc[:, 0], desc[:, 1], desc[:, 2], desc[:, 3], r3, r2)
+        for i, col in enumerate(cols):
+            s[i] += float(col.sum())
+            s2[i] += float(col @ col)
 
 
 def estimate_order_stats(m: CorrelationMatrix4, n: int, seed: int,
                          shards: int | None = None) -> OrderStats:
     """Means of the four order statistics over n draws (antithetic pairs)."""
-    _check_args(n, shards)
-    nshards = shards if shards is not None else _default_shards(n)
-    lt = sample_factor(m).T
-    pairs = n // 2
-
-    def worker(shard: int, size: int):
-        rng = _shard_rng(seed, shard)
-        s = np.zeros(6)
-        s2 = np.zeros(6)
-        left = size
-        while left > 0:
-            b = min(left, _BLOCK)
-            x = rng.standard_normal((b, 4)) @ lt
-            asc = np.sort(x, axis=1)
-            for desc in (asc[:, ::-1], -asc):  # draw and its antithetic mate
-                r3 = desc[:, 2] - 3.0 * desc[:, 0]
-                r2 = desc[:, 1] + 3.0 * desc[:, 0]
-                cols = (desc[:, 0], desc[:, 1], desc[:, 2], desc[:, 3], r3, r2)
-                for i, col in enumerate(cols):
-                    s[i] += float(col.sum())
-                    s2[i] += float(col @ col)
-            left -= b
-        return s, s2
-
-    parts = _run_shards(worker, pairs, nshards)
-    s = np.array([math.fsum(p[0][i] for p in parts) for i in range(6)])
-    s2 = np.array([math.fsum(p[1][i] for p in parts) for i in range(6)])
+    s, s2 = _sample_sums(m, n, seed, shards, _add_order_stats, 6)
     means = s / n
     var = np.maximum(s2 / n - means ** 2, 0.0)
     se = np.sqrt(var / n)

@@ -117,11 +117,10 @@ def euler_row_poly(pair: int) -> IntPolynomial6:
     return total
 
 
-def base_row_poly_literal() -> IntPolynomial6:
-    """The base-pair residual transcribed term by term from its printed form
-    (variables a..f = correlations in storage order)."""
-    a, b, c, d, e, f = (IntPolynomial6.variable(i) for i in range(6))
-    one = IntPolynomial6.const(1)
+def _base_row(a, b, c, d, e, f, one):
+    """The base-pair residual transcribed term by term from its printed form,
+    over any ring whose elements support + - * among themselves and * with
+    ints; a..f are the correlations in storage order."""
 
     def om(x):
         return one - x
@@ -149,6 +148,12 @@ def base_row_poly_literal() -> IntPolynomial6:
     )
 
 
+def base_row_poly_literal() -> IntPolynomial6:
+    """The base-pair residual as an exact polynomial (variables a..f =
+    correlations in storage order)."""
+    return _base_row(*(IntPolynomial6.variable(i) for i in range(6)), IntPolynomial6.const(1))
+
+
 def polynomial_identity() -> ScanReport:
     """Exact expansion of the balance polynomial for all six base pairs."""
     literal = base_row_poly_literal()
@@ -172,27 +177,7 @@ def polynomial_identity() -> ScanReport:
 def base_row_value_at(vals) -> Fraction:
     """The unexpanded base-pair expression evaluated exactly at rational
     correlations (product form, no polynomial expansion)."""
-    a, b, c, d, e, f = (Fraction(v) for v in vals)
-    one = Fraction(1)
-
-    def om(x):
-        return one - x
-
-    qb = om(b) ** 2 - om(b) * (om(a) + om(c) + om(d) + om(f) - 2 * om(e)) + (a - d) * (c - f)
-    qc_ = om(c) ** 2 - om(c) * (om(a) + om(b) + om(e) + om(f) - 2 * om(d)) + (a - e) * (b - f)
-    qd = om(d) ** 2 - om(d) * (om(a) + om(b) + om(e) + om(f) - 2 * om(c)) + (a - b) * (e - f)
-    qe = om(e) ** 2 - om(e) * (om(a) + om(c) + om(d) + om(f) - 2 * om(b)) + (a - c) * (d - f)
-    d1 = 4 * om(a) * om(d) - (one - a - d + b) ** 2
-    d2 = 4 * om(a) * om(e) - (one - a - e + c) ** 2
-    return (
-        qb * (om(a) + om(d) - om(b)) * d2
-        + qc_ * (om(a) + om(e) - om(c)) * d1
-        - 2 * qd * om(b) * d2
-        - 2 * qe * om(c) * d1
-        - 2 * qb * om(d) * d2
-        - 2 * qc_ * om(e) * d1
-        - 2 * om(f) * d1 * d2
-    )
+    return _base_row(*(Fraction(v) for v in vals), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +499,7 @@ def nonobtuse_hessian_check(m: CorrelationMatrix4) -> ScanReport:
     diagonal and positive determinant, and its non-diagonal part annihilates
     the complement vector."""
     d = derive(m)
-    cosines = closedform.dihedral_cosines(m)
+    cosines = d.cosines
     # interior dihedral cosine = -outer cosine; nonobtuse means all >= 0
     if np.any(-cosines < 0):
         raise ObtuseInputError("tetrahedron has an obtuse dihedral angle")
@@ -542,9 +527,11 @@ def sample_nonobtuse_interior(rng: np.random.Generator, max_tries: int = 10_000)
     for _ in range(max_tries):
         off = -0.25 + rng.uniform(-0.15, 0.15, size=6)
         m = CorrelationMatrix4(tuple(off))
-        if classify(m).tag is not DomainTag.INTERIOR_S:
+        try:
+            d = derive(m)
+        except ValueError:  # not positive semidefinite
             continue
-        if np.all(-closedform.dihedral_cosines(m) >= 1e-6):
+        if d.tag is DomainTag.INTERIOR_S and np.all(-d.cosines >= 1e-6):
             return m
     raise RuntimeError("failed to sample a nonobtuse interior matrix")
 

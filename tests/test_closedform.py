@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import F_IID3, F_IID4
+from conftest import F_IID3, F_IID4, F_STAR
+
+from gaussmax import geometry
 
 from gaussmax.closedform import (
     COPLANAR_BOUND,
@@ -14,7 +18,7 @@ from gaussmax.closedform import (
     hessian,
     quadrant_integral,
 )
-from gaussmax.corrmat import PAIRS, CorrelationMatrix4, derive
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive
 from gaussmax.montecarlo import estimate_max
 
 SQRT_PI3 = np.sqrt(np.pi**3)
@@ -109,6 +113,65 @@ class TestFMax:
     def test_coplanar_bound_constant(self):
         assert COPLANAR_BOUND == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-15)
         assert round(COPLANAR_BOUND, 6) == 1.128379
+
+
+def clustered_unit_vectors():
+    """Strategy: four unit vectors within ``scale`` in [1e-6, 1e-1] of one
+    point of R^2, R^3 or R^4, i.e. a small simplex of any rank."""
+    coord = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+
+    def build(dim):
+        point = st.lists(coord, min_size=dim, max_size=dim).filter(
+            lambda p: np.linalg.norm(p) > 0.1)
+        offsets = st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=4, max_size=4)
+        return st.tuples(point, offsets, st.floats(1e-6, 1e-1))
+
+    def to_matrix(args):
+        point, offsets, scale = args
+        p = np.asarray(point) / np.linalg.norm(point)
+        a = p + scale * np.asarray(offsets)
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        g = a @ a.T
+        return CorrelationMatrix4(tuple(np.clip(g[i, j], -1, 1) for i, j in PAIRS))
+
+    return st.sampled_from([2, 3, 4]).flatmap(build).map(to_matrix)
+
+
+class TestSmallSimplex:
+    """All correlations near 1: the arccos radical scales like (1 - r)^2, so a
+    small simplex must not be mistaken for the 0/0 limit of a unit pair."""
+
+    @pytest.mark.parametrize("e", [10.0 ** -k for k in range(2, 11)])
+    def test_equicorrelated_value_scales_like_sqrt(self, e):
+        m = CorrelationMatrix4.equicorrelated(1.0 - e)
+        assert f_max(m) == pytest.approx(np.sqrt(3 * e / 4) * F_STAR, rel=1e-6)
+        g = gradient(m)
+        assert np.all(np.isfinite(g))
+        assert np.all(g < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_unit_vectors())
+    def test_clustered_vectors_never_raise(self, m):
+        assert np.isfinite(f_max(m))
+        if derive(m).tag is not DomainTag.DEGENERATE_UNIT_PAIR:
+            assert np.all(np.isfinite(gradient(m)))
+
+
+class TestSinglePass:
+    """One classification, hence one eigvalsh, per public call."""
+
+    @pytest.mark.parametrize("fn", [f_max, gradient, hessian, geometry.dihedrals])
+    def test_one_eigvalsh_per_call(self, fn, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fn(CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)))
+        assert len(calls) == 1
 
 
 class TestFMax3:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import F_IID4
 
+from gaussmax import montecarlo
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import CorrelationMatrix4
 from gaussmax.montecarlo import (
@@ -122,6 +123,16 @@ class TestOrderStats:
             hi = s / (3 * np.sqrt(np.pi))
             slack = 4 * os_.std_errors[0]
             assert lo - slack <= os_.e1 <= hi + slack
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # several blocks per shard, so the in-place block sums are exercised
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4_096)
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        monkeypatch.setenv("GAUSSMAX_THREADS", "1")
+        a = estimate_order_stats(m, 40_000, seed=6, shards=2)
+        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
+        b = estimate_order_stats(m, 40_000, seed=6, shards=2)
+        assert a == b
 
     def test_shard_split_determinism(self):
         m = CorrelationMatrix4.identity()

@@ -90,6 +90,14 @@ class TestMaximize:
         assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
         assert abs(res.value - F_STAR) <= 1e-6
 
+    def test_tiny_simplex_start_converges(self):
+        # every correlation is 1 - 1e-10: a small regular simplex, not the
+        # 0/0 limit, so the gradient is nonzero and the ascent moves
+        res = maximize(CorrelationMatrix4.equicorrelated(0.9999999999))
+        assert res.converged
+        assert res.iterations > 0
+        assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-6
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rank_deficient_starts_converge(self, rng, dim):
         for _ in range(5):
