@@ -51,6 +51,8 @@ def _dedupe_classes(m: CorrelationMatrix4) -> list[int]:
 
 def f_max3(r12: float, r13: float, r23: float) -> float:
     """Expected maximum of a 3-D centered unit-variance Gaussian vector."""
+    if not np.all(np.isfinite((r12, r13, r23))):
+        raise ValueError("correlations must be finite")
     mat = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
     if np.linalg.eigvalsh(mat)[0] < -EPS_PSD:
         raise ValueError("3x3 correlation matrix is not positive semidefinite")

@@ -142,24 +142,32 @@ def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
     return out
 
 
+def quad_term(x: Sequence, t: int, one=1.0):
+    """Quadratic combination of stored pair ``t`` over any ring: ``x`` holds the
+    six correlations in storage order, ``one`` is the ring's unit.  The exact
+    identity in ``verify`` evaluates this float expression on polynomials."""
+    k, l = PAIRS[t]
+    mm, nn = PAIR_COMPLEMENT[t]
+
+    def v(i, j):
+        return x[PAIR_INDEX[(i, j)]]
+
+    return (
+        (one - v(k, l) + v(k, nn) - v(l, nn))
+        * (one - v(k, l) + v(k, mm) - v(l, mm))
+        - 2 * (one - v(k, l)) * (one - v(l, mm) - v(l, nn) + v(mm, nn))
+    )
+
+
 def quad_combination(m: CorrelationMatrix4) -> np.ndarray:
     """The six quadratic combinations appearing inside the arccos of the
     closed form, in storage order."""
-    mat = m.matrix()
-    out = np.empty(6)
-    for t, (k, l) in enumerate(PAIRS):
-        mm, nn = PAIR_COMPLEMENT[t]
-        out[t] = (
-            (1 - mat[k, l] + mat[k, nn] - mat[l, nn])
-            * (1 - mat[k, l] + mat[k, mm] - mat[l, mm])
-            - 2 * (1 - mat[k, l]) * (1 - mat[l, mm] - mat[l, nn] + mat[mm, nn])
-        )
-    return out
+    return np.array([quad_term(m.offdiag, t) for t in range(6)])
 
 
-def triangle_factor(cp: np.ndarray, tri: Sequence[int]) -> float:
-    """2ab + 2ac + 2bc - a^2 - b^2 - c^2 on the complements of the three
-    pairs spanned by the vertex triple ``tri``.
+def triangle_factor(cp: Sequence, tri: Sequence[int]):
+    """2ab + 2ac + 2bc - a^2 - b^2 - c^2 on the complements ``cp`` (1 - corr)
+    of the three pairs spanned by the vertex triple ``tri``, over any ring.
 
     Symmetric in the three edges; equal to four times the corresponding 2x2
     principal minor of the anchored difference covariance.
@@ -273,18 +281,22 @@ def vertex_gramian(m: CorrelationMatrix4, anchor: int) -> VertexGramian:
 # text / JSON formats
 
 
+def _from_entries(entries) -> CorrelationMatrix4:
+    vals = []
+    for name, p in zip(PAIR_NAMES, entries):
+        try:
+            vals.append(float(p))
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {name}: cannot parse {p!r} as a number") from None
+    return CorrelationMatrix4(tuple(vals))
+
+
 def parse_offdiag_text(text: str) -> CorrelationMatrix4:
     """Parse 'r12,r13,r14,r23,r24,r34' (one line of six decimals)."""
     parts = [p.strip() for p in text.strip().split(",")]
     if len(parts) != 6:
         raise ValueError(f"expected 6 comma-separated values, got {len(parts)}")
-    vals = []
-    for name, p in zip(PAIR_NAMES, parts):
-        try:
-            vals.append(float(p))
-        except ValueError:
-            raise ValueError(f"entry {name}: cannot parse {p!r} as a number") from None
-    return CorrelationMatrix4(tuple(vals))
+    return _from_entries(parts)
 
 
 def from_json_obj(obj) -> CorrelationMatrix4:
@@ -299,7 +311,7 @@ def from_json_obj(obj) -> CorrelationMatrix4:
     off = obj["offdiag"]
     if not isinstance(off, list) or len(off) != 6:
         raise ValueError("field 'offdiag' must be a list of 6 numbers")
-    return CorrelationMatrix4(tuple(float(v) for v in off))
+    return _from_entries(off)
 
 
 def load_matrix(path: str) -> CorrelationMatrix4:

@@ -48,6 +48,8 @@ class Tetrahedron:
         v = np.asarray(self.vertices, dtype=float)
         if v.shape != (4, 3):
             raise ValueError("vertices must be a 4x3 array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
             raise ValueError("vertices must be unit vectors")

@@ -26,11 +26,15 @@ _ROWS = np.array([p[0] for p in PAIRS])
 _COLS = np.array([p[1] for p in PAIRS])
 
 
+STEP_INIT = 4.0   # first trial step of the Armijo line search
+BACKTRACK = 0.5   # step shrink factor per rejected trial
+ARMIJO = 1e-4     # fraction of the predicted increase a step must gain
+PROJ_TOL = 1e-11  # project_elliptope stops when no entry moves more than this
+PROJ_MAX_ITERS = 1000
+
+
 @dataclass(frozen=True)
 class AscentConfig:
-    step_init: float = 4.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     grad_tol: float = 1e-8      # on the Riemannian gradient norm and on -min eig(S)
     max_iters: int = 10_000
 
@@ -48,7 +52,7 @@ class OptResult:
     s_min_eig: float = float("nan")   # smallest eigenvalue of S; nan if not tested
 
 
-def project_elliptope(sym, tol: float = 1e-11, max_iters: int = 1000) -> CorrelationMatrix4:
+def project_elliptope(sym) -> CorrelationMatrix4:
     """Nearest (Frobenius) correlation matrix to a symmetric 4x4 input, by
     alternating projections between the PSD cone (with Dykstra correction)
     and the unit-diagonal affine set."""
@@ -62,7 +66,7 @@ def project_elliptope(sym, tol: float = 1e-11, max_iters: int = 1000) -> Correla
     x = sym.copy()
     np.fill_diagonal(x, 1.0)
     correction = np.zeros_like(x)
-    for _ in range(max_iters):
+    for _ in range(PROJ_MAX_ITERS):
         adjusted = x - correction
         w, v = np.linalg.eigh(adjusted)
         psd = (v * np.clip(w, 0.0, None)) @ v.T
@@ -71,9 +75,9 @@ def project_elliptope(sym, tol: float = 1e-11, max_iters: int = 1000) -> Correla
         np.fill_diagonal(x_new, 1.0)
         residual = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if residual < tol:
+        if residual < PROJ_TOL:
             return CorrelationMatrix4(tuple(np.clip(x[i, j], -1.0, 1.0) for i, j in PAIRS))
-    raise RuntimeError(f"projection did not reach residual {tol} in {max_iters} iterations")
+    raise RuntimeError(f"projection did not reach residual {PROJ_TOL} in {PROJ_MAX_ITERS} iterations")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -97,16 +101,16 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     value = closedform.f_max(m)
 
     def line_search(direction, gain, power):
-        """Armijo backtracking from step_init, where gain * eta**power is the
+        """Armijo backtracking from STEP_INIT, where gain * eta**power is the
         predicted increase.  Returns (rows, matrix, value, eta) or None."""
-        eta = cfg.step_init
+        eta = STEP_INIT
         while eta > 1e-16:
             cand = _unit_rows(v + eta * direction)
             cand_m = _gram(cand)
             cand_val = closedform.f_max(cand_m)
-            if cand_val >= value + cfg.armijo * gain * eta ** power:
+            if cand_val >= value + ARMIJO * gain * eta ** power:
                 return cand, cand_m, cand_val, eta
-            eta *= cfg.backtrack
+            eta *= BACKTRACK
         return None
 
     trajectory: list[tuple[float, float, float]] = []
@@ -156,6 +160,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
 
 EQUICORRELATED_OPTIMUM = -1.0 / 3.0
 DIST_TOL = 1e-4
+CERTIFY_SEED = 20240401
 
 
 def optimal_value() -> float:
@@ -171,17 +176,15 @@ def random_psd(rng: np.random.Generator, dim: int = 4) -> CorrelationMatrix4:
     return CorrelationMatrix4(tuple(np.clip(g[i, j], -1.0, 1.0) for i, j in PAIRS))
 
 
-def random_interior(rng: np.random.Generator, min_eig: float = 0.05,
-                    max_tries: int = 10_000) -> CorrelationMatrix4:
-    for _ in range(max_tries):
+def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> CorrelationMatrix4:
+    for _ in range(10_000):
         m = random_psd(rng)
         if np.linalg.eigvalsh(m.matrix())[0] > min_eig:
             return m
     raise RuntimeError("failed to sample an interior matrix")
 
 
-def certify(res: OptResult, n_random: int = 100, seed: int = 20240401,
-            dist_tol: float = DIST_TOL) -> ScanReport:
+def certify(res: OptResult, n_random: int = 100) -> ScanReport:
     """Certify a converged run: the value does not beat the equicorrelated
     closed form, the argmax sits at the equicorrelated point, and no random
     correlation matrix does better."""
@@ -190,17 +193,17 @@ def certify(res: OptResult, n_random: int = 100, seed: int = 20240401,
     target = optimal_value()
     value_ok = res.value <= target + 1e-9
     dist = float(np.max(np.abs(res.argmax.array() - EQUICORRELATED_OPTIMUM)))
-    dist_ok = dist <= dist_tol
-    rng = np.random.default_rng(seed)
+    dist_ok = dist <= DIST_TOL
+    rng = np.random.default_rng(CERTIFY_SEED)
     worst_random = -np.inf
     for _ in range(n_random):
         worst_random = max(worst_random, closedform.f_max(random_psd(rng)))
     random_ok = worst_random <= res.value + 1e-9
     return ScanReport(
         name="optimizer_certificate",
-        grid=f"{n_random} random matrices, seed {seed}",
+        grid=f"{n_random} random matrices, seed {CERTIFY_SEED}",
         passed=bool(value_ok and dist_ok and random_ok),
-        worst_margin=float(min(target + 1e-9 - res.value, dist_tol - dist,
+        worst_margin=float(min(target + 1e-9 - res.value, DIST_TOL - dist,
                                res.value + 1e-9 - worst_random)),
         details={
             "value": res.value,

@@ -2,7 +2,9 @@
 behind the maximum theorem: the exact second-derivative balance polynomial,
 monotonicity of the H function, the kernel functions K and P with their
 ordering, the interval structure of the admissible set, the non-concavity
-example, the nonobtuse Hessian facts, and the value bounds."""
+example, the nonobtuse Hessian facts, and the value bounds.  The exact
+identity evaluates corrmat's float expressions on integer polynomials, and the
+mpmath refinements evaluate the numpy expressions of P at high precision."""
 
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from .corrmat import (
     DomainTag,
     classify,
     derive,
+    quad_term,
+    triangle_factor,
 )
 from .geometry import f_width_inv, gamma_det, h_func_expanded
 from .polynomial import IntPolynomial6
@@ -55,41 +59,19 @@ class ScanReport:
 # exact polynomial identity
 
 
-def _p_one_minus(var: int) -> IntPolynomial6:
-    return IntPolynomial6.const(1) - IntPolynomial6.variable(var)
+_VARS = tuple(IntPolynomial6.variable(i) for i in range(6))
+_ONE = IntPolynomial6.const(1)
 
 
-def _p_var_diff(i: int, j: int) -> IntPolynomial6:
-    return IntPolynomial6.variable(i) - IntPolynomial6.variable(j)
-
-
-def quad_combination_poly(pair: int, vmap=None) -> IntPolynomial6:
+def quad_combination_poly(pair: int) -> IntPolynomial6:
     """The quadratic combination of pair ``pair`` as an exact polynomial in
-    the six correlations; generated from the complement table."""
-    vmap = vmap or tuple(range(6))
-    k, l = PAIRS[pair]
-    m, n = PAIR_COMPLEMENT[pair]
-
-    def v(i, j):
-        return IntPolynomial6.variable(vmap[PAIR_INDEX[(i, j)]])
-
-    one = IntPolynomial6.const(1)
-    return (
-        (one - v(k, l) + v(k, n) - v(l, n)) * (one - v(k, l) + v(k, m) - v(l, m))
-        - 2 * (one - v(k, l)) * (one - v(l, m) - v(l, n) + v(m, n))
-    )
+    the six correlations: ``corrmat.quad_term`` evaluated over the integers."""
+    return quad_term(_VARS, pair, _ONE)
 
 
-def triangle_factor_poly(tri, vmap=None) -> IntPolynomial6:
-    """4(1-x)(1-y) - ((1-x)+(1-y)-(1-z))^2 on the triangle's three pairs."""
-    vmap = vmap or tuple(range(6))
-    i, j, k = tri
-
-    def cp(a, b):
-        return _p_one_minus(vmap[PAIR_INDEX[(a, b)]])
-
-    lin = cp(i, j) + cp(j, k) - cp(i, k)
-    return 4 * (cp(i, j) * cp(j, k)) - lin * lin
+def triangle_factor_poly(tri) -> IntPolynomial6:
+    """``corrmat.triangle_factor`` of the triangle as an exact polynomial."""
+    return triangle_factor([_ONE - v for v in _VARS], tri)
 
 
 def euler_row_poly(pair: int) -> IntPolynomial6:
@@ -100,7 +82,7 @@ def euler_row_poly(pair: int) -> IntPolynomial6:
     m, n = PAIR_COMPLEMENT[pair]
 
     def cp(a, b):
-        return _p_one_minus(PAIR_INDEX[(a, b)])
+        return _ONE - _VARS[PAIR_INDEX[(a, b)]]
 
     def qc(a, b):
         return quad_combination_poly(PAIR_INDEX[(a, b)])
@@ -151,7 +133,7 @@ def _base_row(a, b, c, d, e, f, one):
 def base_row_poly_literal() -> IntPolynomial6:
     """The base-pair residual as an exact polynomial (variables a..f =
     correlations in storage order)."""
-    return _base_row(*(IntPolynomial6.variable(i) for i in range(6)), IntPolynomial6.const(1))
+    return _base_row(*_VARS, _ONE)
 
 
 def polynomial_identity() -> ScanReport:
@@ -233,16 +215,23 @@ def p_limit(theta: float) -> float:
     return float((theta * theta - s * s) / (theta * s * s))
 
 
+def _p_terms(u, theta, cos, sin):
+    """Numerator and denominator of P, over numpy arrays (``np.cos``,
+    ``np.sin``) or mpmath numbers (``mp.cos``, ``mp.sin``)."""
+    ct, st = cos(theta), sin(theta)
+    cu, su = cos(u), sin(u)
+    num = (
+        (u * u + theta * theta) * theta * (1 - ct * cu)
+        - (u * u - theta * theta) * st * (ct - cu)
+        - 2 * u * theta * theta * su * st
+    )
+    return num, theta ** 2 * (ct - cu) ** 2
+
+
 def _p_func_mp(u: float, theta: float) -> float:
     # near the removable singularity the double-precision form cancels badly
     with mp.workdps(50):
-        um, tm = mp.mpf(u), mp.mpf(theta)
-        num = (
-            (um * um + tm * tm) * tm * (1 - mp.cos(tm) * mp.cos(um))
-            - (um * um - tm * tm) * mp.sin(tm) * (mp.cos(tm) - mp.cos(um))
-            - 2 * um * tm * tm * mp.sin(um) * mp.sin(tm)
-        )
-        den = tm ** 2 * (mp.cos(tm) - mp.cos(um)) ** 2
+        num, den = _p_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin)
         return float(num / den)
 
 
@@ -258,25 +247,24 @@ def p_func(u: float, theta: float) -> float:
 
 
 def _p_func_arr(u: np.ndarray, theta: float) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    cu, su = np.cos(u), np.sin(u)
-    num = (
-        (u * u + theta * theta) * theta * (1 - ct * cu)
-        - (u * u - theta * theta) * st * (ct - cu)
-        - 2 * u * theta * theta * su * st
-    )
-    return num / (theta ** 2 * (ct - cu) ** 2)
+    num, den = _p_terms(u, theta, np.cos, np.sin)
+    return num / den
 
 
-def _p_inequality_lhs(u: np.ndarray, theta: float) -> np.ndarray:
-    """Left side of the positivity inequality equivalent to dP/du > 0."""
-    ct, st = np.cos(theta), np.sin(theta)
-    cu, su = np.cos(u), np.sin(u)
+def _p_inequality_terms(u, theta, cos, sin):
+    """Left side of the positivity inequality equivalent to dP/du > 0, over
+    numpy arrays or mpmath numbers as ``_p_terms``."""
+    ct, st = cos(theta), sin(theta)
+    cu, su = cos(u), sin(u)
     dc = ct - cu
     b1 = 2 * u * theta * (1 - ct * cu) - 2 * u * st * dc + su * st * (u * u - 3 * theta * theta)
     b2 = (2 * u * theta ** 2 * st * (su * su + 1 - ct * cu)
           - (u * u + theta * theta) * theta * su * (st * st + 1 - ct * cu))
     return dc * dc * b1 + dc * b2
+
+
+def _p_inequality_lhs(u: np.ndarray, theta: float) -> np.ndarray:
+    return _p_inequality_terms(u, theta, np.cos, np.sin)
 
 
 def _p_inequality_noise_scale(u: np.ndarray, theta: float) -> np.ndarray:
@@ -294,36 +282,40 @@ def _p_inequality_noise_scale(u: np.ndarray, theta: float) -> np.ndarray:
 
 def _p_inequality_lhs_mp(u: float, theta: float) -> float:
     with mp.workdps(60):
-        um, tm = mp.mpf(u), mp.mpf(theta)
-        dc = mp.cos(tm) - mp.cos(um)
-        b1 = (2 * um * tm * (1 - mp.cos(tm) * mp.cos(um))
-              - 2 * um * mp.sin(tm) * dc
-              + mp.sin(um) * mp.sin(tm) * (um * um - 3 * tm * tm))
-        b2 = (2 * um * tm ** 2 * mp.sin(tm) * (mp.sin(um) ** 2 + 1 - mp.cos(tm) * mp.cos(um))
-              - (um * um + tm * tm) * tm * mp.sin(um) * (mp.sin(tm) ** 2 + 1 - mp.cos(tm) * mp.cos(um)))
-        return float(dc * dc * b1 + dc * b2)
+        return float(_p_inequality_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin))
 
 
 # ---------------------------------------------------------------------------
 # scans
 
 
+_H_W_MIN, _H_W_MAX = 0.15, 1.3
+_H_EDGE_BAND = 1e-3  # fraction of the admissible interval skipped at each end
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class HMonotonicityGrid:
     """Grid for the H-decrease scan: n_pairs^2 points (w1, w2) in
-    [w_min, w_max]^2 with w1*w2 < 1; for each admissible pair, z sweeps
+    [0.15, 1.3]^2 with w1*w2 < 1; for each admissible pair, z sweeps
     z_steps points strictly inside the admissible interval."""
 
-    w_min: float = 0.15
-    w_max: float = 1.3
     n_pairs: int = 50
     z_steps: int = 200
     det_samples: int = 2000
-    edge_band: float = 1e-3  # fraction of the interval skipped at each end
+
+    def __post_init__(self):
+        _check_count("n_pairs", self.n_pairs, 1)
+        _check_count("z_steps", self.z_steps, 2)
+        _check_count("det_samples", self.det_samples, 2)
 
     def describe(self) -> str:
         return (f"{self.n_pairs}x{self.n_pairs} pairs in "
-                f"[{self.w_min},{self.w_max}]^2, {self.z_steps} z-steps")
+                f"[{_H_W_MIN},{_H_W_MAX}]^2, {self.z_steps} z-steps")
 
 
 def _interval_of_positive_det(x: float, y: float, n: int):
@@ -344,7 +336,7 @@ def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
     """H(w1, w2, z) must strictly decrease in z throughout the admissible
     interval, for every admissible pair (w1, w2)."""
     grid = grid or HMonotonicityGrid()
-    ws = np.linspace(grid.w_min, grid.w_max, grid.n_pairs)
+    ws = np.linspace(_H_W_MIN, _H_W_MAX, grid.n_pairs)
     worst = np.inf
     worst_loc = None
     pairs_scanned = 0
@@ -355,7 +347,7 @@ def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
             z1, z2, runs = _interval_of_positive_det(w1, w2, grid.det_samples)
             if runs == 0:
                 continue
-            band = grid.edge_band * (z2 - z1)
+            band = _H_EDGE_BAND * (z2 - z1)
             z = np.linspace(z1 + band, z2 - band, grid.z_steps)
             h, det = h_func_expanded(w1, w2, z, xy_entry=f_width_inv(w1 * w2))
             if np.any(det <= 0):
@@ -371,7 +363,7 @@ def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
     return ScanReport(
         name="h_monotonicity",
         grid=grid.describe(),
-        passed=bool(worst > 0),
+        passed=bool(pairs_scanned and worst > 0),
         worst_margin=float(worst),
         worst_location=worst_loc,
         details={"pairs_scanned": pairs_scanned},
@@ -384,6 +376,7 @@ def u_interval_scan(x: float, y: float, n: int = 10_000) -> ScanReport:
         raise ValueError("x and y must be positive")
     if not x * y < 1:
         raise ValueError("product xy must be < 1")
+    _check_count("n", n, 2)
     z1, z2, runs = _interval_of_positive_det(x, y, n)
     return ScanReport(
         name="u_interval",
@@ -395,6 +388,10 @@ def u_interval_scan(x: float, y: float, n: int = 10_000) -> ScanReport:
     )
 
 
+_P_THETA_MIN, _P_THETA_MAX = 0.01, float(np.pi) - 0.01
+_P_DIAG_BAND = 1e-3  # half-width of the skipped band around u = theta
+
+
 @dataclass(frozen=True)
 class PInequalityGrid:
     """theta x u grid for the positivity scan, avoiding the removable zeros
@@ -402,23 +399,24 @@ class PInequalityGrid:
 
     n_theta: int = 500
     n_u: int = 500
-    theta_min: float = 0.01
-    theta_max: float = float(np.pi) - 0.01
-    diag_band: float = 1e-3
+
+    def __post_init__(self):
+        _check_count("n_theta", self.n_theta, 1)
+        _check_count("n_u", self.n_u, 1)
 
     def describe(self) -> str:
-        return f"{self.n_theta} theta x {self.n_u} u, band {self.diag_band}"
+        return f"{self.n_theta} theta x {self.n_u} u, band {_P_DIAG_BAND}"
 
 
 def p_inequality_scan(grid: PInequalityGrid | None = None) -> ScanReport:
     grid = grid or PInequalityGrid()
-    thetas = np.linspace(grid.theta_min, grid.theta_max, grid.n_theta)
+    thetas = np.linspace(_P_THETA_MIN, _P_THETA_MAX, grid.n_theta)
     worst = np.inf
     worst_loc = None
     refined = 0
     for theta in thetas:
         u = np.linspace(0.0, 2 * np.pi - theta, grid.n_u + 2)[1:-1]
-        u = u[np.abs(u - theta) >= grid.diag_band]
+        u = u[np.abs(u - theta) >= _P_DIAG_BAND]
         vals = _p_inequality_lhs(u, theta)
         # points below the double-precision noise floor get a high-precision
         # re-evaluation so the sign is meaningful, not roundoff
@@ -442,6 +440,8 @@ def p_inequality_scan(grid: PInequalityGrid | None = None) -> ScanReport:
 
 def p_ordering_scan(n_theta: int = 20, n_u: int = 25) -> ScanReport:
     """P(u, theta) < P(theta) for u < theta and > for u > theta."""
+    _check_count("n_theta", n_theta, 1)
+    _check_count("n_u", n_u, 1)
     worst = np.inf
     worst_loc = None
     checked = 0
@@ -521,10 +521,11 @@ def nonobtuse_hessian_check(m: CorrelationMatrix4) -> ScanReport:
     )
 
 
-def sample_nonobtuse_interior(rng: np.random.Generator, max_tries: int = 10_000) -> CorrelationMatrix4:
+def sample_nonobtuse_interior(rng: np.random.Generator) -> CorrelationMatrix4:
     """Rejection-sample an interior matrix whose tetrahedron is strictly
-    nonobtuse (all interior dihedral cosines >= 1e-6)."""
-    for _ in range(max_tries):
+    nonobtuse (all interior dihedral cosines >= 1e-6), in at most 10,000
+    draws."""
+    for _ in range(10_000):
         off = -0.25 + rng.uniform(-0.15, 0.15, size=6)
         m = CorrelationMatrix4(tuple(off))
         try:

@@ -57,6 +57,20 @@ class TestCompute:
         assert code == 2
         assert "13" in err
 
+    def test_non_numeric_json_entry_names_field(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"offdiag": [None, 0, 0, 0, 0, 0]}))
+        code, out, err = run(capsys, "compute", "--file", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: entry 12:")
+
+    def test_non_finite_corr3_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "compute", "--corr3", "nan,0,0")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_invalid_matrix_is_domain_error(self, capsys):
         code, _, err = run(capsys, "compute", "--corr", "-0.5,-0.5,-0.5,-0.5,-0.5,-0.5")
         assert code == 2
@@ -120,6 +134,17 @@ class TestMeanwidthDihedrals:
         assert code == 0
         assert json.loads(out)["mean_width"] == pytest.approx(1.489715, rel=1e-3)
 
+    @pytest.mark.parametrize("bad", [None, "nan"])
+    def test_meanwidth_rejects_non_finite_vertex(self, capsys, tmp_path, bad):
+        p = tmp_path / "t.json"
+        v = (np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)).tolist()
+        v[2][1] = bad
+        p.write_text(json.dumps({"vertices": v}))
+        code, out, err = run(capsys, "meanwidth", "--tetra", str(p), "--order", "10")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_dihedrals(self, capsys):
         code, out, _ = run(capsys, "dihedrals", "--corr", REG)
         doc = json.loads(out)
@@ -182,3 +207,17 @@ class TestScan:
                            "--n-pairs", "8", "--z-steps", "40")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--kind", "h-monotonicity", "--n-pairs", "0"), "n_pairs"),
+        (("--kind", "h-monotonicity", "--n-pairs", "4", "--z-steps", "1"), "z_steps"),
+        (("--kind", "p-inequality", "--n-theta", "0"), "n_theta"),
+        (("--kind", "p-inequality", "--n-theta", "4", "--n-u", "0"), "n_u"),
+        (("--kind", "u-interval", "--n", "0"), "n"),
+        (("--kind", "u-interval", "--n", "1"), "n"),
+    ], ids=["n-pairs-0", "z-steps-1", "n-theta-0", "n-u-0", "n-0", "n-1"])
+    def test_empty_grid_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} must be >=" in err

@@ -190,6 +190,11 @@ class TestFMax3:
         with pytest.raises(ValueError):
             f_max3(-0.9, -0.9, -0.9)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            f_max3(bad, 0.0, 0.0)
+
 
 class TestGradient:
     def test_identity_value(self):

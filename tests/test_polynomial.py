@@ -95,11 +95,16 @@ class TestBalanceIdentity:
             assert base_row_value_at(vals) == 0
 
     def test_quad_combination_poly_matches_numeric(self, battery20):
-        from gaussmax.corrmat import quad_combination
+        from itertools import combinations
+
+        from gaussmax.corrmat import quad_combination, triangle_factor
 
         for m in battery20[:3]:
             vals = [Fraction(v).limit_denominator(10**12) for v in m.offdiag]
             approx = [float(quad_combination_poly(t).evaluate(vals)) for t in range(6)]
-            exact = quad_combination(m)
+            exact = list(quad_combination(m))
+            for tri in combinations(range(4), 3):
+                approx.append(float(triangle_factor_poly(tri).evaluate(vals)))
+                exact.append(triangle_factor(1.0 - m.array(), tri))
             for a, b in zip(approx, exact):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9)

@@ -9,7 +9,11 @@ from gaussmax.verify import (
     HMonotonicityGrid,
     ObtuseInputError,
     PInequalityGrid,
+    _p_func_arr,
+    _p_func_mp,
     _p_inequality_lhs,
+    _p_inequality_lhs_mp,
+    _p_inequality_noise_scale,
     bounds_check,
     euler_relation_check,
     h_monotonicity_scan,
@@ -114,6 +118,11 @@ class TestKernelFunctions:
         rep = p_ordering_scan(n_theta=10, n_u=10)
         assert rep.passed and rep.worst_margin > 0
 
+    @pytest.mark.parametrize("counts", [(0, 10), (10, 0)])
+    def test_ordering_scan_rejects_empty_grid(self, counts):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            p_ordering_scan(*counts)
+
     def test_theta_derivative_of_difference_positive(self, rng):
         # p(a, theta) - p(b, theta) > 0 whenever b < theta < a in the domain
         for _ in range(50):
@@ -152,6 +161,12 @@ class TestHMonotonicity:
         assert rep.passed
         assert rep.worst_margin > 0
         assert rep.details["pairs_scanned"] > 0
+
+    def test_scan_of_no_pair_does_not_pass(self):
+        # two det samples sit at the ends of (0, 1/max(w1, w2)), where det <= 0
+        rep = h_monotonicity_scan(HMonotonicityGrid(n_pairs=2, z_steps=2, det_samples=2))
+        assert rep.details["pairs_scanned"] == 0
+        assert not rep.passed
 
     def test_single_pair_sweep_monotone(self):
         from gaussmax.geometry import f_width_inv, h_func_expanded
@@ -222,6 +237,23 @@ class TestPInequality:
         theta = 1.2
         assert _p_inequality_lhs(np.array([0.0]), theta)[0] == 0.0
         assert abs(_p_inequality_lhs(np.array([2 * np.pi - theta]), theta)[0]) < 1e-13
+
+    def test_mpmath_path_evaluates_the_numpy_expression(self):
+        # the refinements are the float formulas at high precision: away from
+        # the diagonal both paths agree to double-precision rounding
+        checked = 0
+        for theta in np.linspace(0.05, np.pi - 0.05, 13):
+            u = np.linspace(0.0, 2 * np.pi - theta, 33)[1:-1]
+            u = u[np.abs(u - theta) > 0.05]
+            p, lhs = _p_func_arr(u, theta), _p_inequality_lhs(u, theta)
+            scale = _p_inequality_noise_scale(u, theta)
+            for j, uj in enumerate(u):
+                assert _p_func_mp(float(uj), float(theta)) == pytest.approx(p[j], rel=1e-9)
+                if abs(lhs[j]) > 1e-10 * scale[j]:
+                    assert _p_inequality_lhs_mp(float(uj), float(theta)) == pytest.approx(
+                        lhs[j], rel=1e-9)
+                    checked += 1
+        assert checked > 300
 
     def test_small_grid(self):
         rep = p_inequality_scan(PInequalityGrid(n_theta=60, n_u=60))
