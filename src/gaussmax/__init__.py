@@ -12,18 +12,21 @@ from .closedform import (
     density,
     f_max,
     f_max3,
+    f_max_batch,
     gradient,
     hessian,
     quadrant_integral,
 )
 from .corrmat import (
     CorrDerived,
+    CorrDerivedBatch,
     CorrelationMatrix4,
     DomainClass,
     DomainTag,
     VertexGramian,
     classify,
     derive,
+    derive_batch,
     vertex_gramian,
 )
 from .geometry import (
@@ -65,6 +68,7 @@ __all__ = [
     "AscentConfig",
     "COPLANAR_BOUND",
     "CorrDerived",
+    "CorrDerivedBatch",
     "CorrelationMatrix4",
     "DihedralSet",
     "DomainClass",
@@ -85,6 +89,7 @@ __all__ = [
     "corr_of",
     "density",
     "derive",
+    "derive_batch",
     "dihedrals",
     "embed",
     "estimate_max",
@@ -92,6 +97,7 @@ __all__ = [
     "euler_relation_check",
     "f_max",
     "f_max3",
+    "f_max_batch",
     "f_width",
     "f_width_inv",
     "foot_data",

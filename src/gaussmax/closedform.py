@@ -22,6 +22,7 @@ from .corrmat import (
     CorrelationMatrix4,
     DomainTag,
     derive,
+    derive_batch,
     triangle_factor,
 )
 
@@ -83,6 +84,22 @@ def f_max(m: CorrelationMatrix4) -> float:
         return _f_max_degenerate(m)
     return float(np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines))
                  / (2 * SQRT_PI3))
+
+
+def f_max_batch(off) -> np.ndarray:
+    """``f_max`` of each row of an (N, 6) array of off-diagonals, shape (N,).
+
+    One ``derive_batch`` pass and one arccos sum over the last axis; the
+    formulas are the scalar path's own, so each entry equals ``f_max`` of that
+    row bit for bit.  Rows with a unit pair, which are rare, go through the
+    scalar fallback one at a time."""
+    off = np.asarray(off, dtype=float)
+    d = derive_batch(off)
+    out = np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines),
+                 axis=1) / (2 * SQRT_PI3)
+    for i in np.flatnonzero(d.tag == DomainTag.DEGENERATE_UNIT_PAIR):
+        out[i] = _f_max_degenerate(CorrelationMatrix4(tuple(off[i])))
+    return out
 
 
 def gradient(m: CorrelationMatrix4) -> np.ndarray:

@@ -9,6 +9,7 @@ Hessian rows and file formats use the same storage order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -18,6 +19,9 @@ import numpy as np
 # Storage order of the six vertex pairs (0-based vertex indices).
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_NAMES: tuple[str, ...] = ("12", "13", "14", "23", "24", "34")
+# Row and column index arrays of the stored pairs, for fancy indexing.
+PAIR_ROWS = np.array([p[0] for p in PAIRS])
+PAIR_COLS = np.array([p[1] for p in PAIRS])
 
 # For each stored pair (k, l): the complementary vertices (m, n), m < n.
 # The quadratic combination below and every index-substituted formula are
@@ -130,16 +134,23 @@ def rank(m: CorrelationMatrix4) -> int:
     return int(np.sum(eigs > EPS_PSD * eigs[-1]))
 
 
+# For each anchor vertex: the other three vertices, in increasing order.
+_OTHERS = tuple(np.array([i for i in range(4) if i != k]) for k in range(4))
+
+
+def _anchored_cov(mat: np.ndarray, anchor: int) -> np.ndarray:
+    """Entry (a, b) is mat[i, j] - mat[i, anchor] - mat[j, anchor] + 1 for the
+    a-th and b-th vertices i, j other than ``anchor``; ``mat`` is a 4x4
+    correlation matrix or a stack of them, shape (..., 4, 4)."""
+    idx = _OTHERS[anchor]
+    col = mat[..., idx, anchor]
+    return mat[..., idx[:, None], idx] - col[..., :, None] - col[..., None, :] + 1.0
+
+
 def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
     """Covariance of (X_l1 - X_k, X_l2 - X_k, X_l3 - X_k) for anchor vertex k
     (0-based), l1 < l2 < l3 the remaining vertices."""
-    mat = m.matrix()
-    idx = sorted(set(range(4)) - {anchor})
-    out = np.empty((3, 3))
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            out[a, b] = mat[i, j] - mat[i, anchor] - mat[j, anchor] + 1.0
-    return out
+    return _anchored_cov(m.matrix(), anchor)
 
 
 def quad_term(x: Sequence, t: int, one=1.0):
@@ -179,6 +190,37 @@ def triangle_factor(cp: Sequence, tri: Sequence[int]):
     return 2 * a * b + 2 * a * c + 2 * b * c - a * a - b * b - c * c
 
 
+def arccos_arguments(lp: np.ndarray, lt: np.ndarray, a_tilde, skip=None) -> np.ndarray:
+    """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2 +
+    lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to [-1, 1]
+    within EPS_CLAMP.  Entry (k, l) is the cosine of the outer dihedral angle
+    along edge (k, l) of the embedded tetrahedron.
+
+    Broadcasts over a leading batch axis: ``lp`` and ``lt`` have shape
+    (..., 6) and ``a_tilde`` shape (...).  Rows where the boolean ``skip`` is
+    true come back NaN and are not range-checked; an out-of-range row of a
+    batch is named in the error.
+    """
+    at = np.asarray(a_tilde)[..., None]
+    # squares by multiplication: float ** 2 goes through libm pow, which is not
+    # always correctly rounded, and the scalar and batch paths must agree
+    scale = np.minimum(1.0, lp.max(axis=-1, keepdims=True))
+    rad = np.sqrt(np.maximum(lp * (at * at) + lt * lt, 0.0))
+    # the radical is homogeneous of degree 2 in lp and vanishes only when
+    # a correlation equals 1, so the 0/0 cut-off scales with the simplex
+    degenerate = rad <= EPS_ZERO_OVER_ZERO * (scale * scale)
+    arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
+    if skip is not None:
+        arg[skip] = np.nan
+    bad = np.abs(arg) > 1.0 + EPS_CLAMP
+    if bad.any():
+        if arg.ndim == 1:
+            raise ValueError(f"arccos argument out of range: {arg}")
+        row = int(np.flatnonzero(bad.any(axis=-1))[0])
+        raise ValueError(f"row {row}: arccos argument out of range: {arg[row]}")
+    return arg.clip(-1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class CorrDerived:
     """Derived quantities of a correlation matrix: the single source that the
@@ -199,23 +241,10 @@ class CorrDerived:
 
     @property
     def cosines(self) -> np.ndarray:
-        """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2
-        + lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to
-        [-1, 1] within EPS_CLAMP.  Entry (k, l) is the cosine of the outer
-        dihedral angle along edge (k, l) of the embedded tetrahedron.
-
-        Computed on access, so that ``derive`` never raises on a matrix with
-        a unit pair, whose arguments the closed form does not use.
-        """
-        lp, lt = self.lambda_prime, self.lambda_tilde
-        rad = np.sqrt(np.maximum(lp * self.a_tilde ** 2 + lt ** 2, 0.0))
-        # the radical is homogeneous of degree 2 in lp and vanishes only when
-        # a correlation equals 1, so the 0/0 cut-off scales with the simplex
-        degenerate = rad <= EPS_ZERO_OVER_ZERO * min(1.0, float(np.max(lp))) ** 2
-        arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
-        if np.any(np.abs(arg) > 1.0 + EPS_CLAMP):
-            raise ValueError(f"arccos argument out of range: {arg}")
-        return np.clip(arg, -1.0, 1.0)
+        """``arccos_arguments`` of this matrix.  Computed on access, so that
+        ``derive`` never raises on a matrix with a unit pair, whose arguments
+        the closed form does not use."""
+        return arccos_arguments(self.lambda_prime, self.lambda_tilde, self.a_tilde)
 
 
 def derive(m: CorrelationMatrix4) -> CorrDerived:
@@ -233,6 +262,46 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     lt.flags.writeable = False
     s2.flags.writeable = False
     return CorrDerived(lp, lt, s2, a_tilde, a_sq, det_lambda, tag)
+
+
+@dataclass(frozen=True)
+class CorrDerivedBatch:
+    """The value-path fields of ``CorrDerived`` for N matrices, row by row."""
+
+    tag: np.ndarray            # (N,) DomainTag objects, never INVALID
+    lambda_prime: np.ndarray   # (N, 6)
+    lambda_tilde: np.ndarray   # (N, 6)
+    a_tilde: np.ndarray        # (N,)
+    cosines: np.ndarray        # (N, 6); NaN on rows with a unit pair
+
+
+def derive_batch(off) -> CorrDerivedBatch:
+    """``derive`` for an (N, 6) array of off-diagonals in storage order, in one
+    vectorized pass: one stacked eigvalsh classifies every row, one stacked det
+    gives a_tilde.  It evaluates the same formulas as the scalar path
+    (``quad_term``, ``_anchored_cov``, ``arccos_arguments``), so each row equals
+    ``derive`` of that row bit for bit.  A row that is not a correlation
+    matrix raises ValueError naming the row."""
+    off = np.asarray(off, dtype=float)
+    if off.ndim != 2 or off.shape[1] != 6:
+        raise ValueError(f"expected an (N, 6) array, got shape {off.shape}")
+    finite = np.all(np.isfinite(off), axis=1)
+    if not np.all(finite):
+        raise ValueError(f"row {int(np.flatnonzero(~finite)[0])}: off-diagonal values must be finite")
+    mats = np.broadcast_to(np.eye(4), (len(off), 4, 4)).copy()
+    mats[:, PAIR_ROWS, PAIR_COLS] = mats[:, PAIR_COLS, PAIR_ROWS] = off
+    lam_min = np.linalg.eigvalsh(mats)[:, 0]
+    invalid = (np.max(np.abs(off), axis=1) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
+    if np.any(invalid):
+        raise ValueError(f"row {int(np.flatnonzero(invalid)[0])}: not a correlation matrix")
+    unit_pair = np.any(off >= 1.0 - EPS_ONE, axis=1)
+    tag = np.where(unit_pair, DomainTag.DEGENERATE_UNIT_PAIR,
+                   np.where(lam_min > EPS_PSD, DomainTag.INTERIOR_S, DomainTag.BOUNDARY_S1))
+    lp = 1.0 - off
+    lt = np.stack([quad_term(off.T, t) for t in range(6)], axis=1)
+    a_tilde = np.sqrt(np.maximum(2.0 * np.linalg.det(_anchored_cov(mats, 1)), 0.0))
+    cosines = arccos_arguments(lp, lt, a_tilde, skip=unit_pair)
+    return CorrDerivedBatch(tag, lp, lt, a_tilde, cosines)
 
 
 @dataclass(frozen=True)
@@ -281,22 +350,31 @@ def vertex_gramian(m: CorrelationMatrix4, anchor: int) -> VertexGramian:
 # text / JSON formats
 
 
-def _from_entries(entries) -> CorrelationMatrix4:
-    vals = []
-    for name, p in zip(PAIR_NAMES, entries):
-        try:
-            vals.append(float(p))
-        except (TypeError, ValueError):
-            raise ValueError(f"entry {name}: cannot parse {p!r} as a number") from None
-    return CorrelationMatrix4(tuple(vals))
-
-
 def parse_offdiag_text(text: str) -> CorrelationMatrix4:
     """Parse 'r12,r13,r14,r23,r24,r34' (one line of six decimals)."""
     parts = [p.strip() for p in text.strip().split(",")]
     if len(parts) != 6:
         raise ValueError(f"expected 6 comma-separated values, got {len(parts)}")
-    return _from_entries(parts)
+    vals = []
+    for name, p in zip(PAIR_NAMES, parts):
+        try:
+            vals.append(float(p))
+        except ValueError:
+            raise ValueError(f"entry {name}: cannot parse {p!r} as a number") from None
+    return CorrelationMatrix4(tuple(vals))
+
+
+def json_number(value, field: str) -> float:
+    """A finite JSON number as a float.  Booleans and strings are not numbers,
+    even where Python's ``float`` would accept them."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{field}: expected a finite number, got {value!r}")
 
 
 def from_json_obj(obj) -> CorrelationMatrix4:
@@ -311,7 +389,7 @@ def from_json_obj(obj) -> CorrelationMatrix4:
     off = obj["offdiag"]
     if not isinstance(off, list) or len(off) != 6:
         raise ValueError("field 'offdiag' must be a list of 6 numbers")
-    return _from_entries(off)
+    return CorrelationMatrix4(tuple(json_number(p, f"entry {name}") for name, p in zip(PAIR_NAMES, off)))
 
 
 def load_matrix(path: str) -> CorrelationMatrix4:

@@ -20,6 +20,7 @@ from .corrmat import (
     DomainTag,
     classify,
     derive,
+    json_number,
     rank,
 )
 
@@ -66,7 +67,12 @@ class Tetrahedron:
     def from_json_obj(cls, obj) -> "Tetrahedron":
         if not isinstance(obj, dict) or "vertices" not in obj:
             raise ValueError("expected a JSON object with a 'vertices' field")
-        return cls(np.asarray(obj["vertices"], dtype=float))
+        rows = obj["vertices"]
+        if not (isinstance(rows, list) and len(rows) == 4
+                and all(isinstance(r, list) and len(r) == 3 for r in rows)):
+            raise ValueError("field 'vertices' must be a list of 4 lists of 3 numbers")
+        return cls(np.array([[json_number(x, f"field 'vertices' entry [{i}][{j}]")
+                              for j, x in enumerate(r)] for i, r in enumerate(rows)]))
 
     def to_json_obj(self) -> dict:
         return {"vertices": [list(row) for row in self.vertices]}

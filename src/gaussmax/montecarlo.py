@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,11 +24,14 @@ _BLOCK = 500_000  # pairs per shard block; bounds peak memory
 
 
 def thread_count() -> int:
-    """Worker threads, capped by the GAUSSMAX_THREADS env var (0 = auto)."""
+    """Worker threads, capped by the GAUSSMAX_THREADS env var (0 = auto).  A
+    value that is not an integer is ignored with a RuntimeWarning."""
     raw = os.environ.get("GAUSSMAX_THREADS", "0")
     try:
         cap = int(raw)
     except ValueError:
+        warnings.warn(f"GAUSSMAX_THREADS={raw!r} is not an integer; using the automatic "
+                      "thread count", RuntimeWarning, stacklevel=2)
         cap = 0
     if cap <= 0:
         return min(8, os.cpu_count() or 1)

@@ -65,6 +65,17 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error: entry 12:")
 
+    @pytest.mark.parametrize("entry, bad", [("12", True), ("34", "0.5")])
+    def test_json_entry_must_be_a_number(self, capsys, tmp_path, entry, bad):
+        off = [0.0] * 6
+        off["12 13 14 23 24 34".split().index(entry)] = bad
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"offdiag": off}))
+        code, out, err = run(capsys, "compute", "--file", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: entry {entry}:")
+
     def test_non_finite_corr3_is_domain_error(self, capsys):
         code, out, err = run(capsys, "compute", "--corr3", "nan,0,0")
         assert code == 2
@@ -144,6 +155,17 @@ class TestMeanwidthDihedrals:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("row, bad", [(0, [True, False, False]), (3, [0, 0, "-1"])])
+    def test_meanwidth_vertex_must_be_numbers(self, capsys, tmp_path, row, bad):
+        p = tmp_path / "t.json"
+        v = (np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)).tolist()
+        v[row] = bad
+        p.write_text(json.dumps({"vertices": v}))
+        code, out, err = run(capsys, "meanwidth", "--tetra", str(p), "--order", "10")
+        assert code == 2
+        assert out == ""
+        assert f"'vertices' entry [{row}]" in err
 
     def test_dihedrals(self, capsys):
         code, out, _ = run(capsys, "dihedrals", "--corr", REG)

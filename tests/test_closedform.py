@@ -14,6 +14,7 @@ from gaussmax.closedform import (
     density,
     f_max,
     f_max3,
+    f_max_batch,
     gradient,
     hessian,
     quadrant_integral,
@@ -155,6 +156,58 @@ class TestSmallSimplex:
         assert np.isfinite(f_max(m))
         if derive(m).tag is not DomainTag.DEGENERATE_UNIT_PAIR:
             assert np.all(np.isfinite(gradient(m)))
+
+
+def spread_unit_vectors():
+    """Strategy: the Gram matrix of four unit vectors in R^1 … R^4, so of any
+    rank, with the second vector optionally a copy of the first (a unit
+    pair)."""
+    coord = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+
+    def build(dim):
+        vec = st.lists(coord, min_size=dim, max_size=dim).filter(lambda p: np.linalg.norm(p) > 0.1)
+        return st.tuples(st.lists(vec, min_size=4, max_size=4), st.booleans())
+
+    def to_matrix(args):
+        rows, unit_pair = args
+        a = np.asarray(rows, dtype=float)
+        if unit_pair:
+            a[1] = a[0]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        g = a @ a.T
+        return CorrelationMatrix4(tuple(np.clip(g[i, j], -1, 1) for i, j in PAIRS))
+
+    return st.integers(1, 4).flatmap(build).map(to_matrix)
+
+
+class TestBatch:
+    """f_max_batch evaluates the scalar path's own formulas, row by row."""
+
+    @given(st.lists(st.one_of(spread_unit_vectors(), clustered_unit_vectors()),
+                    min_size=1, max_size=30))
+    def test_batch_equals_scalar_bitwise(self, ms):
+        batch = f_max_batch(np.array([m.offdiag for m in ms]))
+        assert batch.shape == (len(ms),)
+        assert list(batch) == [f_max(m) for m in ms]
+
+    def test_special_rows(self, special5, battery20):
+        ms = special5 + battery20
+        assert list(f_max_batch(np.array([m.offdiag for m in ms]))) == [f_max(m) for m in ms]
+
+    def test_invalid_row_is_named(self):
+        off = np.array([CorrelationMatrix4.identity().offdiag,
+                        CorrelationMatrix4.identity().offdiag,
+                        CorrelationMatrix4.equicorrelated(-0.5).offdiag])
+        with pytest.raises(ValueError, match="row 2: not a correlation matrix"):
+            f_max_batch(off)
+
+    def test_rejects_bad_shape_and_non_finite(self):
+        with pytest.raises(ValueError, match="shape"):
+            f_max_batch(np.zeros(6))
+        off = np.zeros((2, 6))
+        off[1, 3] = np.nan
+        with pytest.raises(ValueError, match="row 1"):
+            f_max_batch(off)
 
 
 class TestSinglePass:

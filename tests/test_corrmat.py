@@ -11,6 +11,7 @@ from gaussmax.corrmat import (
     classify,
     complement_cov,
     derive,
+    derive_batch,
     from_json_obj,
     load_matrix,
     parse_offdiag_text,
@@ -231,6 +232,13 @@ class TestFormats:
         m = CorrelationMatrix4((0.1, 0.2, 0.3, 0.1, 0.2, 0.3))
         assert from_json_obj(to_json_obj(m)) == m
 
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5]])
+    def test_json_entries_must_be_numbers(self, bad):
+        off = [0.0] * 6
+        off[4] = bad
+        with pytest.raises(ValueError, match="entry 24"):
+            from_json_obj({"offdiag": off})
+
     def test_json_accepts_optimizer_doc(self):
         doc = {"argmax": {"offdiag": [0.0] * 6}, "value": 1.0}
         assert from_json_obj(doc) == CorrelationMatrix4.identity()
@@ -242,3 +250,29 @@ class TestFormats:
         p2 = tmp_path / "m.json"
         p2.write_text('{"offdiag": [0.5, 0, 0, 0, 0, 0.5]}')
         assert load_matrix(str(p2)).offdiag[0] == 0.5
+
+
+class TestDeriveBatch:
+    def test_rows_equal_scalar_derive(self, battery20, special5):
+        ms = special5 + battery20
+        d = derive_batch(np.array([m.offdiag for m in ms]))
+        for i, m in enumerate(ms):
+            ds = derive(m)
+            assert d.tag[i] is ds.tag
+            assert np.array_equal(d.lambda_prime[i], ds.lambda_prime)
+            assert np.array_equal(d.lambda_tilde[i], ds.lambda_tilde)
+            assert d.a_tilde[i] == ds.a_tilde
+            if ds.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+                assert np.all(np.isnan(d.cosines[i]))
+            else:
+                assert np.array_equal(d.cosines[i], ds.cosines)
+
+    def test_complement_cov_of_a_stack(self, battery20):
+        from gaussmax.corrmat import _anchored_cov
+
+        stack = np.array([m.matrix() for m in battery20])
+        for anchor in range(4):
+            got = _anchored_cov(stack, anchor)
+            assert got.shape == (20, 3, 3)
+            for k, m in enumerate(battery20):
+                assert np.array_equal(got[k], complement_cov(m, anchor))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestEstimateMax:
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
         c = estimate_max(m, 100_000, seed=43)
         assert c.mean != a.mean
+
+    def test_malformed_thread_cap_warns_and_falls_back(self, monkeypatch):
+        monkeypatch.setenv("GAUSSMAX_THREADS", "abc")
+        with pytest.warns(RuntimeWarning, match="'abc'"):
+            n = thread_count()
+        assert n == min(8, os.cpu_count() or 1)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))

@@ -6,6 +6,7 @@ from conftest import F_STAR
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify
 from gaussmax.optimize import (
+    CERTIFY_SEED,
     AscentConfig,
     OptResult,
     certify,
@@ -14,6 +15,7 @@ from gaussmax.optimize import (
     project_elliptope,
     random_interior,
     random_psd,
+    random_psd_batch,
 )
 
 
@@ -120,6 +122,18 @@ class TestMaximize:
         assert not res.converged
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_psd_batch_equals_successive_draws(dim):
+    batch = random_psd_batch(np.random.default_rng(11), 25, dim)
+    rng = np.random.default_rng(11)
+    assert np.array_equal(batch, [random_psd(rng, dim).offdiag for _ in range(25)])
+
+
+@pytest.fixture(scope="module")
+def identity_run():
+    return maximize(CorrelationMatrix4.identity())
+
+
 class TestCertify:
     def test_certifies_identity_run(self):
         res = maximize(CorrelationMatrix4.identity())
@@ -150,6 +164,17 @@ class TestCertify:
         res = maximize(CorrelationMatrix4.identity(), AscentConfig(max_iters=2))
         with pytest.raises(ValueError):
             certify(res)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_needs_a_random_rival(self, identity_run, n):
+        with pytest.raises(ValueError, match="n_random"):
+            certify(identity_run, n_random=n)
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_worst_random_equals_scalar_loop(self, identity_run, n):
+        rng = np.random.default_rng(CERTIFY_SEED)
+        expected = max(f_max(random_psd(rng)) for _ in range(n))
+        assert certify(identity_run, n_random=n).details["worst_random_value"] == expected
 
     def test_optimal_value_matches_equal_correlation_formula(self):
         assert optimal_value() == pytest.approx(
