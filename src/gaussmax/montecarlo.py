@@ -6,11 +6,20 @@ never on thread count.  Shard s draws from Philox keyed by
 SeedSequence(seed, spawn_key=(s,)), and shard partials are reduced in shard
 order with exact summation.  Antithetic pairs (z, -z) are used throughout,
 which makes the min/max symmetry of the order statistics exact in-sample.
+
+Each shard draws in blocks of _BLOCK pairs and adds one partial sum per
+block, so _BLOCK fixes the summation order: changing it changes results in
+the last bits.  Within a block the reducers read the draws in _CHUNK-sized
+transposed copies, so that max, min and the sorting network run on
+contiguous rows; those are exact elementwise operations, and the sums that
+follow see the same full-block arrays whatever the chunk size, so _CHUNK
+does not change results.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +30,7 @@ import numpy as np
 from .corrmat import EPS_PSD, CorrelationMatrix4, DomainTag, classify
 
 _BLOCK = 500_000  # pairs per shard block; bounds peak memory
+_CHUNK = 8_192  # draws per transposed chunk; sized to stay in cache
 
 
 def thread_count() -> int:
@@ -94,7 +104,15 @@ def _default_shards(n: int) -> int:
     return max(1, math.ceil(n / 2_000_000))
 
 
+def _check_count(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_args(n: int, shards):
+    _check_count(n, "n")
+    if shards is not None:
+        _check_count(shards, "shards")
     if n < 10_000:
         raise ValueError("need at least 10^4 samples")
     if n % 2:
@@ -134,9 +152,24 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
     return s, s2
 
 
+def _transposed_chunks(x: np.ndarray):
+    """Yield ``(rows, t)`` over the (b, 4) draws x in runs of _CHUNK, where t
+    is a contiguous (4, k) copy of x[rows].T held in one reused buffer."""
+    b = len(x)
+    buf = np.empty((4, min(_CHUNK, b)))
+    for a in range(0, b, _CHUNK):
+        rows = slice(a, min(a + _CHUNK, b))
+        t = buf[:, :rows.stop - a]
+        np.copyto(t, x[rows].T)
+        yield rows, t
+
+
 def _add_max(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
-    hi = x.max(axis=1)
-    lo = x.min(axis=1)
+    hi = np.empty(len(x))
+    lo = np.empty(len(x))
+    for rows, t in _transposed_chunks(x):
+        t.max(axis=0, out=hi[rows])
+        t.min(axis=0, out=lo[rows])
     # antithetic mate of each draw contributes max(-x) = -min(x)
     s[0] += float(hi.sum() - lo.sum())
     s2[0] += float(hi @ hi + lo @ lo)
@@ -150,13 +183,34 @@ def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = 
     return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
+def _sorted_rows(x: np.ndarray) -> np.ndarray:
+    """The (4, b) array ``np.sort(x, axis=1).T``, from a 5-comparator sorting
+    network of np.minimum/np.maximum over contiguous chunk rows."""
+    asc = np.empty((4, len(x)))
+    scratch = np.empty((4, min(_CHUNK, len(x))))
+    for rows, t in _transposed_chunks(x):
+        u = scratch[:, :t.shape[1]]
+        x0, x1, x2, x3 = asc[:, rows]
+        np.minimum(t[0], t[1], out=u[0])
+        np.maximum(t[0], t[1], out=u[1])
+        np.minimum(t[2], t[3], out=u[2])
+        np.maximum(t[2], t[3], out=u[3])
+        # t is free from here on and holds the two middle candidates
+        np.minimum(u[0], u[2], out=x0)
+        np.maximum(u[0], u[2], out=t[0])
+        np.minimum(u[1], u[3], out=t[1])
+        np.maximum(u[1], u[3], out=x3)
+        np.minimum(t[0], t[1], out=x1)
+        np.maximum(t[0], t[1], out=x2)
+    return asc
+
+
 def _add_order_stats(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
-    asc = np.sort(x, axis=1)
-    for desc in (asc[:, ::-1], -asc):  # draw and its antithetic mate
-        r3 = desc[:, 2] - 3.0 * desc[:, 0]
-        r2 = desc[:, 1] + 3.0 * desc[:, 0]
-        cols = (desc[:, 0], desc[:, 1], desc[:, 2], desc[:, 3], r3, r2)
-        for i, col in enumerate(cols):
+    asc = _sorted_rows(x)
+    for desc in (asc[::-1], -asc):  # draw and its antithetic mate
+        r3 = desc[2] - 3.0 * desc[0]
+        r2 = desc[1] + 3.0 * desc[0]
+        for i, col in enumerate((*desc, r3, r2)):
             s[i] += float(col.sum())
             s2[i] += float(col @ col)
 

@@ -158,26 +158,56 @@ class TestSmallSimplex:
             assert np.all(np.isfinite(gradient(m)))
 
 
-def spread_unit_vectors():
-    """Strategy: the Gram matrix of four unit vectors in R^1 … R^4, so of any
-    rank, with the second vector optionally a copy of the first (a unit
-    pair)."""
+def spread_unit_vectors(dims=(1, 2, 3, 4), gap=0.0):
+    """Strategy: the Gram matrix of four unit vectors in R^d for d in ``dims``,
+    so of rank at most max(dims), with the second vector optionally a copy of
+    the first (a unit pair).  Two vectors that are not copies have correlation
+    at most 1 - ``gap``."""
     coord = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
 
     def build(dim):
         vec = st.lists(coord, min_size=dim, max_size=dim).filter(lambda p: np.linalg.norm(p) > 0.1)
         return st.tuples(st.lists(vec, min_size=4, max_size=4), st.booleans())
 
-    def to_matrix(args):
+    def to_rows(args):
         rows, unit_pair = args
         a = np.asarray(rows, dtype=float)
         if unit_pair:
             a[1] = a[0]
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    def spread(a):
+        return all(np.array_equal(a[i], a[j]) or a[i] @ a[j] <= 1.0 - gap for i, j in PAIRS)
+
+    def to_matrix(a):
         g = a @ a.T
         return CorrelationMatrix4(tuple(np.clip(g[i, j], -1, 1) for i, j in PAIRS))
 
-    return st.integers(1, 4).flatmap(build).map(to_matrix)
+    rows = st.sampled_from(dims).flatmap(build).map(to_rows)
+    return (rows.filter(spread) if gap > 0 else rows).map(to_matrix)
+
+
+class TestLowRankPermutation:
+    """Rank-1/2/3 Grams of spread-out unit vectors: the boundary of the
+    elliptope, where the permutation tests on battery20 do not reach.  On a
+    singular matrix a_tilde = sqrt(2 det) turns the determinant's rounding
+    into an error of order sqrt(eps) in the arccos terms, which sets the
+    tolerances; vectors at least 1e-3 apart in correlation keep the gradient's
+    1/sqrt(1 - r) factor bounded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spread_unit_vectors(dims=(1, 2, 3), gap=1e-3), st.permutations(range(4)))
+    def test_value_and_gradient_permute(self, m, perm):
+        mp = m.permuted(perm)
+        v = f_max(m)
+        assert np.isfinite(v)
+        assert f_max(mp) == pytest.approx(v, rel=1e-7)
+        if derive(m).tag is DomainTag.DEGENERATE_UNIT_PAIR:
+            return
+        g = gradient(m)
+        assert np.all(np.isfinite(g))
+        src = [PAIRS.index(tuple(sorted((perm[i], perm[j])))) for i, j in PAIRS]
+        assert gradient(mp) == pytest.approx(g[src], rel=0, abs=1e-5 * np.max(np.abs(g)))
 
 
 class TestBatch:

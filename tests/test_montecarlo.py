@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ class TestEstimateMax:
         with pytest.raises(ValueError):
             estimate_max(m, 100_000, seed=0, shards=0)
 
+    @pytest.mark.parametrize("estimate", [estimate_max, estimate_order_stats])
+    @pytest.mark.parametrize("name, bad", [
+        ("n", 1e6), ("n", True), ("n", "100000"), ("shards", 2.0), ("shards", True),
+    ])
+    def test_non_integer_counts_rejected(self, estimate, name, bad):
+        args = {"n": 100_000, "shards": None, name: bad}
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            estimate(CorrelationMatrix4.identity(), args["n"], 0, shards=args["shards"])
+
+    def test_numpy_integer_counts_accepted(self):
+        m = CorrelationMatrix4.identity()
+        a = estimate_max(m, np.int64(20_000), 0, shards=np.int64(2))
+        assert a == estimate_max(m, 20_000, 0, shards=2)
+
+    def test_golden_value(self):
+        # recorded before the reducers read transposed chunks; pins the
+        # draw stream, the block order and the summation order together
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        est = estimate_max(m, 200_000, seed=5, shards=3)
+        assert est.mean == 0.9941913086908519
+        assert est.std_error == 0.0016038815324083957
+
 
 class TestOrderStats:
     def test_antithetic_symmetry_is_exact(self, battery20):
@@ -147,3 +170,28 @@ class TestOrderStats:
         a = estimate_order_stats(m, 100_000, seed=8, shards=4)
         b = estimate_order_stats(m, 100_000, seed=8, shards=4)
         assert a == b
+
+
+class TestChunkedReduction:
+    """The reducers read each block in transposed chunks of _CHUNK draws; the
+    chunk size must not show in any result."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunk_size_is_invisible(self, chunk, monkeypatch):
+        # 10_000 is a multiple of none of the chunk sizes, the default included
+        monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        ref_max = estimate_max(m, 50_000, seed=3, shards=2)
+        ref_os = estimate_order_stats(m, 50_000, seed=3, shards=2)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
+        assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8_192])
+    def test_sorting_network_equals_sort(self, chunk, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((10_001, 4))
+        x[::3, 2] = x[::3, 0]  # ties, as drawn from a matrix with a unit pair
+        x[::5, 1] = x[::5, 3]
+        assert np.array_equal(montecarlo._sorted_rows(x), np.sort(x, axis=1).T)
