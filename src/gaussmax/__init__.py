@@ -19,7 +19,6 @@ from .closedform import (
 )
 from .corrmat import (
     CorrDerived,
-    CorrDerivedBatch,
     CorrelationMatrix4,
     DomainClass,
     DomainTag,
@@ -68,7 +67,6 @@ __all__ = [
     "AscentConfig",
     "COPLANAR_BOUND",
     "CorrDerived",
-    "CorrDerivedBatch",
     "CorrelationMatrix4",
     "DihedralSet",
     "DomainClass",

@@ -1,14 +1,17 @@
 """Closed-form expected maximum of a 4-D centered unit-variance Gaussian
 vector, with exact first and second derivatives in the six correlations.
 
-Everything is evaluated from one ``corrmat.derive`` pass per call: its
-``tag`` picks the branch and its ``cosines`` are the arccos arguments, so
-the value, gradient and Hessian read a single copy of each derived
-quantity and stay consistent by construction.
+Everything is evaluated from one ``corrmat.CorrDerived`` record: its
+``tag`` picks the branch and its ``cosines`` are the arccos arguments.
+``value_of``, ``gradient_of`` and ``hessian_of`` are the formulas on that
+record, so a caller that already holds it (the ascent, the checks in
+``verify``) derives once; ``f_max``, ``gradient`` and ``hessian`` are thin
+callers over ``derive``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,7 @@ from .corrmat import (
     PAIR_COMPLEMENT,
     PAIR_INDEX,
     PAIRS,
+    CorrDerived,
     CorrelationMatrix4,
     DomainTag,
     derive,
@@ -32,9 +36,10 @@ SQRT_PI3 = float(np.sqrt(np.pi ** 3))
 COPLANAR_BOUND = float(4 * np.pi / (2 * SQRT_PI3))
 
 
-def _dedupe_classes(m: CorrelationMatrix4) -> list[int]:
+def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
     """Union-find over vertices joined by a correlation equal to 1; returns
-    one representative vertex per class, in increasing order."""
+    the members of each class.  The partition does not depend on the
+    labelling."""
     parent = list(range(4))
 
     def find(i):
@@ -47,7 +52,17 @@ def _dedupe_classes(m: CorrelationMatrix4) -> list[int]:
     for t, (i, j) in enumerate(PAIRS):
         if off[t] >= 1.0 - EPS_ONE:
             parent[find(i)] = find(j)
-    return sorted({find(i) for i in range(4)})
+    classes: dict[int, list[int]] = {}
+    for i in range(4):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def _f_max3_value(r) -> float:
+    """``f_max3`` without its input checks, for correlations taken from a
+    matrix that ``derive`` has already classified."""
+    c = np.clip(1.0 - np.array(r), 0.0, None)
+    return float(np.sum(np.sqrt(c)) / (2 * np.sqrt(np.pi)))
 
 
 def f_max3(r12: float, r13: float, r23: float) -> float:
@@ -57,62 +72,45 @@ def f_max3(r12: float, r13: float, r23: float) -> float:
     mat = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
     if np.linalg.eigvalsh(mat)[0] < -EPS_PSD:
         raise ValueError("3x3 correlation matrix is not positive semidefinite")
-    c = np.clip(1.0 - np.array([r12, r13, r23]), 0.0, None)
-    return float(np.sum(np.sqrt(c)) / (2 * np.sqrt(np.pi)))
+    return _f_max3_value((r12, r13, r23))
 
 
 def _f_max_degenerate(m: CorrelationMatrix4) -> float:
     """Value when some correlation equals 1: drop duplicated variables and
-    fall back to the 3-, 2- or 1-variable formula."""
-    reps = _dedupe_classes(m)
+    fall back to the 3-, 2- or 1-variable formula.  The members of a class
+    may differ slightly (their correlation need only be within EPS_ONE of 1),
+    so every choice of one representative per class is scored (correlations in sorted order) and the largest value is taken:
+    the result does not depend on the labelling."""
+    classes = _unit_classes(m)
     mat = m.matrix()
-    if len(reps) >= 4:  # a unit pair always merges two vertices
+    if len(classes) >= 4:  # a unit pair always merges two vertices
         raise AssertionError("degenerate dispatch called without a unit pair")
-    if len(reps) == 3:
-        a, b, c = reps
-        return f_max3(mat[a, b], mat[a, c], mat[b, c])
-    if len(reps) == 2:
-        a, b = reps
-        return float(np.sqrt(max(1.0 - mat[a, b], 0.0) / np.pi))
+    choices = itertools.product(*classes)
+    if len(classes) == 3:
+        return max(_f_max3_value(sorted((mat[a, b], mat[a, c], mat[b, c])))
+                   for a, b, c in choices)
+    if len(classes) == 2:
+        return max(float(np.sqrt(max(1.0 - mat[a, b], 0.0) / np.pi)) for a, b in choices)
     return 0.0
 
 
-def f_max(m: CorrelationMatrix4) -> float:
-    """Expected maximum of the 4 coordinates, exact closed form."""
-    d = derive(m)
-    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
-        return _f_max_degenerate(m)
-    return float(np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines))
-                 / (2 * SQRT_PI3))
+def value_of(d: CorrDerived):
+    """The closed-form sum over the last axis of ``d``: the value of one
+    matrix, or shape (N,) for a ``derive_batch`` stack.  NaN where the matrix
+    has a unit pair."""
+    return np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines),
+                  axis=-1) / (2 * SQRT_PI3)
 
 
-def f_max_batch(off) -> np.ndarray:
-    """``f_max`` of each row of an (N, 6) array of off-diagonals, shape (N,).
-
-    One ``derive_batch`` pass and one arccos sum over the last axis; the
-    formulas are the scalar path's own, so each entry equals ``f_max`` of that
-    row bit for bit.  Rows with a unit pair, which are rare, go through the
-    scalar fallback one at a time."""
-    off = np.asarray(off, dtype=float)
-    d = derive_batch(off)
-    out = np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines),
-                 axis=1) / (2 * SQRT_PI3)
-    for i in np.flatnonzero(d.tag == DomainTag.DEGENERATE_UNIT_PAIR):
-        out[i] = _f_max_degenerate(CorrelationMatrix4(tuple(off[i])))
-    return out
-
-
-def gradient(m: CorrelationMatrix4) -> np.ndarray:
-    """The six partial derivatives of f_max, storage order; all negative."""
-    d = derive(m)
+def gradient_of(d: CorrDerived) -> np.ndarray:
+    """``gradient`` from one matrix's derived quantities."""
     if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         raise ValueError("gradient requires all correlations != 1")
     return -np.arccos(d.cosines) / (4 * np.sqrt(np.pi ** 3 * d.lambda_prime))
 
 
-def hessian(m: CorrelationMatrix4) -> np.ndarray:
-    """Symmetric 6x6 matrix of second partials of f_max (interior only)."""
-    d = derive(m)
+def hessian_of(d: CorrDerived) -> np.ndarray:
+    """``hessian`` from one matrix's derived quantities."""
     if d.tag is not DomainTag.INTERIOR_S:
         raise ValueError("hessian requires an interior (positive definite) matrix")
     lp, lt, at = d.lambda_prime, d.lambda_tilde, d.a_tilde
@@ -145,6 +143,38 @@ def hessian(m: CorrelationMatrix4) -> np.ndarray:
                 val = -lt[PAIR_INDEX[(i, j)]] / (2 * SQRT_PI3 * at * dfac)
             h[s, t] = h[t, s] = val
     return h
+
+
+def f_max(m: CorrelationMatrix4) -> float:
+    """Expected maximum of the 4 coordinates, exact closed form."""
+    d = derive(m)
+    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        return _f_max_degenerate(m)
+    return float(value_of(d))
+
+
+def f_max_batch(off) -> np.ndarray:
+    """``f_max`` of each row of an (N, 6) array of off-diagonals, shape (N,).
+
+    One ``derive_batch`` pass and one ``value_of``, so each entry equals
+    ``f_max`` of that row bit for bit.  Rows with a unit pair, which are rare,
+    go through the scalar fallback one at a time."""
+    off = np.asarray(off, dtype=float)
+    d = derive_batch(off)
+    out = value_of(d)
+    for i in np.flatnonzero(d.tag == DomainTag.DEGENERATE_UNIT_PAIR):
+        out[i] = _f_max_degenerate(CorrelationMatrix4(tuple(off[i])))
+    return out
+
+
+def gradient(m: CorrelationMatrix4) -> np.ndarray:
+    """The six partial derivatives of f_max, storage order; all negative."""
+    return gradient_of(derive(m))
+
+
+def hessian(m: CorrelationMatrix4) -> np.ndarray:
+    """Symmetric 6x6 matrix of second partials of f_max (interior only)."""
+    return hessian_of(derive(m))
 
 
 @dataclass(frozen=True)

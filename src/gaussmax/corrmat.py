@@ -226,25 +226,18 @@ class CorrDerived:
     """Derived quantities of a correlation matrix: the single source that the
     closed-form value, gradient and Hessian and the dihedral angles read.
 
-    ``tag`` is the domain class found by the one ``classify`` call in
-    ``derive``; ``cosines`` are the six arccos arguments of the closed form.
-    a_sq is None when the matrix is singular (the ratio form is undefined).
+    ``derive`` fills it for one matrix and ``derive_batch`` for N matrices,
+    with a leading axis of length N on every field.  ``tag`` is the domain
+    class found by the one classification in either; ``cosines`` are the six
+    arccos arguments of the closed form, NaN on a matrix with a unit pair
+    (whose value the closed form does not give).
     """
 
+    tag: DomainTag             # never INVALID: derive raises instead
     lambda_prime: np.ndarray   # six complements 1 - corr, storage order
     lambda_tilde: np.ndarray   # six quadratic combinations, storage order
-    sigma2: np.ndarray         # 3x3 difference covariance anchored at vertex 2
-    a_tilde: float             # sqrt(2 det sigma2) >= 0
-    a_sq: Optional[float]      # a_tilde^2 / (2 det), only when det > 0
-    det_lambda: float
-    tag: DomainTag             # never INVALID: derive raises instead
-
-    @property
-    def cosines(self) -> np.ndarray:
-        """``arccos_arguments`` of this matrix.  Computed on access, so that
-        ``derive`` never raises on a matrix with a unit pair, whose arguments
-        the closed form does not use."""
-        return arccos_arguments(self.lambda_prime, self.lambda_tilde, self.a_tilde)
+    a_tilde: float             # sqrt(2 det) of the difference covariance at vertex 2
+    cosines: np.ndarray        # six arccos arguments, storage order
 
 
 def derive(m: CorrelationMatrix4) -> CorrDerived:
@@ -253,29 +246,18 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
         raise ValueError("not a correlation matrix")
     lp = 1.0 - m.array()
     lt = quad_combination(m)
-    s2 = complement_cov(m, anchor=1)
-    det_s2 = float(np.linalg.det(s2))
+    det_s2 = float(np.linalg.det(complement_cov(m, anchor=1)))
     a_tilde = float(np.sqrt(max(2.0 * det_s2, 0.0)))
-    det_lambda = float(np.linalg.det(m.matrix()))
-    a_sq = a_tilde ** 2 / (2.0 * det_lambda) if det_lambda > EPS_PSD else None
-    lp.flags.writeable = False
-    lt.flags.writeable = False
-    s2.flags.writeable = False
-    return CorrDerived(lp, lt, s2, a_tilde, a_sq, det_lambda, tag)
+    if tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        cosines = np.full(6, np.nan)
+    else:
+        cosines = arccos_arguments(lp, lt, a_tilde)
+    for a in (lp, lt, cosines):
+        a.flags.writeable = False
+    return CorrDerived(tag, lp, lt, a_tilde, cosines)
 
 
-@dataclass(frozen=True)
-class CorrDerivedBatch:
-    """The value-path fields of ``CorrDerived`` for N matrices, row by row."""
-
-    tag: np.ndarray            # (N,) DomainTag objects, never INVALID
-    lambda_prime: np.ndarray   # (N, 6)
-    lambda_tilde: np.ndarray   # (N, 6)
-    a_tilde: np.ndarray        # (N,)
-    cosines: np.ndarray        # (N, 6); NaN on rows with a unit pair
-
-
-def derive_batch(off) -> CorrDerivedBatch:
+def derive_batch(off) -> CorrDerived:
     """``derive`` for an (N, 6) array of off-diagonals in storage order, in one
     vectorized pass: one stacked eigvalsh classifies every row, one stacked det
     gives a_tilde.  It evaluates the same formulas as the scalar path
@@ -301,7 +283,7 @@ def derive_batch(off) -> CorrDerivedBatch:
     lt = np.stack([quad_term(off.T, t) for t in range(6)], axis=1)
     a_tilde = np.sqrt(np.maximum(2.0 * np.linalg.det(_anchored_cov(mats, 1)), 0.0))
     cosines = arccos_arguments(lp, lt, a_tilde, skip=unit_pair)
-    return CorrDerivedBatch(tag, lp, lt, a_tilde, cosines)
+    return CorrDerived(tag, lp, lt, a_tilde, cosines)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .corrmat import PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, classify
+from .corrmat import PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, classify, derive
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step of the Armijo line search
@@ -94,18 +94,22 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     w, u = np.linalg.eigh(start.matrix())
     v = _unit_rows(u * np.sqrt(np.clip(w, 0.0, None)))
     m = _gram(v)
-    value = closedform.f_max(m)
+    derived = derive(m)
+    value = float(closedform.value_of(derived))
 
     def line_search(direction, gain, power):
         """Armijo backtracking from STEP_INIT, where gain * eta**power is the
-        predicted increase.  Returns (rows, matrix, value, eta) or None."""
+        predicted increase.  Each trial is derived once; a trial with a unit
+        pair scores NaN and is rejected.  Returns (rows, matrix, derived,
+        value, eta) or None."""
         eta = STEP_INIT
         while eta > 1e-16:
             cand = _unit_rows(v + eta * direction)
             cand_m = _gram(cand)
-            cand_val = closedform.f_max(cand_m)
+            cand_derived = derive(cand_m)
+            cand_val = float(closedform.value_of(cand_derived))
             if cand_val >= value + ARMIJO * gain * eta ** power:
-                return cand, cand_m, cand_val, eta
+                return cand, cand_m, cand_derived, cand_val, eta
             eta *= BACKTRACK
         return None
 
@@ -115,14 +119,14 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     grad_norm = s_min = float("nan")
     for it in range(1, cfg.max_iters + 1):
         g = np.zeros((4, 4))
-        g[PAIR_ROWS, PAIR_COLS] = g[PAIR_COLS, PAIR_ROWS] = closedform.gradient(m)
+        g[PAIR_ROWS, PAIR_COLS] = g[PAIR_COLS, PAIR_ROWS] = closedform.gradient_of(derived)
         e = g @ v
         d = np.einsum("ij,ij->i", e, v)
         r = e - d[:, None] * v
         grad_norm = float(np.linalg.norm(r))
         s_min = float("nan")
         step = line_search(r, grad_norm ** 2, 1) if grad_norm > cfg.grad_tol else None
-        if step is None or step[2] <= value:
+        if step is None or step[3] <= value:
             # stationary, or the gradient step gains nothing in floating point:
             # test the second-order condition S = diag(d) - G >= 0
             s_eig, s_vec = np.linalg.eigh(np.diag(d) - g)
@@ -140,7 +144,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
             # else keep the gradient step: the first-order test has not passed
         if step is None:
             break
-        v, m, value, eta = step
+        v, m, derived, value, eta = step
         iterations = it
         trajectory.append((float(value), float(eta), grad_norm))
     return OptResult(

@@ -168,10 +168,10 @@ def base_row_value_at(vals) -> Fraction:
 
 def euler_relation_check(m: CorrelationMatrix4, rel_tol: float = 1e-8) -> ScanReport:
     """Residual of sum_kl (1-corr_kl) H[pq, kl] = grad_pq / 2 for all six rows."""
-    grad = closedform.gradient(m)
-    hess = closedform.hessian(m)
-    lp = derive(m).lambda_prime
-    lhs = hess @ lp
+    d = derive(m)
+    grad = closedform.gradient_of(d)
+    hess = closedform.hessian_of(d)
+    lhs = hess @ d.lambda_prime
     rhs = 0.5 * grad
     rel = np.abs(lhs - rhs) / np.abs(rhs)
     worst = int(np.argmax(rel))
@@ -499,13 +499,11 @@ def nonobtuse_hessian_check(m: CorrelationMatrix4) -> ScanReport:
     diagonal and positive determinant, and its non-diagonal part annihilates
     the complement vector."""
     d = derive(m)
-    cosines = d.cosines
     # interior dihedral cosine = -outer cosine; nonobtuse means all >= 0
-    if np.any(-cosines < 0):
+    if np.any(-d.cosines < 0):
         raise ObtuseInputError("tetrahedron has an obtuse dihedral angle")
-    hess = closedform.hessian(m)
-    neg = -hess
-    phi = np.diag(np.arccos(cosines) / (8 * np.sqrt(np.pi ** 3 * d.lambda_prime ** 3)))
+    neg = -closedform.hessian_of(d)
+    phi = np.diag(np.arccos(d.cosines) / (8 * np.sqrt(np.pi ** 3 * d.lambda_prime ** 3)))
     psi = neg - phi
     v = d.lambda_prime
     kernel_resid = float(np.linalg.norm(psi @ v) / np.linalg.norm(v))

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,10 @@ from gaussmax.closedform import (
     f_max3,
     f_max_batch,
     gradient,
+    gradient_of,
     hessian,
     quadrant_integral,
+    value_of,
 )
 from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive
 from gaussmax.montecarlo import estimate_max
@@ -110,6 +115,18 @@ class TestFMax:
         assert abs(e2 - target) < abs(e1 - target)
         extrapolated = (10 * e2 - e1) / 9  # exact for f = target + a*sqrt(eps)
         assert extrapolated == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("angles", [(0.0, 1e-6, 2.0, 2.0 + 1.2e-6),
+                                        (0.0, 1e-6, 2.0, 4.0)])
+    def test_near_unit_pairs_value_is_label_free(self, angles):
+        # unit vectors in R^2 whose close pairs have correlation within
+        # EPS_ONE of 1 but not equal to it: two classes, then three
+        th = np.array(angles)
+        v = np.stack([np.cos(th), np.sin(th)], axis=1)
+        m = CorrelationMatrix4.from_matrix(v @ v.T)
+        assert derive(m).tag is DomainTag.DEGENERATE_UNIT_PAIR
+        values = {f_max(m.permuted(p)) for p in itertools.permutations(range(4))}
+        assert len(values) == 1
 
     def test_coplanar_bound_constant(self):
         assert COPLANAR_BOUND == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-15)
@@ -255,6 +272,16 @@ class TestSinglePass:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         fn(CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)))
         assert len(calls) == 1
+
+    def test_value_of_a_unit_pair_is_nan(self):
+        # a line-search trial with a unit pair scores NaN, which no Armijo
+        # test accepts
+        d = derive(CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(value_of(d))
+        with pytest.raises(ValueError, match="correlations != 1"):
+            gradient_of(d)
 
 
 class TestFMax3:

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussmax import corrmat
 from gaussmax.corrmat import (
+    EPS_PSD,
     PAIR_COMPLEMENT,
     PAIRS,
+    CorrDerived,
     CorrelationMatrix4,
     DomainTag,
     classify,
@@ -80,12 +85,13 @@ class TestDerive:
         d = derive(m)
         assert np.allclose(d.lambda_prime, 4.0 / 3.0)
         expected_sigma = np.array([[8, 4, 4], [4, 8, 4], [4, 4, 8]]) / 3.0
-        assert np.allclose(d.sigma2, expected_sigma)
+        assert np.allclose(complement_cov(m, 1), expected_sigma)
         # det of that 3x3 is 256/27
         assert d.a_tilde**2 == pytest.approx(512.0 / 27.0, rel=1e-14)
         assert np.ptp(d.lambda_tilde) < 1e-14
         assert d.lambda_tilde[0] < 0
-        assert d.a_sq is None  # singular
+        # singular: the ratio a_tilde^2 / (2 det) is undefined
+        assert np.linalg.det(m.matrix()) <= EPS_PSD
 
     def test_all_ones_collapse(self):
         d = derive(CorrelationMatrix4.equicorrelated(1.0))
@@ -94,17 +100,33 @@ class TestDerive:
         assert d.a_tilde == 0.0
 
     def test_identity(self):
-        d = derive(CorrelationMatrix4.identity())
+        m = CorrelationMatrix4.identity()
+        d = derive(m)
         assert np.allclose(d.lambda_prime, 1.0)
         # (1)(1) - 2*(1)(1) = -1 for every pair
         assert np.allclose(d.lambda_tilde, -1.0)
         assert d.a_tilde**2 == pytest.approx(8.0, rel=1e-14)
-        assert d.det_lambda == pytest.approx(1.0)
-        assert d.a_sq == pytest.approx(4.0)  # 8 / (2 * 1)
+        det = np.linalg.det(m.matrix())
+        assert det == pytest.approx(1.0)
+        assert d.a_tilde**2 / (2.0 * det) == pytest.approx(4.0)  # 8 / (2 * 1)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             derive(CorrelationMatrix4.equicorrelated(-0.5))
+
+    def test_one_record_for_scalar_and_stack(self):
+        names = [f.name for f in dataclasses.fields(CorrDerived)]
+        assert names == ["tag", "lambda_prime", "lambda_tilde", "a_tilde", "cosines"]
+        assert isinstance(derive_batch(np.zeros((2, 6))), CorrDerived)
+
+    def test_unit_pair_cosines_are_nan_and_not_formed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("arccos_arguments evaluated on a unit-pair matrix")
+
+        monkeypatch.setattr(corrmat, "arccos_arguments", fail)
+        d = derive(CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
+        assert d.tag is DomainTag.DEGENERATE_UNIT_PAIR
+        assert d.cosines.shape == (6,) and np.all(np.isnan(d.cosines))
 
     @settings(max_examples=30, deadline=None)
     @given(unit_vectors(4))
@@ -146,9 +168,9 @@ class TestDerive:
 
     def test_a_sq_equals_inverse_sum(self, battery20):
         for m in battery20:
-            d = derive(m)
+            a_sq = derive(m).a_tilde**2 / (2.0 * np.linalg.det(m.matrix()))
             inv_sum = float(np.linalg.inv(m.matrix()).sum())
-            assert d.a_sq == pytest.approx(inv_sum, rel=1e-9)
+            assert a_sq == pytest.approx(inv_sum, rel=1e-9)
 
     def test_permutation_equivariance(self, rng):
         from gaussmax.optimize import random_psd
@@ -262,10 +284,8 @@ class TestDeriveBatch:
             assert np.array_equal(d.lambda_prime[i], ds.lambda_prime)
             assert np.array_equal(d.lambda_tilde[i], ds.lambda_tilde)
             assert d.a_tilde[i] == ds.a_tilde
-            if ds.tag is DomainTag.DEGENERATE_UNIT_PAIR:
-                assert np.all(np.isnan(d.cosines[i]))
-            else:
-                assert np.array_equal(d.cosines[i], ds.cosines)
+            # NaN on both paths for a unit pair
+            assert np.array_equal(d.cosines[i], ds.cosines, equal_nan=True)
 
     def test_complement_cov_of_a_stack(self, battery20):
         from gaussmax.corrmat import _anchored_cov

@@ -1,8 +1,16 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import F_STAR
 
+import gaussmax
+from gaussmax import closedform, optimize
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify
 from gaussmax.optimize import (
@@ -120,6 +128,43 @@ class TestMaximize:
         res = maximize(CorrelationMatrix4.identity(), AscentConfig(max_iters=3))
         assert res.iterations <= 3
         assert not res.converged
+
+
+class TestOneDerivePerIterate:
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_each_matrix_built_is_derived_once(self, seed, monkeypatch):
+        # the line search derives each trial once and the next gradient reads
+        # the accepted trial's derivation; derive is counted in optimize and
+        # behind the closed-form entry points alike
+        start = (CorrelationMatrix4.identity() if seed is None
+                 else random_interior(np.random.default_rng(seed)))
+        counts = {"derive": 0, "_gram": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(optimize, "_gram", counting("_gram", optimize._gram))
+        monkeypatch.setattr(optimize, "derive", counting("derive", optimize.derive))
+        monkeypatch.setattr(closedform, "derive", counting("derive", closedform.derive))
+        res = maximize(start)
+        assert res.converged and res.iterations > 0
+        assert counts["derive"] == counts["_gram"] > res.iterations
+
+
+def test_optimizer_battery_script_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = str(pathlib.Path(gaussmax.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "optimizer_battery.py"), "--starts", "3"],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads(proc.stdout[proc.stdout.index("{"):])
+    assert summary["starts"] == 3
+    assert summary["all_converged"]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
