@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""One SHA-256 digest per output family of the closed-form path.
+
+Feeds a fixed set of matrices through the library and hashes the exact bits
+of what comes back, one digest per family: the classification (tag and
+witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
+``dihedrals`` and ``f_max_batch``.  A call that raises contributes its
+exception type and message instead of a value.  Two trees whose digests
+agree give bit-identical outputs on every input below.
+
+Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
+``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
+handful of special matrices (identity, the regular simplex, unit pairs).
+
+The digests hash float bits, which depend on the numpy build, the LAPACK
+it calls and the CPU.  Compare them only between runs on one machine, for
+example a checkout of the parent commit against the change:
+
+    PYTHONPATH=<parent>/src python scripts/output_digest.py
+    PYTHONPATH=src python scripts/output_digest.py
+
+Usage: python scripts/output_digest.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+
+from gaussmax import closedform, geometry
+from gaussmax.corrmat import CorrelationMatrix4, classify, derive
+from gaussmax.optimize import random_psd
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch")
+
+
+def special_matrices() -> list[CorrelationMatrix4]:
+    return [
+        CorrelationMatrix4.identity(),
+        CorrelationMatrix4.equicorrelated(-1.0 / 3.0),
+        CorrelationMatrix4.equicorrelated(1.0),
+        CorrelationMatrix4.equicorrelated(0.5),
+        CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
+        CorrelationMatrix4((1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)),
+        CorrelationMatrix4((0.93, 0.91, 0.90, 0.75, 0.77, 0.75)),
+        CorrelationMatrix4((1.0, -1.0, -1.0, -1.0, -1.0, 1.0)),
+    ]
+
+
+def inputs() -> list[CorrelationMatrix4]:
+    ref = json.loads((ROOT / "perfbench" / "reference_evaluate.json").read_text())
+    ms = [CorrelationMatrix4(tuple(e["offdiag"])) for e in ref["entries"]]
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(d)
+        ms.extend(random_psd(rng, d) for _ in range(1000))
+    return ms + special_matrices()
+
+
+def _bits(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        return str(value.dtype).encode() + str(value.shape).encode() + value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return repr(value).encode()
+
+
+def _feed(h, fn, *args) -> None:
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the error is part of the output
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return
+    for part in out if isinstance(out, tuple) else (out,):
+        h.update(_bits(part))
+
+
+def digests() -> dict[str, str]:
+    ms = inputs()
+    h = {name: hashlib.sha256() for name in FAMILIES}
+
+    def classified(m):
+        c = classify(m)
+        return (c.tag.value, c.witness)
+
+    def derived(m):
+        d = derive(m)
+        return (d.tag.value, d.lambda_prime, d.lambda_tilde, float(d.a_tilde), d.cosines)
+
+    for m in ms:
+        _feed(h["classify"], classified, m)
+        _feed(h["derive"], derived, m)
+        _feed(h["f_max"], closedform.f_max, m)
+        _feed(h["gradient"], closedform.gradient, m)
+        _feed(h["hessian"], closedform.hessian, m)
+        _feed(h["dihedrals"], lambda m: geometry.dihedrals(m).alpha, m)
+    _feed(h["f_max_batch"], closedform.f_max_batch, np.array([m.offdiag for m in ms]))
+    return {name: h[name].hexdigest() for name in FAMILIES}
+
+
+def main() -> None:
+    for name, digest in digests().items():
+        print(f"{name:12s} {digest}")
+
+
+if __name__ == "__main__":
+    main()

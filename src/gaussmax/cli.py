@@ -213,15 +213,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    def given(*names):
+        """The grid flags passed; one left out takes the scan's own default."""
+        return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
     if args.kind == "u-interval":
-        rep = verify.u_interval_scan(args.x, args.y, n=args.n)
+        rep = verify.u_interval_scan(args.x, args.y, **given("n"))
     elif args.kind == "p-inequality":
-        rep = verify.p_inequality_scan(verify.PInequalityGrid(n_theta=args.n_theta, n_u=args.n_u))
+        rep = verify.p_inequality_scan(verify.PInequalityGrid(**given("n_theta", "n_u")))
     elif args.kind == "h-monotonicity":
-        rep = verify.h_monotonicity_scan(
-            verify.HMonotonicityGrid(n_pairs=args.n_pairs, z_steps=args.z_steps))
+        rep = verify.h_monotonicity_scan(verify.HMonotonicityGrid(**given("n_pairs", "z_steps")))
     elif args.kind == "p-ordering":
-        rep = verify.p_ordering_scan()
+        rep = verify.p_ordering_scan(**given("n_theta", "n_u"))
     else:
         raise ValueError(f"unknown scan kind {args.kind!r}")
     _emit({"command": "scan", "kind": args.kind, "pass": rep.passed,
@@ -300,11 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("u-interval", "p-inequality", "h-monotonicity", "p-ordering"))
     p.add_argument("--x", type=float, default=0.5)
     p.add_argument("--y", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--n-theta", type=int, default=500)
-    p.add_argument("--n-u", type=int, default=500)
-    p.add_argument("--n-pairs", type=int, default=50)
-    p.add_argument("--z-steps", type=int, default=200)
+    # grid sizes left out take the scan kind's own default
+    p.add_argument("--n", type=int, help="u-interval: z samples")
+    p.add_argument("--n-theta", type=int, help="p-inequality, p-ordering: theta values")
+    p.add_argument("--n-u", type=int, help="p-inequality, p-ordering: u values per theta")
+    p.add_argument("--n-pairs", type=int, help="h-monotonicity: w values per axis")
+    p.add_argument("--z-steps", type=int, help="h-monotonicity: z values per pair")
     p.set_defaults(fn=_cmd_scan)
 
     return parser

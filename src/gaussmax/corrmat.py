@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -34,6 +35,11 @@ PAIR_INDEX: dict[tuple[int, int], int] = {}
 for _t, (_i, _j) in enumerate(PAIRS):
     PAIR_INDEX[(_i, _j)] = _t
     PAIR_INDEX[(_j, _i)] = _t
+
+# Storage indices of (k, n), (l, n), (k, m), (l, m), (m, n) for each stored
+# pair (k, l) with complement (m, n), read by quad_term.
+_QUAD_INDEX = [[PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n))]
+               for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT)]
 
 EPS_PSD = 1e-10   # absolute tolerance on the smallest eigenvalue
 EPS_ONE = 1e-12   # tolerance for detecting an off-diagonal equal to 1
@@ -93,10 +99,7 @@ class CorrelationMatrix4:
         return cls(tuple(m[i, j] for i, j in PAIRS))
 
     def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        for t, (i, j) in enumerate(PAIRS):
-            m[i, j] = m[j, i] = self.offdiag[t]
-        return m
+        return _scatter(self.array())
 
     def array(self) -> np.ndarray:
         return np.asarray(self.offdiag, dtype=float)
@@ -109,23 +112,45 @@ class CorrelationMatrix4:
         return CorrelationMatrix4(tuple(m[perm[i], perm[j]] for i, j in PAIRS))
 
 
+_EYE = np.eye(4)
+# A class is an index into the DomainTag values in declaration order.  The
+# domain rule is a table of classes indexed by 4 * invalid + 2 * unit pair +
+# positive definite: invalid wins, then a unit pair, then definiteness.
+_TAGS = np.array(tuple(DomainTag), dtype=object)
+_INTERIOR, _BOUNDARY, _UNIT_PAIR, _INVALID = range(len(_TAGS))
+_RULE = np.array([_BOUNDARY, _INTERIOR] + [_UNIT_PAIR] * 2 + [_INVALID] * 4)
+
+
+def _scatter(off: np.ndarray) -> np.ndarray:
+    """Unit-diagonal symmetric matrices from off-diagonals of shape (..., 6)
+    in storage order; shape (..., 4, 4)."""
+    mats = np.empty(off.shape[:-1] + (4, 4))
+    mats[...] = _EYE
+    mats[..., PAIR_ROWS, PAIR_COLS] = mats[..., PAIR_COLS, PAIR_ROWS] = off
+    return mats
+
+
+def _domain_rule(off: np.ndarray, lam_min):
+    """The domain rule: the class (an index into ``_TAGS``) of off-diagonals of
+    shape (..., 6) whose matrices have smallest eigenvalue ``lam_min``, and
+    the mask of entries equal to 1."""
+    unit = off >= 1.0 - EPS_ONE
+    invalid = (np.abs(off).max(axis=-1) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
+    return _RULE[4 * invalid + 2 * unit.any(axis=-1) + (lam_min > EPS_PSD)], unit
+
+
 def classify(m: CorrelationMatrix4) -> DomainClass:
     """Locate m relative to the elliptope: interior, singular boundary with all
     correlations != 1, boundary with some correlation == 1, or not a
-    correlation matrix at all."""
+    correlation matrix at all.  A unit pair's witness is the first pair in
+    storage order whose correlation equals 1."""
     off = m.array()
-    if np.max(np.abs(off)) > 1.0 + EPS_PSD:
-        return DomainClass(DomainTag.INVALID)
-    eigs = np.linalg.eigvalsh(m.matrix())
-    if eigs[0] < -EPS_PSD:
-        return DomainClass(DomainTag.INVALID)
-    for t, v in enumerate(off):
-        if v >= 1.0 - EPS_ONE:
-            i, j = PAIRS[t]
-            return DomainClass(DomainTag.DEGENERATE_UNIT_PAIR, witness=(i + 1, j + 1))
-    if eigs[0] > EPS_PSD:
-        return DomainClass(DomainTag.INTERIOR_S)
-    return DomainClass(DomainTag.BOUNDARY_S1)
+    k, unit = _domain_rule(off, np.linalg.eigvalsh(_scatter(off))[0])
+    tag = _TAGS[k]
+    if tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        i, j = PAIRS[int(np.argmax(unit))]
+        return DomainClass(tag, witness=(i + 1, j + 1))
+    return DomainClass(tag)
 
 
 def rank(m: CorrelationMatrix4) -> int:
@@ -157,23 +182,12 @@ def quad_term(x: Sequence, t: int, one=1.0):
     """Quadratic combination of stored pair ``t`` over any ring: ``x`` holds the
     six correlations in storage order, ``one`` is the ring's unit.  The exact
     identity in ``verify`` evaluates this float expression on polynomials."""
-    k, l = PAIRS[t]
-    mm, nn = PAIR_COMPLEMENT[t]
-
-    def v(i, j):
-        return x[PAIR_INDEX[(i, j)]]
-
+    kn, ln, km, lm, mn = _QUAD_INDEX[t]
     return (
-        (one - v(k, l) + v(k, nn) - v(l, nn))
-        * (one - v(k, l) + v(k, mm) - v(l, mm))
-        - 2 * (one - v(k, l)) * (one - v(l, mm) - v(l, nn) + v(mm, nn))
+        (one - x[t] + x[kn] - x[ln])
+        * (one - x[t] + x[km] - x[lm])
+        - 2 * (one - x[t]) * (one - x[lm] - x[ln] + x[mn])
     )
-
-
-def quad_combination(m: CorrelationMatrix4) -> np.ndarray:
-    """The six quadratic combinations appearing inside the arccos of the
-    closed form, in storage order."""
-    return np.array([quad_term(m.offdiag, t) for t in range(6)])
 
 
 def triangle_factor(cp: Sequence, tri: Sequence[int]):
@@ -190,7 +204,7 @@ def triangle_factor(cp: Sequence, tri: Sequence[int]):
     return 2 * a * b + 2 * a * c + 2 * b * c - a * a - b * b - c * c
 
 
-def arccos_arguments(lp: np.ndarray, lt: np.ndarray, a_tilde, skip=None) -> np.ndarray:
+def arccos_arguments(lp: np.ndarray, lt: np.ndarray, a_tilde, skip) -> np.ndarray:
     """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2 +
     lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to [-1, 1]
     within EPS_CLAMP.  Entry (k, l) is the cosine of the outer dihedral angle
@@ -210,8 +224,7 @@ def arccos_arguments(lp: np.ndarray, lt: np.ndarray, a_tilde, skip=None) -> np.n
     # a correlation equals 1, so the 0/0 cut-off scales with the simplex
     degenerate = rad <= EPS_ZERO_OVER_ZERO * (scale * scale)
     arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
-    if skip is not None:
-        arg[skip] = np.nan
+    arg[skip] = np.nan
     bad = np.abs(arg) > 1.0 + EPS_CLAMP
     if bad.any():
         if arg.ndim == 1:
@@ -240,50 +253,46 @@ class CorrDerived:
     cosines: np.ndarray        # six arccos arguments, storage order
 
 
-def derive(m: CorrelationMatrix4) -> CorrDerived:
-    tag = classify(m).tag
-    if tag is DomainTag.INVALID:
-        raise ValueError("not a correlation matrix")
-    lp = 1.0 - m.array()
-    lt = quad_combination(m)
-    det_s2 = float(np.linalg.det(complement_cov(m, anchor=1)))
-    a_tilde = float(np.sqrt(max(2.0 * det_s2, 0.0)))
-    if tag is DomainTag.DEGENERATE_UNIT_PAIR:
-        cosines = np.full(6, np.nan)
+def _derive(off: np.ndarray) -> CorrDerived:
+    """The one derivation pass for off-diagonals of shape (6,) or (N, 6): one
+    scatter, one eigvalsh and the domain rule, then the record's formulas.
+    Rows are independent, so a row of a stack equals ``derive`` of it bit for
+    bit."""
+    mats = _scatter(off)
+    k, _ = _domain_rule(off, np.linalg.eigvalsh(mats)[..., 0])
+    invalid = k == _INVALID
+    if invalid.any():
+        where = "" if off.ndim == 1 else f"row {int(np.flatnonzero(invalid)[0])}: "
+        raise ValueError(f"{where}not a correlation matrix")
+    lp = 1.0 - off
+    # Python floats for one matrix, columns for a stack; pairs on the last axis
+    cols = off.tolist() if off.ndim == 1 else off.T
+    lt = np.array([quad_term(cols, t) for t in range(6)]).T.copy()
+    a_tilde = np.sqrt(np.maximum(2.0 * np.linalg.det(_anchored_cov(mats, 1)), 0.0))
+    unit_pair = k == _UNIT_PAIR
+    if unit_pair.all():
+        cosines = np.full(off.shape, np.nan)
     else:
-        cosines = arccos_arguments(lp, lt, a_tilde)
+        cosines = arccos_arguments(lp, lt, a_tilde, skip=unit_pair)
     for a in (lp, lt, cosines):
         a.flags.writeable = False
-    return CorrDerived(tag, lp, lt, a_tilde, cosines)
+    return CorrDerived(_TAGS[k], lp, lt, a_tilde, cosines)
+
+
+def derive(m: CorrelationMatrix4) -> CorrDerived:
+    return _derive(m.array())
 
 
 def derive_batch(off) -> CorrDerived:
-    """``derive`` for an (N, 6) array of off-diagonals in storage order, in one
-    vectorized pass: one stacked eigvalsh classifies every row, one stacked det
-    gives a_tilde.  It evaluates the same formulas as the scalar path
-    (``quad_term``, ``_anchored_cov``, ``arccos_arguments``), so each row equals
-    ``derive`` of that row bit for bit.  A row that is not a correlation
-    matrix raises ValueError naming the row."""
+    """``derive`` for an (N, 6) array of off-diagonals in storage order.  A row
+    that is not a correlation matrix raises ValueError naming the row."""
     off = np.asarray(off, dtype=float)
     if off.ndim != 2 or off.shape[1] != 6:
         raise ValueError(f"expected an (N, 6) array, got shape {off.shape}")
     finite = np.all(np.isfinite(off), axis=1)
     if not np.all(finite):
         raise ValueError(f"row {int(np.flatnonzero(~finite)[0])}: off-diagonal values must be finite")
-    mats = np.broadcast_to(np.eye(4), (len(off), 4, 4)).copy()
-    mats[:, PAIR_ROWS, PAIR_COLS] = mats[:, PAIR_COLS, PAIR_ROWS] = off
-    lam_min = np.linalg.eigvalsh(mats)[:, 0]
-    invalid = (np.max(np.abs(off), axis=1) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
-    if np.any(invalid):
-        raise ValueError(f"row {int(np.flatnonzero(invalid)[0])}: not a correlation matrix")
-    unit_pair = np.any(off >= 1.0 - EPS_ONE, axis=1)
-    tag = np.where(unit_pair, DomainTag.DEGENERATE_UNIT_PAIR,
-                   np.where(lam_min > EPS_PSD, DomainTag.INTERIOR_S, DomainTag.BOUNDARY_S1))
-    lp = 1.0 - off
-    lt = np.stack([quad_term(off.T, t) for t in range(6)], axis=1)
-    a_tilde = np.sqrt(np.maximum(2.0 * np.linalg.det(_anchored_cov(mats, 1)), 0.0))
-    cosines = arccos_arguments(lp, lt, a_tilde, skip=unit_pair)
-    return CorrDerived(tag, lp, lt, a_tilde, cosines)
+    return _derive(off)
 
 
 @dataclass(frozen=True)
@@ -357,6 +366,14 @@ def json_number(value, field: str) -> float:
         if math.isfinite(x):
             return x
     raise ValueError(f"{field}: expected a finite number, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """A count must be an integer, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def from_json_obj(obj) -> CorrelationMatrix4:

@@ -19,7 +19,6 @@ does not change results.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import EPS_PSD, CorrelationMatrix4, DomainTag, classify
+from .corrmat import CorrelationMatrix4, DomainTag, _check_count, classify
 
 _BLOCK = 500_000  # pairs per shard block; bounds peak memory
 _CHUNK = 8_192  # draws per transposed chunk; sized to stay in cache
@@ -86,8 +85,6 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     if cls.tag is DomainTag.INTERIOR_S:
         return np.linalg.cholesky(mat)
     w, v = np.linalg.eigh(mat)
-    if w[0] < -EPS_PSD:
-        raise ValueError("not a correlation matrix")
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -104,21 +101,12 @@ def _default_shards(n: int) -> int:
     return max(1, math.ceil(n / 2_000_000))
 
 
-def _check_count(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_args(n: int, shards):
-    _check_count(n, "n")
+    _check_count("n", n, 10_000)
     if shards is not None:
-        _check_count(shards, "shards")
-    if n < 10_000:
-        raise ValueError("need at least 10^4 samples")
+        _check_count("shards", shards, 1)
     if n % 2:
         raise ValueError("antithetic sampling needs an even sample count")
-    if shards is not None and shards < 1:
-        raise ValueError("shards must be >= 1")
 
 
 def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,

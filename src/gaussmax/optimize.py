@@ -14,12 +14,14 @@ the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedform
-from .corrmat import PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, classify, derive
+from .corrmat import (PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, _check_count,
+                      classify, derive)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step of the Armijo line search
@@ -33,6 +35,12 @@ PROJ_MAX_ITERS = 1000
 class AscentConfig:
     grad_tol: float = 1e-8      # on the Riemannian gradient norm and on -min eig(S)
     max_iters: int = 10_000
+
+    def __post_init__(self):
+        tol = self.grad_tol
+        if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"grad_tol must be a finite number > 0, got {tol!r}")
+        _check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .corrmat import (
     PAIRS,
     CorrelationMatrix4,
     DomainTag,
+    _check_count,
     classify,
     derive,
     quad_term,
@@ -291,11 +292,6 @@ def _p_inequality_lhs_mp(u: float, theta: float) -> float:
 
 _H_W_MIN, _H_W_MAX = 0.15, 1.3
 _H_EDGE_BAND = 1e-3  # fraction of the admissible interval skipped at each end
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

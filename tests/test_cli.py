@@ -189,6 +189,19 @@ class TestOptimize:
         assert code2 == 0
         assert json.loads(out2)["f_max"] == pytest.approx(doc["value"], abs=1e-12)
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--tol", "nan"), "grad_tol"),
+        (("--tol", "-1"), "grad_tol"),
+        (("--tol", "0"), "grad_tol"),
+        (("--max-iters", "0"), "max_iters"),
+        (("--max-iters", "-5"), "max_iters"),
+    ], ids=["tol-nan", "tol-negative", "tol-zero", "max-iters-0", "max-iters-negative"])
+    def test_bad_ascent_settings_are_usage_errors(self, capsys, argv, name):
+        code, out, err = run(capsys, "optimize", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} must be" in err
+
 
 class TestVerify:
     def test_identity_suite(self, capsys):
@@ -229,6 +242,16 @@ class TestScan:
                            "--n-pairs", "8", "--z-steps", "40")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_p_ordering_reads_grid_flags(self, capsys):
+        code, out, _ = run(capsys, "scan", "--kind", "p-ordering", "--n-theta", "4", "--n-u", "5")
+        assert code == 0
+        assert json.loads(out)["report"]["grid"] == "40 (u, theta) points"
+
+    def test_p_ordering_default_grid(self, capsys):
+        code, out, _ = run(capsys, "scan", "--kind", "p-ordering")
+        assert code == 0
+        assert json.loads(out)["report"]["grid"] == "1000 (u, theta) points"
 
     @pytest.mark.parametrize("argv, name", [
         (("--kind", "h-monotonicity", "--n-pairs", "0"), "n_pairs"),

@@ -1,4 +1,9 @@
 import itertools
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +14,7 @@ from scipy import integrate
 
 from conftest import F_IID3, F_IID4, F_STAR
 
+import gaussmax
 from gaussmax import geometry
 
 from gaussmax.closedform import (
@@ -472,3 +478,17 @@ class TestMonteCarloAgreement:
         for m in battery20[:3]:
             est = estimate_max(m, 1_000_000, seed=123)
             assert abs(est.mean - f_max(m)) <= 4 * est.std_error
+
+
+def test_output_digest_script_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = str(pathlib.Path(gaussmax.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "output_digest.py")],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch"]
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == families
+    assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from gaussmax.corrmat import (
     from_json_obj,
     load_matrix,
     parse_offdiag_text,
-    quad_combination,
     rank,
     to_json_obj,
     triangle_factor,
@@ -79,6 +80,60 @@ class TestClassify:
             CorrelationMatrix4((np.nan, 0, 0, 0, 0, 0))
 
 
+REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference_evaluate.json"
+
+UNIT_PAIR_ROWS = [
+    (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    (1.0,) * 6,
+    (1.0, 0.5, 0.5, 0.5, 0.5, 1.0),
+    (0.5, 0.5, 0.5, 0.5, 0.5, 1.0),
+    (1.0, -1.0, -1.0, -1.0, -1.0, 1.0),
+    (1.0 - 5e-13, 0.0, 0.0, 0.0, 0.0, 1.0),
+]
+
+
+def assert_one_rule(ms):
+    """classify, derive and the rows of derive_batch give each matrix one tag."""
+    batch = derive_batch(np.array([m.offdiag for m in ms]))
+    for i, m in enumerate(ms):
+        tag = classify(m).tag
+        assert tag is derive(m).tag
+        assert tag is batch.tag[i]
+
+
+class TestDomainRule:
+    def test_reference_rows(self):
+        entries = json.loads(REFERENCE.read_text())["entries"]
+        assert len(entries) == 512
+        assert_one_rule([CorrelationMatrix4(tuple(e["offdiag"])) for e in entries])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4).flatmap(unit_vectors), min_size=1, max_size=6))
+    def test_gram_matrices_of_rank_1_to_4(self, ms):
+        assert_one_rule(ms)
+
+    def test_unit_pair_rows(self):
+        ms = [CorrelationMatrix4(off) for off in UNIT_PAIR_ROWS]
+        assert all(classify(m).tag is DomainTag.DEGENERATE_UNIT_PAIR for m in ms)
+        assert_one_rule(ms)
+
+    @pytest.mark.parametrize("off, witness", [
+        ((1.0,) * 6, (1, 2)),
+        ((1.0, 0.5, 0.5, 0.5, 0.5, 1.0), (1, 2)),
+        ((0.5, 0.5, 0.5, 0.5, 0.5, 1.0), (3, 4)),
+        # the first pair within EPS_ONE of 1 in storage order, not the largest
+        ((1.0 - 5e-13, 0.0, 0.0, 0.0, 0.0, 1.0), (1, 2)),
+    ])
+    def test_witness_is_first_unit_pair_in_storage_order(self, off, witness):
+        assert classify(CorrelationMatrix4(off)).witness == witness
+
+    def test_first_invalid_row_of_a_stack_is_named(self, battery20):
+        stack = np.array([m.offdiag for m in battery20[:5]])
+        stack[[1, 3]] = -0.5
+        with pytest.raises(ValueError, match=r"^row 1: not a correlation matrix$"):
+            derive_batch(stack)
+
+
 class TestDerive:
     def test_equicorrelated_third(self):
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
@@ -111,7 +166,7 @@ class TestDerive:
         assert d.a_tilde**2 / (2.0 * det) == pytest.approx(4.0)  # 8 / (2 * 1)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not a correlation matrix$"):
             derive(CorrelationMatrix4.equicorrelated(-0.5))
 
     def test_one_record_for_scalar_and_stack(self):
@@ -206,7 +261,7 @@ class TestVertexGramian:
         # of the pair belonging to the missing row, and each adjugate row sum
         # is minus a quarter of the complementary pair's combination
         for m in battery20:
-            lt = quad_combination(m)
+            lt = derive(m).lambda_tilde
             g = vertex_gramian(m, anchor=2)
             assert g.rho1 == pytest.approx(lt[PAIRS.index((1, 3))] / 4, rel=1e-12, abs=1e-12)
             assert g.rho2 == pytest.approx(lt[PAIRS.index((1, 2))] / 4, rel=1e-12, abs=1e-12)
@@ -228,7 +283,7 @@ class TestVertexGramian:
         # adjugate entry (i, j) of the anchored Gramian is a quarter of the
         # quadratic combination of the pair belonging to the missing row
         for m in battery20[:5]:
-            lt = quad_combination(m)
+            lt = derive(m).lambda_tilde
             for anchor in range(1, 5):
                 others = sorted(set(range(4)) - {anchor - 1})
                 g = vertex_gramian(m, anchor=anchor)

@@ -124,6 +124,25 @@ class TestMaximize:
         assert res.s_min_eig >= -cfg.grad_tol
         assert all(t[2] > cfg.grad_tol for t in res.trajectory_summary)
 
+    @pytest.mark.parametrize("kwargs, error, name", [
+        ({"grad_tol": float("nan")}, ValueError, "grad_tol"),
+        ({"grad_tol": float("inf")}, ValueError, "grad_tol"),
+        ({"grad_tol": -1.0}, ValueError, "grad_tol"),
+        ({"grad_tol": 0.0}, ValueError, "grad_tol"),
+        ({"grad_tol": True}, ValueError, "grad_tol"),
+        ({"max_iters": 0}, ValueError, "max_iters"),
+        ({"max_iters": -5}, ValueError, "max_iters"),
+        ({"max_iters": 2.5}, TypeError, "max_iters"),
+        ({"max_iters": True}, TypeError, "max_iters"),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "tol-bool", "iters-0", "iters-negative",
+            "iters-float", "iters-bool"])
+    def test_config_rejects_bad_values(self, kwargs, error, name):
+        with pytest.raises(error, match=name):
+            AscentConfig(**kwargs)
+
+    def test_config_accepts_one_iteration(self):
+        assert AscentConfig(grad_tol=1e-3, max_iters=1).max_iters == 1
+
     def test_iteration_budget_respected(self):
         res = maximize(CorrelationMatrix4.identity(), AscentConfig(max_iters=3))
         assert res.iterations <= 3

@@ -97,12 +97,12 @@ class TestBalanceIdentity:
     def test_quad_combination_poly_matches_numeric(self, battery20):
         from itertools import combinations
 
-        from gaussmax.corrmat import quad_combination, triangle_factor
+        from gaussmax.corrmat import derive, triangle_factor
 
         for m in battery20[:3]:
             vals = [Fraction(v).limit_denominator(10**12) for v in m.offdiag]
             approx = [float(quad_combination_poly(t).evaluate(vals)) for t in range(6)]
-            exact = list(quad_combination(m))
+            exact = list(derive(m).lambda_tilde)
             for tri in combinations(range(4), 3):
                 approx.append(float(triangle_factor_poly(tri).evaluate(vals)))
                 exact.append(triangle_factor(1.0 - m.array(), tri))

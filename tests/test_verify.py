@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,26 @@ class TestUInterval:
             u_interval_scan(-0.1, 0.5)
         with pytest.raises(ValueError):
             u_interval_scan(2.0, 0.6)
+
+
+@pytest.mark.parametrize("scan, name, bad", [
+    (lambda v: HMonotonicityGrid(n_pairs=v), "n_pairs", True),
+    (lambda v: HMonotonicityGrid(z_steps=v), "z_steps", 2.5),
+    (lambda v: HMonotonicityGrid(det_samples=v), "det_samples", 100.0),
+    (lambda v: PInequalityGrid(n_theta=v), "n_theta", True),
+    (lambda v: PInequalityGrid(n_u=v), "n_u", 2.5),
+    (lambda v: u_interval_scan(0.5, 0.5, n=v), "n", 2.5),
+    (lambda v: p_ordering_scan(n_theta=v), "n_theta", 3.0),
+    (lambda v: p_ordering_scan(n_u=v), "n_u", True),
+], ids=["h-n_pairs-bool", "h-z_steps-float", "h-det_samples-float", "p-n_theta-bool",
+        "p-n_u-float", "u-n-float", "ordering-n_theta-float", "ordering-n_u-bool"])
+def test_grid_counts_must_be_integers(scan, name, bad):
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        scan(bad)
+
+
+def test_grid_counts_accept_numpy_integers():
+    assert PInequalityGrid(n_theta=np.int64(3), n_u=np.int64(4)).describe().startswith("3 theta x 4 u")
 
 
 class TestPInequality:
