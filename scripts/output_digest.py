@@ -4,13 +4,17 @@
 Feeds a fixed set of matrices through the library and hashes the exact bits
 of what comes back, one digest per family: the classification (tag and
 witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
-``dihedrals`` and ``f_max_batch``.  A call that raises contributes its
+``dihedrals``, ``f_max_batch``, every field of ``derive_batch`` on the
+whole stack, and ``maximize`` (every ``OptResult`` field, then the
+``worst_margin`` of ``certify``).  A call that raises contributes its
 exception type and message instead of a value.  Two trees whose digests
 agree give bit-identical outputs on every input below.
 
 Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
-handful of special matrices (identity, the regular simplex, unit pairs).
+handful of special matrices (identity, the regular simplex, unit pairs);
+``maximize`` starts from 8 ``random_interior`` matrices drawn from
+``default_rng(MAXIMIZE_SEED)``.
 
 The digests hash float bits, which depend on the numpy build, the LAPACK
 it calls and the CPU.  Compare them only between runs on one machine, for
@@ -29,11 +33,13 @@ import pathlib
 import numpy as np
 
 from gaussmax import closedform, geometry
-from gaussmax.corrmat import CorrelationMatrix4, classify, derive
-from gaussmax.optimize import random_psd
+from gaussmax.corrmat import CorrelationMatrix4, classify, derive, derive_batch
+from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch")
+FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch",
+            "derive_batch", "maximize")
+MAXIMIZE_SEED = 8
 
 
 def special_matrices() -> list[CorrelationMatrix4]:
@@ -89,6 +95,16 @@ def digests() -> dict[str, str]:
         d = derive(m)
         return (d.tag.value, d.lambda_prime, d.lambda_tilde, float(d.a_tilde), d.cosines)
 
+    def batch_derived(off):
+        d = derive_batch(off)
+        return (tuple(t.value for t in d.tag), d.lambda_prime, d.lambda_tilde, d.a_tilde, d.cosines)
+
+    def maximized(m):
+        res = maximize(m)
+        margin = certify(res).worst_margin if res.converged else None
+        return (np.array(res.argmax.offdiag), res.value, res.iterations, res.trajectory_summary,
+                res.converged, res.grad_norm, res.s_min_eig, margin)
+
     for m in ms:
         _feed(h["classify"], classified, m)
         _feed(h["derive"], derived, m)
@@ -96,7 +112,12 @@ def digests() -> dict[str, str]:
         _feed(h["gradient"], closedform.gradient, m)
         _feed(h["hessian"], closedform.hessian, m)
         _feed(h["dihedrals"], lambda m: geometry.dihedrals(m).alpha, m)
-    _feed(h["f_max_batch"], closedform.f_max_batch, np.array([m.offdiag for m in ms]))
+    stack = np.array([m.offdiag for m in ms])
+    _feed(h["f_max_batch"], closedform.f_max_batch, stack)
+    _feed(h["derive_batch"], batch_derived, stack)
+    rng = np.random.default_rng(MAXIMIZE_SEED)
+    for _ in range(8):
+        _feed(h["maximize"], maximized, random_interior(rng))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 

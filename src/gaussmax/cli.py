@@ -212,13 +212,27 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+# The flags each scan kind reads; passing one that another kind reads is a
+# usage error rather than a flag silently ignored.
+_SCAN_FLAGS = {
+    "u-interval": ("x", "y", "n"),
+    "p-inequality": ("n_theta", "n_u"),
+    "h-monotonicity": ("n_pairs", "z_steps"),
+    "p-ordering": ("n_theta", "n_u"),
+}
+
+
 def _cmd_scan(args) -> int:
+    for name in dict.fromkeys(n for names in _SCAN_FLAGS.values() for n in names):
+        if getattr(args, name) is not None and name not in _SCAN_FLAGS[args.kind]:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
+
     def given(*names):
-        """The grid flags passed; one left out takes the scan's own default."""
+        """The flags passed; one left out takes the scan's own default."""
         return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
     if args.kind == "u-interval":
-        rep = verify.u_interval_scan(args.x, args.y, **given("n"))
+        rep = verify.u_interval_scan(**{"x": 0.5, "y": 0.5, **given("x", "y", "n")})
     elif args.kind == "p-inequality":
         rep = verify.p_inequality_scan(verify.PInequalityGrid(**given("n_theta", "n_u")))
     elif args.kind == "h-monotonicity":
@@ -301,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="parameterized scans")
     p.add_argument("--kind", required=True,
                    choices=("u-interval", "p-inequality", "h-monotonicity", "p-ordering"))
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--y", type=float, default=0.5)
-    # grid sizes left out take the scan kind's own default
+    # a flag left out takes the scan kind's own default
+    p.add_argument("--x", type=float, help="u-interval: x (default 0.5)")
+    p.add_argument("--y", type=float, help="u-interval: y (default 0.5)")
     p.add_argument("--n", type=int, help="u-interval: z samples")
     p.add_argument("--n-theta", type=int, help="p-inequality, p-ordering: theta values")
     p.add_argument("--n-u", type=int, help="p-inequality, p-ordering: u values per theta")

@@ -12,12 +12,12 @@ callers over ``derive``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corrmat import (
-    EPS_ONE,
     EPS_PSD,
     PAIR_COMPLEMENT,
     PAIR_INDEX,
@@ -25,9 +25,10 @@ from .corrmat import (
     CorrDerived,
     CorrelationMatrix4,
     DomainTag,
+    _triangle,
+    _unit,
     derive,
     derive_batch,
-    triangle_factor,
 )
 
 SQRT_PI3 = float(np.sqrt(np.pi ** 3))
@@ -48,9 +49,8 @@ def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
             i = parent[i]
         return i
 
-    off = m.array()
-    for t, (i, j) in enumerate(PAIRS):
-        if off[t] >= 1.0 - EPS_ONE:
+    for (i, j), r in zip(PAIRS, m.offdiag):
+        if _unit(r):
             parent[find(i)] = find(j)
     classes: dict[int, list[int]] = {}
     for i in range(4):
@@ -109,40 +109,64 @@ def gradient_of(d: CorrDerived) -> np.ndarray:
     return -np.arccos(d.cosines) / (4 * np.sqrt(np.pi ** 3 * d.lambda_prime))
 
 
+def _hessian_tables():
+    """Index tables of ``hessian_of``, built once.  Each triangle factor an
+    entry divides by is named by the storage indices of its three pairs, in
+    the order the entry names the vertices; ``tris`` lists them once."""
+    tris: list[tuple[int, int, int]] = []
+
+    def factor_index(i, j, k):
+        pairs = (PAIR_INDEX[(i, j)], PAIR_INDEX[(i, k)], PAIR_INDEX[(j, k)])
+        if pairs not in tris:
+            tris.append(pairs)
+        return tris.index(pairs)
+
+    diag, off = [], []
+    for s, (k, l) in enumerate(PAIRS):
+        mm, nn = PAIR_COMPLEMENT[s]
+        diag.append((s, factor_index(k, l, mm), factor_index(k, l, nn),
+                     PAIR_INDEX[(k, mm)], PAIR_INDEX[(l, mm)],
+                     PAIR_INDEX[(k, nn)], PAIR_INDEX[(l, nn)]))
+        for t in range(s + 1, 6):
+            p, q = PAIRS[t]
+            shared = {k, l} & {p, q}
+            if not shared:  # disjoint pairs
+                off.append((s, t, None, None))
+                continue
+            sh = shared.pop()
+            i = ({k, l} - {sh}).pop()
+            j = ({p, q} - {sh}).pop()
+            off.append((s, t, factor_index(sh, i, j), PAIR_INDEX[(i, j)]))
+    return tris, diag, off
+
+
+_HESS_TRIS, _HESS_DIAG, _HESS_OFF = _hessian_tables()
+
+
 def hessian_of(d: CorrDerived) -> np.ndarray:
     """``hessian`` from one matrix's derived quantities."""
     if d.tag is not DomainTag.INTERIOR_S:
         raise ValueError("hessian requires an interior (positive definite) matrix")
-    lp, lt, at = d.lambda_prime, d.lambda_tilde, d.a_tilde
-    arg = d.cosines
-    h = np.empty((6, 6))
-    for s, (k, l) in enumerate(PAIRS):
-        mm, nn = PAIR_COMPLEMENT[s]
-        d1 = triangle_factor(lp, (k, l, mm))
-        d2 = triangle_factor(lp, (k, l, nn))
+    lp, lt, at = d.lambda_prime.tolist(), d.lambda_tilde.tolist(), float(d.a_tilde)
+    angle = np.arccos(d.cosines).tolist()
+    tf = [_triangle(lp[a], lp[b], lp[c]) for a, b, c in _HESS_TRIS]
+    h = [[0.0] * 6 for _ in range(6)]
+    for s, d1, d2, km, lm, kn, ln in _HESS_DIAG:
         bracket = (
-            lt[PAIR_INDEX[(k, mm)]]
-            * (lp[s] + lp[PAIR_INDEX[(l, mm)]] - lp[PAIR_INDEX[(k, mm)]]) / d1
-            + lt[PAIR_INDEX[(k, nn)]]
-            * (lp[s] + lp[PAIR_INDEX[(l, nn)]] - lp[PAIR_INDEX[(k, nn)]]) / d2
+            lt[km] * (lp[s] + lp[lm] - lp[km]) / tf[d1]
+            + lt[kn] * (lp[s] + lp[ln] - lp[kn]) / tf[d2]
         )
-        h[s, s] = (
-            -np.arccos(arg[s]) / (8 * np.sqrt(np.pi ** 3 * lp[s] ** 3))
+        h[s][s] = (
+            -angle[s] / (8 * math.sqrt(np.pi ** 3 * lp[s] ** 3))
             + bracket / (4 * SQRT_PI3 * lp[s] * at)
         )
-        for t in range(s + 1, 6):
-            p, q = PAIRS[t]
-            shared = {k, l} & {p, q}
-            if not shared:
-                val = -1.0 / (2 * SQRT_PI3 * at)
-            else:
-                sh = shared.pop()
-                i = ({k, l} - {sh}).pop()
-                j = ({p, q} - {sh}).pop()
-                dfac = triangle_factor(lp, (sh, i, j))
-                val = -lt[PAIR_INDEX[(i, j)]] / (2 * SQRT_PI3 * at * dfac)
-            h[s, t] = h[t, s] = val
-    return h
+    for s, t, dfac, ij in _HESS_OFF:
+        if dfac is None:
+            val = -1.0 / (2 * SQRT_PI3 * at)
+        else:
+            val = -lt[ij] / (2 * SQRT_PI3 * at * tf[dfac])
+        h[s][t] = h[t][s] = val
+    return np.array(h)
 
 
 def f_max(m: CorrelationMatrix4) -> float:

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +38,9 @@ for _t, (_i, _j) in enumerate(PAIRS):
 
 # Storage indices of (k, n), (l, n), (k, m), (l, m), (m, n) for each stored
 # pair (k, l) with complement (m, n), read by quad_term.
-_QUAD_INDEX = [[PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n))]
-               for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT)]
+_QUAD_INDEX = np.array([[PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n))]
+                        for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT)])
+_ALL_PAIRS = np.arange(len(PAIRS))
 
 EPS_PSD = 1e-10   # absolute tolerance on the smallest eigenvalue
 EPS_ONE = 1e-12   # tolerance for detecting an off-diagonal equal to 1
@@ -99,7 +100,7 @@ class CorrelationMatrix4:
         return cls(tuple(m[i, j] for i, j in PAIRS))
 
     def matrix(self) -> np.ndarray:
-        return _scatter(self.array())
+        return np.array(self.offdiag + (1.0,))[_SLOTS]
 
     def array(self) -> np.ndarray:
         return np.asarray(self.offdiag, dtype=float)
@@ -112,7 +113,6 @@ class CorrelationMatrix4:
         return CorrelationMatrix4(tuple(m[perm[i], perm[j]] for i, j in PAIRS))
 
 
-_EYE = np.eye(4)
 # A class is an index into the DomainTag values in declaration order.  The
 # domain rule is a table of classes indexed by 4 * invalid + 2 * unit pair +
 # positive definite: invalid wins, then a unit pair, then definiteness.
@@ -121,22 +121,64 @@ _INTERIOR, _BOUNDARY, _UNIT_PAIR, _INVALID = range(len(_TAGS))
 _RULE = np.array([_BOUNDARY, _INTERIOR] + [_UNIT_PAIR] * 2 + [_INVALID] * 4)
 
 
-def _scatter(off: np.ndarray) -> np.ndarray:
-    """Unit-diagonal symmetric matrices from off-diagonals of shape (..., 6)
-    in storage order; shape (..., 4, 4)."""
-    mats = np.empty(off.shape[:-1] + (4, 4))
-    mats[...] = _EYE
-    mats[..., PAIR_ROWS, PAIR_COLS] = mats[..., PAIR_COLS, PAIR_ROWS] = off
-    return mats
+class _Evaluator(NamedTuple):
+    """How the derivation's formulas are evaluated on the six pairs of one
+    matrix or of a stack.  Each formula is written once over items that hold
+    one pair each; arithmetic, ``abs`` and comparisons mean the same on both,
+    and the remaining primitives are these fields."""
+
+    sqrt: Callable
+    maximum: Callable   # elementwise max of two
+    minimum: Callable   # elementwise min of two
+    select: Callable    # select(cond, a, b): a where cond holds, else b
+    each: Callable      # each(f, *items): f on every pair
+    largest: Callable   # the largest of the six pairs
+    pack: Callable      # items as an array with the pairs on the last axis
 
 
-def _domain_rule(off: np.ndarray, lam_min):
-    """The domain rule: the class (an index into ``_TAGS``) of off-diagonals of
-    shape (..., 6) whose matrices have smallest eigenvalue ``lam_min``, and
-    the mask of entries equal to 1."""
-    unit = off >= 1.0 - EPS_ONE
-    invalid = (np.abs(off).max(axis=-1) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
-    return _RULE[4 * invalid + 2 * unit.any(axis=-1) + (lam_min > EPS_PSD)], unit
+# One matrix: a list of six Python floats, cheaper than numpy on six numbers.
+# A stack: the (6, N) columns, so that each step is one numpy operation.
+_FLOATS = _Evaluator(
+    sqrt=math.sqrt, maximum=max, minimum=min,
+    select=lambda cond, a, b: a if cond else b,
+    each=lambda f, *items: list(map(f, *items)),
+    largest=max, pack=np.array)
+_COLUMNS = _Evaluator(
+    sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, select=np.where,
+    each=lambda f, *items: f(*items),
+    largest=lambda items: items.max(axis=0),
+    pack=lambda items: items.T.copy())
+
+# A matrix read from its seven slots, the six off-diagonals in storage order
+# and then its unit diagonal: entry (i, j) is slot _SLOTS[i, j].
+_SLOTS = np.array([[PAIR_INDEX.get((i, j), 6) for j in range(4)] for i in range(4)])
+
+
+def _unit(r):
+    """The unit-pair predicate: a correlation within EPS_ONE of 1.  The domain
+    rule, the ``classify`` witness and the degenerate closed form read it."""
+    return r >= 1.0 - EPS_ONE
+
+
+def _domain_rule(x, lam_min, ev: _Evaluator):
+    """The domain rule: the class (an index into ``_TAGS``) of the six
+    off-diagonals ``x`` (items of ``ev``) of a matrix whose smallest
+    eigenvalue is ``lam_min``."""
+    invalid = (ev.largest(ev.each(abs, x)) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
+    unit = _unit(ev.largest(x))
+    return _RULE[4 * invalid + 2 * unit + (lam_min > EPS_PSD)]
+
+
+def _reject(bad, message) -> None:
+    """Raise ValueError(message(row)) where ``bad`` holds.  ``bad`` is one
+    truth value for one matrix (``row`` is ``()``), or an array with one per
+    row of a stack, and then the first bad row is named."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise ValueError(message(()))
+    elif bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"row {row}: {message(row)}")
 
 
 def classify(m: CorrelationMatrix4) -> DomainClass:
@@ -144,11 +186,10 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     correlations != 1, boundary with some correlation == 1, or not a
     correlation matrix at all.  A unit pair's witness is the first pair in
     storage order whose correlation equals 1."""
-    off = m.array()
-    k, unit = _domain_rule(off, np.linalg.eigvalsh(_scatter(off))[0])
-    tag = _TAGS[k]
+    x = m.offdiag
+    tag = _TAGS[_domain_rule(x, float(np.linalg.eigvalsh(m.matrix())[0]), _FLOATS)]
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
-        i, j = PAIRS[int(np.argmax(unit))]
+        i, j = PAIRS[next(t for t, r in enumerate(x) if _unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
     return DomainClass(tag)
 
@@ -163,13 +204,25 @@ def rank(m: CorrelationMatrix4) -> int:
 _OTHERS = tuple(np.array([i for i in range(4) if i != k]) for k in range(4))
 
 
+def _anchored(rij, ri, rj):
+    """Entry (i, j) of the anchored difference covariance from the correlation
+    of i and j and those of i and of j with the anchor."""
+    return rij - ri - rj + 1.0
+
+
 def _anchored_cov(mat: np.ndarray, anchor: int) -> np.ndarray:
     """Entry (a, b) is mat[i, j] - mat[i, anchor] - mat[j, anchor] + 1 for the
     a-th and b-th vertices i, j other than ``anchor``; ``mat`` is a 4x4
     correlation matrix or a stack of them, shape (..., 4, 4)."""
     idx = _OTHERS[anchor]
     col = mat[..., idx, anchor]
-    return mat[..., idx[:, None], idx] - col[..., :, None] - col[..., None, :] + 1.0
+    return _anchored(mat[..., idx[:, None], idx], col[..., :, None], col[..., None, :])
+
+
+# The slots of (i, j), (i, 1) and (j, 1) for each entry of the anchored
+# covariance at vertex 1, whose det gives a_tilde.
+_A_TILDE_SLOTS = [[(int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1])) for j in _OTHERS[1]]
+                  for i in _OTHERS[1]]
 
 
 def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
@@ -178,11 +231,13 @@ def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
     return _anchored_cov(m.matrix(), anchor)
 
 
-def quad_term(x: Sequence, t: int, one=1.0):
+def quad_term(x: Sequence, t: int | np.ndarray, one=1.0):
     """Quadratic combination of stored pair ``t`` over any ring: ``x`` holds the
     six correlations in storage order, ``one`` is the ring's unit.  The exact
-    identity in ``verify`` evaluates this float expression on polynomials."""
-    kn, ln, km, lm, mn = _QUAD_INDEX[t]
+    identity in ``verify`` evaluates this float expression on polynomials.
+    With ``t`` an index array and ``x`` an array of six rows, it gives the
+    combinations of those pairs in one expression."""
+    kn, ln, km, lm, mn = _QUAD_INDEX[t].T.tolist()
     return (
         (one - x[t] + x[kn] - x[ln])
         * (one - x[t] + x[km] - x[lm])
@@ -198,40 +253,45 @@ def triangle_factor(cp: Sequence, tri: Sequence[int]):
     principal minor of the anchored difference covariance.
     """
     i, j, k = tri
-    a = cp[PAIR_INDEX[(i, j)]]
-    b = cp[PAIR_INDEX[(i, k)]]
-    c = cp[PAIR_INDEX[(j, k)]]
+    return _triangle(cp[PAIR_INDEX[(i, j)]], cp[PAIR_INDEX[(i, k)]], cp[PAIR_INDEX[(j, k)]])
+
+
+def _triangle(a, b, c):
+    """``triangle_factor`` of the complements a, b, c of pairs (i, j), (i, k),
+    (j, k)."""
     return 2 * a * b + 2 * a * c + 2 * b * c - a * a - b * b - c * c
 
 
-def arccos_arguments(lp: np.ndarray, lt: np.ndarray, a_tilde, skip) -> np.ndarray:
+def arccos_arguments(lp, lt, a_tilde, skip, ev: _Evaluator):
     """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2 +
     lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to [-1, 1]
     within EPS_CLAMP.  Entry (k, l) is the cosine of the outer dihedral angle
     along edge (k, l) of the embedded tetrahedron.
 
-    Broadcasts over a leading batch axis: ``lp`` and ``lt`` have shape
-    (..., 6) and ``a_tilde`` shape (...).  Rows where the boolean ``skip`` is
-    true come back NaN and are not range-checked; an out-of-range row of a
-    batch is named in the error.
+    ``lp`` and ``lt`` are items of ``ev``: six floats of one matrix, or the
+    (6, N) columns of a stack, with ``a_tilde`` and the boolean ``skip`` of
+    shape (N,).  Where ``skip`` holds the arguments are NaN and are not
+    range-checked; an out-of-range row of a stack is named in the error.
     """
-    at = np.asarray(a_tilde)[..., None]
+    sqrt, maximum, minimum, select, each, largest, pack = ev
     # squares by multiplication: float ** 2 goes through libm pow, which is not
     # always correctly rounded, and the scalar and batch paths must agree
-    scale = np.minimum(1.0, lp.max(axis=-1, keepdims=True))
-    rad = np.sqrt(np.maximum(lp * (at * at) + lt * lt, 0.0))
+    at2 = a_tilde * a_tilde
+    scale = minimum(1.0, largest(lp))
     # the radical is homogeneous of degree 2 in lp and vanishes only when
     # a correlation equals 1, so the 0/0 cut-off scales with the simplex
-    degenerate = rad <= EPS_ZERO_OVER_ZERO * (scale * scale)
-    arg = np.where(degenerate, 1.0, lt / np.where(degenerate, 1.0, rad))
-    arg[skip] = np.nan
-    bad = np.abs(arg) > 1.0 + EPS_CLAMP
-    if bad.any():
-        if arg.ndim == 1:
-            raise ValueError(f"arccos argument out of range: {arg}")
-        row = int(np.flatnonzero(bad.any(axis=-1))[0])
-        raise ValueError(f"row {row}: arccos argument out of range: {arg[row]}")
-    return arg.clip(-1.0, 1.0)
+    cut = EPS_ZERO_OVER_ZERO * (scale * scale)
+
+    def cosine(p, q):
+        rad = sqrt(maximum(p * at2 + q * q, 0.0))
+        degenerate = rad <= cut
+        return select(degenerate, 1.0, q / select(degenerate, 1.0, rad))
+
+    arg = select(skip, np.nan, each(cosine, lp, lt))
+    # a skipped row is all NaN, and its largest is NaN, which compares false
+    bad = largest(each(abs, arg)) > 1.0 + EPS_CLAMP
+    _reject(bad, lambda row: f"arccos argument out of range: {pack(arg)[row]}")
+    return each(lambda a: minimum(maximum(a, -1.0), 1.0), arg)
 
 
 @dataclass(frozen=True)
@@ -255,27 +315,37 @@ class CorrDerived:
 
 def _derive(off: np.ndarray) -> CorrDerived:
     """The one derivation pass for off-diagonals of shape (6,) or (N, 6): one
-    scatter, one eigvalsh and the domain rule, then the record's formulas.
-    Rows are independent, so a row of a stack equals ``derive`` of it bit for
-    bit."""
-    mats = _scatter(off)
-    k, _ = _domain_rule(off, np.linalg.eigvalsh(mats)[..., 0])
-    invalid = k == _INVALID
-    if invalid.any():
-        where = "" if off.ndim == 1 else f"row {int(np.flatnonzero(invalid)[0])}: "
-        raise ValueError(f"{where}not a correlation matrix")
+    scatter and one eigvalsh for the domain rule, one det for a_tilde, and the
+    record's formulas on Python floats for one matrix or on the columns of a
+    stack.  Each formula takes the same operations in the same order on both,
+    so a row of a stack equals ``derive`` of it bit for bit."""
     lp = 1.0 - off
-    # Python floats for one matrix, columns for a stack; pairs on the last axis
-    cols = off.tolist() if off.ndim == 1 else off.T
-    lt = np.array([quad_term(cols, t) for t in range(6)]).T.copy()
-    a_tilde = np.sqrt(np.maximum(2.0 * np.linalg.det(_anchored_cov(mats, 1)), 0.0))
+    if off.ndim == 1:  # the 4x4 matrix and a_tilde's covariance read from slots
+        ev, x, lpx = _FLOATS, off.tolist(), lp.tolist()
+        slots = x + [1.0]
+        lam_min = float(np.linalg.eigvalsh(np.array(slots)[_SLOTS])[0])
+        lt = [quad_term(x, t) for t in range(6)]
+        cov = np.array([[_anchored(slots[a], slots[b], slots[c]) for a, b, c in row]
+                        for row in _A_TILDE_SLOTS])
+    else:  # the (N, 4, 4) matrices, and a_tilde's covariance as their blocks
+        ev, x, lpx = _COLUMNS, off.T, lp.T
+        mats = np.concatenate((off, np.ones((len(off), 1))), axis=1)[:, _SLOTS]
+        lam_min = np.linalg.eigvalsh(mats)[:, 0]
+        lt = quad_term(x, _ALL_PAIRS)
+        cov = _anchored_cov(mats, 1)
+    k = _domain_rule(x, lam_min, ev)
+    _reject(k == _INVALID, lambda row: "not a correlation matrix")
+    a_tilde = ev.sqrt(ev.maximum(2.0 * np.linalg.det(cov), 0.0))
     unit_pair = k == _UNIT_PAIR
     if unit_pair.all():
-        cosines = np.full(off.shape, np.nan)
+        cosines = np.full_like(lpx, np.nan)
     else:
-        cosines = arccos_arguments(lp, lt, a_tilde, skip=unit_pair)
+        cosines = arccos_arguments(lpx, lt, a_tilde, unit_pair, ev)
+    lt, cosines = ev.pack(lt), ev.pack(cosines)
     for a in (lp, lt, cosines):
         a.flags.writeable = False
+    if off.ndim == 1:
+        a_tilde = np.float64(a_tilde)
     return CorrDerived(_TAGS[k], lp, lt, a_tilde, cosines)
 
 

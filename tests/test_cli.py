@@ -253,6 +253,21 @@ class TestScan:
         assert code == 0
         assert json.loads(out)["report"]["grid"] == "1000 (u, theta) points"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--kind", "p-ordering", "--n-pairs", "3"), "--n-pairs"),
+        (("--kind", "p-ordering", "--n", "7"), "--n"),
+        (("--kind", "p-inequality", "--x", "0.7"), "--x"),
+        (("--kind", "h-monotonicity", "--y", "0.2"), "--y"),
+        (("--kind", "u-interval", "--n-theta", "4"), "--n-theta"),
+        (("--kind", "h-monotonicity", "--n-u", "4"), "--n-u"),
+        (("--kind", "p-inequality", "--z-steps", "40"), "--z-steps"),
+    ], ids=["n-pairs", "n", "x", "y", "n-theta", "n-u", "z-steps"])
+    def test_flag_of_another_kind_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --kind {argv[1]}\n"
+
     @pytest.mark.parametrize("argv, name", [
         (("--kind", "h-monotonicity", "--n-pairs", "0"), "n_pairs"),
         (("--kind", "h-monotonicity", "--n-pairs", "4", "--z-steps", "1"), "z_steps"),

@@ -488,7 +488,8 @@ def test_output_digest_script_runs():
         [sys.executable, str(root / "scripts" / "output_digest.py")],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch"]
+    families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch",
+                "derive_batch", "maximize"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gaussmax import corrmat
 from gaussmax.corrmat import (
+    EPS_CLAMP,
+    EPS_ONE,
     EPS_PSD,
     PAIR_COMPLEMENT,
     PAIRS,
@@ -329,18 +331,57 @@ class TestFormats:
         assert load_matrix(str(p2)).offdiag[0] == 0.5
 
 
+# Rows at the edges of the domain rule: an entry at exactly 1 - EPS_ONE and
+# one in (1, 1 + EPS_PSD] (unit pairs), one just outside EPS_ONE of 1 (the
+# smallest radical whose cosines are formed), and X4 = X1, whose radical is 0,
+# so that the stack takes the 0/0 cut on it before it skips the row.
+EDGE_ROWS = [
+    (1.0 - EPS_ONE, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.3, 0.2, 1.0 - EPS_ONE, 0.1, 0.3, 0.2),
+    (0.0, 1.0 + EPS_PSD / 2, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0 - 2 * EPS_ONE, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+]
+
+
+@pytest.fixture(scope="module")
+def reference512():
+    return [CorrelationMatrix4(tuple(e["offdiag"]))
+            for e in json.loads(REFERENCE.read_text())["entries"]]
+
+
 class TestDeriveBatch:
-    def test_rows_equal_scalar_derive(self, battery20, special5):
-        ms = special5 + battery20
+    # one matrix is derived on Python floats and a stack on numpy columns:
+    # this is the guard that the two evaluations agree
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4).flatmap(unit_vectors), min_size=1, max_size=6))
+    def test_rows_equal_scalar_derive(self, battery20, special5, reference512, drawn):
+        edges = [CorrelationMatrix4(off) for off in EDGE_ROWS]
+        ms = special5 + battery20 + reference512 + edges + drawn
         d = derive_batch(np.array([m.offdiag for m in ms]))
         for i, m in enumerate(ms):
             ds = derive(m)
             assert d.tag[i] is ds.tag
-            assert np.array_equal(d.lambda_prime[i], ds.lambda_prime)
-            assert np.array_equal(d.lambda_tilde[i], ds.lambda_tilde)
-            assert d.a_tilde[i] == ds.a_tilde
-            # NaN on both paths for a unit pair
-            assert np.array_equal(d.cosines[i], ds.cosines, equal_nan=True)
+            for name in ("lambda_prime", "lambda_tilde", "a_tilde", "cosines"):
+                # bit for bit, the NaN cosines of a unit pair included
+                row, one = np.asarray(getattr(d, name)[i]), np.asarray(getattr(ds, name))
+                assert row.dtype == one.dtype and row.tobytes() == one.tobytes(), name
+
+    @pytest.mark.parametrize("row, clamp", [
+        ((1.0 + EPS_PSD, 0.0, 0.0, 0.0, 0.0, 0.0), EPS_CLAMP),
+        # a negative clamp tolerance puts every cosine of this row out of range
+        ((0.1, -0.2, 0.3, 0.05, -0.1, 0.2), -0.9),
+    ], ids=["not-a-correlation-matrix", "arccos-out-of-range"])
+    def test_errors_match_scalar_derive(self, monkeypatch, row, clamp):
+        monkeypatch.setattr(corrmat, "EPS_CLAMP", clamp)
+        with pytest.raises(ValueError) as scalar:
+            derive(CorrelationMatrix4(row))
+        assert str(scalar.value).startswith(
+            ("not a correlation matrix", "arccos argument out of range: ["))
+        # the unit-pair rows ahead of it are not range-checked
+        with pytest.raises(ValueError) as batch:
+            derive_batch(np.array(UNIT_PAIR_ROWS[:2] + [row]))
+        assert str(batch.value) == f"row 2: {scalar.value}"
 
     def test_complement_cov_of_a_stack(self, battery20):
         from gaussmax.corrmat import _anchored_cov
