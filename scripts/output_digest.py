@@ -6,7 +6,10 @@ of what comes back, one digest per family: the classification (tag and
 witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
 ``dihedrals``, ``f_max_batch``, every field of ``derive_batch`` on the
 whole stack, and ``maximize`` (every ``OptResult`` field, then the
-``worst_margin`` of ``certify``).  A call that raises contributes its
+``worst_margin`` of ``certify``, then its ``target`` and
+``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each count twice, in
+alternating order, so a score kept from one call is hashed where the next
+call reads it).  A call that raises contributes its
 exception type and message instead of a value.  Two trees whose digests
 agree give bit-identical outputs on every input below.
 
@@ -101,9 +104,14 @@ def digests() -> dict[str, str]:
 
     def maximized(m):
         res = maximize(m)
-        margin = certify(res).worst_margin if res.converged else None
+        margin, rivals = None, ()
+        if res.converged:
+            margin = certify(res).worst_margin
+            for n in (1, 100, 1, 100):
+                details = certify(res, n_random=n).details
+                rivals += (details["target"], details["worst_random_value"])
         return (np.array(res.argmax.offdiag), res.value, res.iterations, res.trajectory_summary,
-                res.converged, res.grad_norm, res.s_min_eig, margin)
+                res.converged, res.grad_norm, res.s_min_eig, margin) + rivals
 
     for m in ms:
         _feed(h["classify"], classified, m)

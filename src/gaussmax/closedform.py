@@ -32,6 +32,7 @@ from .corrmat import (
 )
 
 SQRT_PI3 = float(np.sqrt(np.pi ** 3))
+_PI3 = np.pi ** 3
 
 # Upper bound for the value on coplanar configurations, 4*pi / (2*sqrt(pi^3)).
 COPLANAR_BOUND = float(4 * np.pi / (2 * SQRT_PI3))
@@ -96,17 +97,30 @@ def _f_max_degenerate(m: CorrelationMatrix4) -> float:
 
 def value_of(d: CorrDerived):
     """The closed-form sum over the last axis of ``d``: the value of one
-    matrix, or shape (N,) for a ``derive_batch`` stack.  NaN where the matrix
-    has a unit pair."""
+    matrix as a Python float, or shape (N,) for a ``derive_batch`` stack.
+    NaN where the matrix has a unit pair.
+
+    One matrix takes one ``arccos`` over its six cosines and then sums its
+    terms on Python floats from the first to the last, the order in which
+    numpy sums six numbers, so it equals the stack's entry bit for bit."""
+    if d.cosines.ndim == 1:
+        # a loop, not sum(): from Python 3.12 sum() compensates its rounding
+        total = 0.0
+        for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist()):
+            total += math.sqrt(max(p, 0.0)) * a
+        return total / (2 * SQRT_PI3)
     return np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines),
                   axis=-1) / (2 * SQRT_PI3)
 
 
 def gradient_of(d: CorrDerived) -> np.ndarray:
-    """``gradient`` from one matrix's derived quantities."""
+    """``gradient`` from one matrix's derived quantities: -arccos(cosine) /
+    (4 sqrt(pi^3 lambda_prime)) per pair, on Python floats after one
+    ``arccos``."""
     if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         raise ValueError("gradient requires all correlations != 1")
-    return -np.arccos(d.cosines) / (4 * np.sqrt(np.pi ** 3 * d.lambda_prime))
+    return np.array([-a / (4 * math.sqrt(_PI3 * p))
+                     for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist())])
 
 
 def _hessian_tables():
@@ -157,7 +171,7 @@ def hessian_of(d: CorrDerived) -> np.ndarray:
             + lt[kn] * (lp[s] + lp[ln] - lp[kn]) / tf[d2]
         )
         h[s][s] = (
-            -angle[s] / (8 * math.sqrt(np.pi ** 3 * lp[s] ** 3))
+            -angle[s] / (8 * math.sqrt(_PI3 * lp[s] ** 3))
             + bracket / (4 * SQRT_PI3 * lp[s] * at)
         )
     for s, t, dfac, ij in _HESS_OFF:
@@ -174,7 +188,7 @@ def f_max(m: CorrelationMatrix4) -> float:
     d = derive(m)
     if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         return _f_max_degenerate(m)
-    return float(value_of(d))
+    return value_of(d)
 
 
 def f_max_batch(off) -> np.ndarray:

@@ -76,7 +76,7 @@ class CorrelationMatrix4:
         vals = tuple(float(v) for v in self.offdiag)
         if len(vals) != 6:
             raise ValueError(f"need 6 off-diagonal values, got {len(vals)}")
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("off-diagonal values must be finite")
         object.__setattr__(self, "offdiag", vals)
 

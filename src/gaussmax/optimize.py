@@ -14,14 +14,15 @@ the rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedform
-from .corrmat import (PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, _check_count,
-                      classify, derive)
+from .corrmat import (PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, _SLOTS,
+                      _check_count, classify, derive)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step of the Armijo line search
@@ -89,7 +90,7 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _gram(v: np.ndarray) -> CorrelationMatrix4:
-    return CorrelationMatrix4(tuple(np.clip((v @ v.T)[PAIR_ROWS, PAIR_COLS], -1.0, 1.0)))
+    return CorrelationMatrix4(tuple(np.clip((v @ v.T)[PAIR_ROWS, PAIR_COLS], -1.0, 1.0).tolist()))
 
 
 def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptResult:
@@ -103,7 +104,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     v = _unit_rows(u * np.sqrt(np.clip(w, 0.0, None)))
     m = _gram(v)
     derived = derive(m)
-    value = float(closedform.value_of(derived))
+    value = closedform.value_of(derived)
 
     def line_search(direction, gain, power):
         """Armijo backtracking from STEP_INIT, where gain * eta**power is the
@@ -115,7 +116,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
             cand = _unit_rows(v + eta * direction)
             cand_m = _gram(cand)
             cand_derived = derive(cand_m)
-            cand_val = float(closedform.value_of(cand_derived))
+            cand_val = closedform.value_of(cand_derived)
             if cand_val >= value + ARMIJO * gain * eta ** power:
                 return cand, cand_m, cand_derived, cand_val, eta
             eta *= BACKTRACK
@@ -126,8 +127,8 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     iterations = 0
     grad_norm = s_min = float("nan")
     for it in range(1, cfg.max_iters + 1):
-        g = np.zeros((4, 4))
-        g[PAIR_ROWS, PAIR_COLS] = g[PAIR_COLS, PAIR_ROWS] = closedform.gradient_of(derived)
+        # the gradient as a symmetric 4x4 matrix with a zero diagonal
+        g = np.array(closedform.gradient_of(derived).tolist() + [0.0])[_SLOTS]
         e = g @ v
         d = np.einsum("ij,ij->i", e, v)
         r = e - d[:, None] * v
@@ -199,21 +200,27 @@ def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> Correlat
     raise RuntimeError("failed to sample an interior matrix")
 
 
+@functools.cache
+def _certify_targets(n_random: int) -> tuple[float, float]:
+    """``optimal_value()`` and the best value among the ``n_random`` rivals
+    drawn from ``default_rng(CERTIFY_SEED)``, scored in one ``f_max_batch``
+    call.  Both depend on nothing but ``n_random``, so they are computed once
+    per process."""
+    rng = np.random.default_rng(CERTIFY_SEED)
+    return optimal_value(), float(np.max(closedform.f_max_batch(random_psd_batch(rng, n_random))))
+
+
 def certify(res: OptResult, n_random: int = 100) -> ScanReport:
     """Certify a converged run: the value does not beat the equicorrelated
     closed form, the argmax sits at the equicorrelated point, and no random
-    correlation matrix does better.  The n_random rivals are scored in one
-    ``f_max_batch`` call."""
+    correlation matrix does better."""
     if not res.converged:
         raise ValueError("certify requires a converged result")
-    if n_random < 1:
-        raise ValueError(f"certify needs at least 1 random matrix, got n_random={n_random}")
-    target = optimal_value()
+    _check_count("n_random", n_random, 1)
+    target, worst_random = _certify_targets(n_random)
     value_ok = res.value <= target + 1e-9
     dist = float(np.max(np.abs(res.argmax.array() - EQUICORRELATED_OPTIMUM)))
     dist_ok = dist <= DIST_TOL
-    rng = np.random.default_rng(CERTIFY_SEED)
-    worst_random = float(np.max(closedform.f_max_batch(random_psd_batch(rng, n_random))))
     random_ok = worst_random <= res.value + 1e-9
     return ScanReport(
         name="optimizer_certificate",

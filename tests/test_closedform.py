@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import os
 import pathlib
 import re
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import F_IID3, F_IID4, F_STAR
+from test_corrmat import EDGE_ROWS, REFERENCE, unit_vectors
 
 import gaussmax
 from gaussmax import geometry
@@ -30,7 +33,7 @@ from gaussmax.closedform import (
     quadrant_integral,
     value_of,
 )
-from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive, derive_batch
 from gaussmax.montecarlo import estimate_max
 
 SQRT_PI3 = np.sqrt(np.pi**3)
@@ -261,6 +264,37 @@ class TestBatch:
         off[1, 3] = np.nan
         with pytest.raises(ValueError, match="row 1"):
             f_max_batch(off)
+
+
+class TestOneMatrixOnFloats:
+    """``value_of`` and ``gradient_of`` evaluate one matrix on Python floats
+    and a stack on numpy: the value equals the stack's entry and the gradient
+    equals the numpy expression, bit for bit."""
+
+    @staticmethod
+    def check(ms):
+        stack = value_of(derive_batch(np.array([m.offdiag for m in ms])))
+        for m, row in zip(ms, stack.tolist()):
+            d = derive(m)
+            v = value_of(d)
+            assert type(v) is float
+            if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+                assert math.isnan(v) and math.isnan(row)
+                continue
+            assert np.float64(v).tobytes() == np.float64(row).tobytes()
+            g = gradient_of(d)
+            expected = -np.arccos(d.cosines) / (4 * np.sqrt(np.pi**3 * d.lambda_prime))
+            assert g.dtype == expected.dtype and g.tobytes() == expected.tobytes()
+
+    def test_reference_and_edge_rows(self):
+        entries = json.loads(REFERENCE.read_text())["entries"]
+        self.check([CorrelationMatrix4(tuple(e["offdiag"])) for e in entries]
+                   + [CorrelationMatrix4(off) for off in EDGE_ROWS])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 4).flatmap(unit_vectors), min_size=1, max_size=20))
+    def test_grams_of_rank_one_to_four(self, ms):
+        self.check(ms)
 
 
 class TestSinglePass:

@@ -245,6 +245,28 @@ class TestCertify:
             3 * np.sqrt(4.0 / 3.0) * np.arccos(-1.0 / 3.0) / np.sqrt(np.pi**3), rel=1e-14)
 
 
+class TestCertifyRivals:
+    """The rivals' scores are a constant of n_random, kept for the process."""
+
+    @pytest.mark.parametrize("n", [True, 2.5])
+    def test_count_must_be_an_integer(self, identity_run, n):
+        # True would otherwise share the kept scores of n_random=1
+        certify(identity_run, n_random=1)
+        with pytest.raises(TypeError, match="n_random"):
+            certify(identity_run, n_random=n)
+
+    def test_each_count_gets_its_own_rivals_and_a_fresh_report(self, identity_run):
+        for n in (10, 100, 10, 1):
+            rng = np.random.default_rng(CERTIFY_SEED)
+            expected = max(f_max(random_psd(rng)) for _ in range(n))
+            rep = certify(identity_run, n_random=n)
+            assert rep.details["worst_random_value"] == expected
+            assert rep.details["target"] == optimal_value()
+            assert rep.grid == f"{n} random matrices, seed {CERTIFY_SEED}"
+            # a caller that edits its report does not edit the next one
+            rep.details["worst_random_value"] = rep.details["target"] = float("nan")
+
+
 class TestBasin:
     def test_five_random_starts_reach_the_same_point(self, rng):
         # the acceptance suite runs the full 20-start battery
