@@ -4,8 +4,12 @@
 Feeds a fixed set of matrices through the library and hashes the exact bits
 of what comes back, one digest per family: the classification (tag and
 witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
-``dihedrals``, ``f_max_batch``, every field of ``derive_batch`` on the
-whole stack, and ``maximize`` (every ``OptResult`` field, then the
+``dihedrals`` (each of these five on a fresh copy of the matrix, so that
+each derives it), ``in_a_row`` (``f_max``, ``gradient``, ``hessian`` and
+``dihedrals`` in a row on one matrix object, so that the last three read
+the record ``derive`` kept from the first), ``f_max_batch``, every field
+of ``derive_batch`` on the whole stack, and ``maximize`` (every
+``OptResult`` field, then the
 ``worst_margin`` of ``certify``, then its ``target`` and
 ``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each count twice, in
 alternating order, so a score kept from one call is hashed where the next
@@ -40,8 +44,11 @@ from gaussmax.corrmat import CorrelationMatrix4, classify, derive, derive_batch
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch",
-            "derive_batch", "maximize")
+FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
+            "f_max_batch", "derive_batch", "maximize")
+# The one-matrix calls, each hashed alone and then all four in a row.
+CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
+         ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
 MAXIMIZE_SEED = 8
 
 
@@ -115,11 +122,11 @@ def digests() -> dict[str, str]:
 
     for m in ms:
         _feed(h["classify"], classified, m)
-        _feed(h["derive"], derived, m)
-        _feed(h["f_max"], closedform.f_max, m)
-        _feed(h["gradient"], closedform.gradient, m)
-        _feed(h["hessian"], closedform.hessian, m)
-        _feed(h["dihedrals"], lambda m: geometry.dihedrals(m).alpha, m)
+        _feed(h["derive"], derived, CorrelationMatrix4(m.offdiag))
+        for name, fn in CALLS:
+            _feed(h[name], fn, CorrelationMatrix4(m.offdiag))
+        for _, fn in CALLS:
+            _feed(h["in_a_row"], fn, m)
     stack = np.array([m.offdiag for m in ms])
     _feed(h["f_max_batch"], closedform.f_max_batch, stack)
     _feed(h["derive_batch"], batch_derived, stack)

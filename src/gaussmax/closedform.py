@@ -5,8 +5,9 @@ Everything is evaluated from one ``corrmat.CorrDerived`` record: its
 ``tag`` picks the branch and its ``cosines`` are the arccos arguments.
 ``value_of``, ``gradient_of`` and ``hessian_of`` are the formulas on that
 record, so a caller that already holds it (the ascent, the checks in
-``verify``) derives once; ``f_max``, ``gradient`` and ``hessian`` are thin
-callers over ``derive``.
+``verify``) derives once.  ``f_max``, ``gradient`` and ``hessian`` call
+them on ``derive(m)``, which keeps the last matrix's record: calling them,
+and ``geometry.dihedrals``, in a row on one matrix object derives it once.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .corrmat import (
     CorrDerived,
     CorrelationMatrix4,
     DomainTag,
-    _triangle,
-    _unit,
     derive,
     derive_batch,
+    is_unit,
+    triangle_form,
 )
 
+SQRT_PI = math.sqrt(math.pi)
 SQRT_PI3 = float(np.sqrt(np.pi ** 3))
 _PI3 = np.pi ** 3
 
@@ -51,7 +53,7 @@ def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
         return i
 
     for (i, j), r in zip(PAIRS, m.offdiag):
-        if _unit(r):
+        if is_unit(r):
             parent[find(i)] = find(j)
     classes: dict[int, list[int]] = {}
     for i in range(4):
@@ -61,9 +63,12 @@ def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
 
 def _f_max3_value(r) -> float:
     """``f_max3`` without its input checks, for correlations taken from a
-    matrix that ``derive`` has already classified."""
-    c = np.clip(1.0 - np.array(r), 0.0, None)
-    return float(np.sum(np.sqrt(c)) / (2 * np.sqrt(np.pi)))
+    matrix that ``derive`` has already classified.  Python floats, summed
+    from the first to the last, as numpy sums three numbers."""
+    total = 0.0
+    for v in r:
+        total += math.sqrt(max(1.0 - v, 0.0))
+    return total / (2 * SQRT_PI)
 
 
 def f_max3(r12: float, r13: float, r23: float) -> float:
@@ -83,15 +88,17 @@ def _f_max_degenerate(m: CorrelationMatrix4) -> float:
     so every choice of one representative per class is scored (correlations in sorted order) and the largest value is taken:
     the result does not depend on the labelling."""
     classes = _unit_classes(m)
-    mat = m.matrix()
     if len(classes) >= 4:  # a unit pair always merges two vertices
         raise AssertionError("degenerate dispatch called without a unit pair")
+
+    def r(i, j):
+        return m.offdiag[PAIR_INDEX[(i, j)]]
+
     choices = itertools.product(*classes)
     if len(classes) == 3:
-        return max(_f_max3_value(sorted((mat[a, b], mat[a, c], mat[b, c])))
-                   for a, b, c in choices)
+        return max(_f_max3_value(sorted((r(a, b), r(a, c), r(b, c)))) for a, b, c in choices)
     if len(classes) == 2:
-        return max(float(np.sqrt(max(1.0 - mat[a, b], 0.0) / np.pi)) for a, b in choices)
+        return max(math.sqrt(max(1.0 - r(a, b), 0.0) / math.pi) for a, b in choices)
     return 0.0
 
 
@@ -163,7 +170,7 @@ def hessian_of(d: CorrDerived) -> np.ndarray:
         raise ValueError("hessian requires an interior (positive definite) matrix")
     lp, lt, at = d.lambda_prime.tolist(), d.lambda_tilde.tolist(), float(d.a_tilde)
     angle = np.arccos(d.cosines).tolist()
-    tf = [_triangle(lp[a], lp[b], lp[c]) for a, b, c in _HESS_TRIS]
+    tf = [triangle_form(lp[a], lp[b], lp[c]) for a, b, c in _HESS_TRIS]
     h = [[0.0] * 6 for _ in range(6)]
     for s, d1, d2, km, lm, kn, ln in _HESS_DIAG:
         bracket = (

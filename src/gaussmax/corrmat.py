@@ -154,7 +154,7 @@ _COLUMNS = _Evaluator(
 _SLOTS = np.array([[PAIR_INDEX.get((i, j), 6) for j in range(4)] for i in range(4)])
 
 
-def _unit(r):
+def is_unit(r):
     """The unit-pair predicate: a correlation within EPS_ONE of 1.  The domain
     rule, the ``classify`` witness and the degenerate closed form read it."""
     return r >= 1.0 - EPS_ONE
@@ -165,7 +165,7 @@ def _domain_rule(x, lam_min, ev: _Evaluator):
     off-diagonals ``x`` (items of ``ev``) of a matrix whose smallest
     eigenvalue is ``lam_min``."""
     invalid = (ev.largest(ev.each(abs, x)) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
-    unit = _unit(ev.largest(x))
+    unit = is_unit(ev.largest(x))
     return _RULE[4 * invalid + 2 * unit + (lam_min > EPS_PSD)]
 
 
@@ -189,7 +189,7 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     x = m.offdiag
     tag = _TAGS[_domain_rule(x, float(np.linalg.eigvalsh(m.matrix())[0]), _FLOATS)]
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
-        i, j = PAIRS[next(t for t, r in enumerate(x) if _unit(r))]
+        i, j = PAIRS[next(t for t, r in enumerate(x) if is_unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
     return DomainClass(tag)
 
@@ -253,12 +253,12 @@ def triangle_factor(cp: Sequence, tri: Sequence[int]):
     principal minor of the anchored difference covariance.
     """
     i, j, k = tri
-    return _triangle(cp[PAIR_INDEX[(i, j)]], cp[PAIR_INDEX[(i, k)]], cp[PAIR_INDEX[(j, k)]])
+    return triangle_form(cp[PAIR_INDEX[(i, j)]], cp[PAIR_INDEX[(i, k)]], cp[PAIR_INDEX[(j, k)]])
 
 
-def _triangle(a, b, c):
+def triangle_form(a, b, c):
     """``triangle_factor`` of the complements a, b, c of pairs (i, j), (i, k),
-    (j, k)."""
+    (j, k), over any ring; the closed-form Hessian divides by it."""
     return 2 * a * b + 2 * a * c + 2 * b * c - a * a - b * b - c * c
 
 
@@ -349,8 +349,32 @@ def _derive(off: np.ndarray) -> CorrDerived:
     return CorrDerived(_TAGS[k], lp, lt, a_tilde, cosines)
 
 
+# The last matrix ``derive`` was given and its record, read and rebound as
+# one tuple.  Holding the matrix keeps its id from being reused.  It starts
+# with a placeholder that no caller holds.
+_last: tuple = (object(), None)
+
+
 def derive(m: CorrelationMatrix4) -> CorrDerived:
-    return _derive(m.array())
+    """The ``CorrDerived`` record of one matrix; raises ValueError if ``m`` is
+    not a correlation matrix.
+
+    The last matrix derived and its record are kept in one slot, keyed on
+    the object's identity: called again on that same object, ``derive``
+    returns the same record without deriving.  Any other object, even one
+    with equal entries, is derived afresh and takes the slot.  A matrix that
+    raises leaves the slot as it was.  Sharing the record is sound because
+    the matrix is frozen and the record is read-only: a frozen dataclass of
+    read-only arrays.  The slot is read and replaced as one tuple, so
+    concurrent callers can only miss it, never read another matrix's
+    record."""
+    global _last
+    last, record = _last
+    if last is m:
+        return record
+    record = _derive(m.array())
+    _last = (m, record)
+    return record
 
 
 def derive_batch(off) -> CorrDerived:

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import F_IID3, F_IID4, F_STAR
-from test_corrmat import EDGE_ROWS, REFERENCE, unit_vectors
+from test_corrmat import EDGE_ROWS, REFERENCE, UNIT_PAIR_ROWS, unit_vectors
 
 import gaussmax
-from gaussmax import geometry
+from gaussmax import closedform, geometry
 
 from gaussmax.closedform import (
     COPLANAR_BOUND,
@@ -269,7 +269,8 @@ class TestBatch:
 class TestOneMatrixOnFloats:
     """``value_of`` and ``gradient_of`` evaluate one matrix on Python floats
     and a stack on numpy: the value equals the stack's entry and the gradient
-    equals the numpy expression, bit for bit."""
+    equals the numpy expression, bit for bit.  So does the unit-pair value,
+    against numpy on each choice of representatives."""
 
     @staticmethod
     def check(ms):
@@ -296,12 +297,47 @@ class TestOneMatrixOnFloats:
     def test_grams_of_rank_one_to_four(self, ms):
         self.check(ms)
 
+    @staticmethod
+    def numpy_unit_pair_value(m):
+        """The unit-pair value with numpy on each representative choice, the
+        reference for the float evaluation."""
+        classes, mat = closedform._unit_classes(m), m.matrix()
+        choices = itertools.product(*classes)
+        if len(classes) == 3:
+            return max(float(np.sum(np.sqrt(np.clip(1.0 - np.array(sorted(
+                (mat[a, b], mat[a, c], mat[b, c]))), 0.0, None))) / (2 * np.sqrt(np.pi)))
+                for a, b, c in choices)
+        if len(classes) == 2:
+            return max(float(np.sqrt(max(1.0 - mat[a, b], 0.0) / np.pi)) for a, b in choices)
+        return 0.0
+
+    @classmethod
+    def check_unit_pairs(cls, ms):
+        for m in ms:
+            assert derive(m).tag is DomainTag.DEGENERATE_UNIT_PAIR
+            v = f_max(m)
+            assert type(v) is float and v.hex() == cls.numpy_unit_pair_value(m).hex()
+
+    def test_unit_pair_rows_equal_numpy(self):
+        entries = json.loads(REFERENCE.read_text())["entries"]
+        rows = UNIT_PAIR_ROWS + [e["offdiag"] for e in entries if e["cls"] == "unit_pair"]
+        self.check_unit_pairs([CorrelationMatrix4(tuple(off)) for off in rows])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4).flatmap(unit_vectors), st.integers(0, 2))
+    def test_unit_pair_grams_equal_numpy(self, m, k):
+        # vertex 4 repeats vertex k + 1, so the matrix has a unit pair
+        g = m.matrix()
+        g[3], g[:, 3] = g[k], g[:, k]
+        self.check_unit_pairs([CorrelationMatrix4(tuple(g[i, j] for i, j in PAIRS))])
+
 
 class TestSinglePass:
-    """One classification, hence one eigvalsh, per public call."""
+    """One classification, hence one eigvalsh, per public call, and one for
+    all of them in a row on one matrix object."""
 
-    @pytest.mark.parametrize("fn", [f_max, gradient, hessian, geometry.dihedrals])
-    def test_one_eigvalsh_per_call(self, fn, monkeypatch):
+    @pytest.fixture()
+    def eigvalsh_calls(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -310,8 +346,18 @@ class TestSinglePass:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [f_max, gradient, hessian, geometry.dihedrals])
+    def test_one_eigvalsh_per_call(self, fn, eigvalsh_calls):
         fn(CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)))
-        assert len(calls) == 1
+        assert len(eigvalsh_calls) == 1
+
+    def test_one_eigvalsh_for_calls_in_a_row_on_one_matrix(self, eigvalsh_calls):
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        for fn in (f_max, gradient, hessian, geometry.dihedrals):
+            fn(m)
+        assert len(eigvalsh_calls) == 1
 
     def test_value_of_a_unit_pair_is_nan(self):
         # a line-search trial with a unit pair scores NaN, which no Armijo
@@ -522,8 +568,8 @@ def test_output_digest_script_runs():
         [sys.executable, str(root / "scripts" / "output_digest.py")],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "f_max_batch",
-                "derive_batch", "maximize"]
+    families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
+                "f_max_batch", "derive_batch", "maximize"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +246,69 @@ class TestDerive:
                 assert dp.lambda_tilde[t] == pytest.approx(
                     d.lambda_tilde[src], rel=1e-10, abs=1e-12
                 )
+
+
+def same_record(a, b):
+    """Two records with one tag and the same bytes in every field."""
+    return a.tag is b.tag and all(
+        np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+        for name in ("lambda_prime", "lambda_tilde", "a_tilde", "cosines"))
+
+
+class TestLastRecord:
+    """``derive`` keeps the last matrix object and its record in one slot."""
+
+    def test_alternating_matrices_equal_a_fresh_derivation(self, battery20):
+        a, b = battery20[:2]
+        for m in (a, b, a):
+            assert same_record(derive(m), corrmat._derive(m.array()))
+        # a matrix built after the last one was dropped may reuse its address
+        for m in battery20:
+            assert same_record(derive(CorrelationMatrix4(m.offdiag)), corrmat._derive(m.array()))
+
+    def test_same_object_hits_and_an_equal_copy_is_derived_afresh(self):
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        d = derive(m)
+        assert derive(m) is d
+        copy = derive(CorrelationMatrix4(m.offdiag))
+        assert copy is not d and same_record(copy, d)
+
+    def test_invalid_matrix_raises_each_time_and_keeps_the_slot(self):
+        m = CorrelationMatrix4.identity()
+        d = derive(m)
+        bad = CorrelationMatrix4.equicorrelated(-0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^not a correlation matrix$"):
+                derive(bad)
+        assert derive(m) is d
+
+    def test_two_threads_read_only_their_own_records(self, reference512):
+        # each thread derives its own matrices, each twice in a row, while
+        # the other replaces the slot; a record read across threads would
+        # belong to another matrix
+        expected = [corrmat._derive(m.array()) for m in reference512]
+        wrong, done = [], []
+
+        def work(offset):
+            for i in range(1000):
+                k = (2 * i + offset) % len(reference512)
+                for _ in range(2):
+                    if not same_record(derive(reference512[k]), expected[k]):
+                        wrong.append(k)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1] and wrong == []
 
 
 class TestVertexGramian:
