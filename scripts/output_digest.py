@@ -8,14 +8,15 @@ witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
 each derives it), ``in_a_row`` (``f_max``, ``gradient``, ``hessian`` and
 ``dihedrals`` in a row on one matrix object, so that the last three read
 the record ``derive`` kept from the first), ``f_max_batch``, every field
-of ``derive_batch`` on the whole stack, and ``maximize`` (every
-``OptResult`` field, then the
-``worst_margin`` of ``certify``, then its ``target`` and
+of ``derive_batch`` on the whole stack, ``maximize`` (every ``OptResult``
+field, then the ``worst_margin`` of ``certify``, then its ``target`` and
 ``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each count twice, in
 alternating order, so a score kept from one call is hashed where the next
-call reads it).  A call that raises contributes its
-exception type and message instead of a value.  Two trees whose digests
-agree give bit-identical outputs on every input below.
+call reads it), and ``embed`` (the vertices of ``geometry.embed`` on a
+fresh copy of every input; a matrix of rank 4 gives its error).  A call
+that raises contributes its exception type and message instead of a value.
+Two trees whose digests agree give bit-identical outputs on every input
+below.
 
 Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
@@ -45,7 +46,7 @@ from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "f_max_batch", "derive_batch", "maximize")
+            "f_max_batch", "derive_batch", "maximize", "embed")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
@@ -133,6 +134,8 @@ def digests() -> dict[str, str]:
     rng = np.random.default_rng(MAXIMIZE_SEED)
     for _ in range(8):
         _feed(h["maximize"], maximized, random_interior(rng))
+    for m in ms:
+        _feed(h["embed"], lambda m: geometry.embed(m).vertices, CorrelationMatrix4(m.offdiag))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 

@@ -8,6 +8,7 @@ record, so a caller that already holds it (the ascent, the checks in
 ``verify``) derives once.  ``f_max``, ``gradient`` and ``hessian`` call
 them on ``derive(m)``, which keeps the last matrix's record: calling them,
 and ``geometry.dihedrals``, in a row on one matrix object derives it once.
+``f_max`` of a matrix with a unit pair only classifies it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .corrmat import (
     CorrDerived,
     CorrelationMatrix4,
     DomainTag,
+    classify,
     derive,
     derive_batch,
     is_unit,
@@ -191,11 +193,13 @@ def hessian_of(d: CorrDerived) -> np.ndarray:
 
 
 def f_max(m: CorrelationMatrix4) -> float:
-    """Expected maximum of the 4 coordinates, exact closed form."""
-    d = derive(m)
-    if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+    """Expected maximum of the 4 coordinates, exact closed form.  A matrix
+    with a unit pair needs only its domain class, not the derivation."""
+    if is_unit(max(m.offdiag)):
+        if classify(m).tag is DomainTag.INVALID:
+            raise ValueError("not a correlation matrix")
         return _f_max_degenerate(m)
-    return value_of(d)
+    return value_of(derive(m))
 
 
 def f_max_batch(off) -> np.ndarray:

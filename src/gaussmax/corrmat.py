@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 # Storage order of the six vertex pairs (0-based vertex indices).
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -37,9 +38,11 @@ for _t, (_i, _j) in enumerate(PAIRS):
     PAIR_INDEX[(_j, _i)] = _t
 
 # Storage indices of (k, n), (l, n), (k, m), (l, m), (m, n) for each stored
-# pair (k, l) with complement (m, n), read by quad_term.
-_QUAD_INDEX = np.array([[PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n))]
-                        for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT)])
+# pair (k, l) with complement (m, n), read by quad_term: one tuple per pair,
+# and the same table with a row per index role, for index arrays.
+_QUAD_INDEX = tuple(tuple(PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n)))
+                    for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT))
+_QUAD_ROLES = np.array(_QUAD_INDEX).T
 _ALL_PAIRS = np.arange(len(PAIRS))
 
 EPS_PSD = 1e-10   # absolute tolerance on the smallest eigenvalue
@@ -133,6 +136,7 @@ class _Evaluator(NamedTuple):
     select: Callable    # select(cond, a, b): a where cond holds, else b
     each: Callable      # each(f, *items): f on every pair
     largest: Callable   # the largest of the six pairs
+    all: Callable       # whether a truth value holds for one matrix or every row
     pack: Callable      # items as an array with the pairs on the last axis
 
 
@@ -142,11 +146,12 @@ _FLOATS = _Evaluator(
     sqrt=math.sqrt, maximum=max, minimum=min,
     select=lambda cond, a, b: a if cond else b,
     each=lambda f, *items: list(map(f, *items)),
-    largest=max, pack=np.array)
+    largest=max, all=bool, pack=np.array)
 _COLUMNS = _Evaluator(
     sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, select=np.where,
     each=lambda f, *items: f(*items),
     largest=lambda items: items.max(axis=0),
+    all=np.all,
     pack=lambda items: items.T.copy())
 
 # A matrix read from its seven slots, the six off-diagonals in storage order
@@ -181,13 +186,36 @@ def _reject(bad, message) -> None:
         raise ValueError(f"row {row}: {message(row)}")
 
 
+# The gufuncs that np.linalg.eigvalsh (lower triangle) and np.linalg.det run
+# on float64 input.  Their numpy wrappers (argument checks, type dispatch, an
+# error-state context) cost more than the LAPACK call on a 4x4 matrix.  The
+# module is private: a numpy that moves it gets the wrappers, which give the
+# same results, and fails tests/test_corrmat.py::TestLinalgBinding.
+try:
+    from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo
+except ImportError:
+    _det, _eigvalsh_lo = np.linalg.det, np.linalg.eigvalsh
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a float64 array of shape (..., n, n), bit for
+    bit: the same gufunc, without the wrapper.  A matrix on which LAPACK does
+    not converge comes back all NaN; then this raises the wrapper's
+    LinAlgError (numpy may also have warned of the invalid value)."""
+    w = _eigvalsh_lo(a)
+    failed = w[0] != w[0] if w.ndim == 1 else np.isnan(w[..., 0]).any()
+    if failed:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def classify(m: CorrelationMatrix4) -> DomainClass:
     """Locate m relative to the elliptope: interior, singular boundary with all
     correlations != 1, boundary with some correlation == 1, or not a
     correlation matrix at all.  A unit pair's witness is the first pair in
     storage order whose correlation equals 1."""
     x = m.offdiag
-    tag = _TAGS[_domain_rule(x, float(np.linalg.eigvalsh(m.matrix())[0]), _FLOATS)]
+    tag = _TAGS[_domain_rule(x, float(eigvalsh(m.matrix())[0]), _FLOATS)]
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
         i, j = PAIRS[next(t for t, r in enumerate(x) if is_unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
@@ -196,7 +224,13 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
 
 def rank(m: CorrelationMatrix4) -> int:
     """Numerical rank: eigenvalues above EPS_PSD times the largest."""
-    eigs = np.linalg.eigvalsh(m.matrix())
+    return rank_of(eigvalsh(m.matrix()))
+
+
+def rank_of(eigs: np.ndarray) -> int:
+    """The numerical rank rule on a matrix's eigenvalues in ascending order,
+    for a caller that already holds them: those above EPS_PSD times the
+    largest."""
     return int(np.sum(eigs > EPS_PSD * eigs[-1]))
 
 
@@ -220,9 +254,9 @@ def _anchored_cov(mat: np.ndarray, anchor: int) -> np.ndarray:
 
 
 # The slots of (i, j), (i, 1) and (j, 1) for each entry of the anchored
-# covariance at vertex 1, whose det gives a_tilde.
-_A_TILDE_SLOTS = [[(int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1])) for j in _OTHERS[1]]
-                  for i in _OTHERS[1]]
+# covariance at vertex 1, whose det gives a_tilde; row by row.
+_A_TILDE_SLOTS = tuple((int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1]))
+                       for i in _OTHERS[1] for j in _OTHERS[1])
 
 
 def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
@@ -237,7 +271,7 @@ def quad_term(x: Sequence, t: int | np.ndarray, one=1.0):
     identity in ``verify`` evaluates this float expression on polynomials.
     With ``t`` an index array and ``x`` an array of six rows, it gives the
     combinations of those pairs in one expression."""
-    kn, ln, km, lm, mn = _QUAD_INDEX[t].T.tolist()
+    kn, ln, km, lm, mn = _QUAD_INDEX[t] if isinstance(t, int) else _QUAD_ROLES[:, t].tolist()
     return (
         (one - x[t] + x[kn] - x[ln])
         * (one - x[t] + x[km] - x[lm])
@@ -273,7 +307,7 @@ def arccos_arguments(lp, lt, a_tilde, skip, ev: _Evaluator):
     shape (N,).  Where ``skip`` holds the arguments are NaN and are not
     range-checked; an out-of-range row of a stack is named in the error.
     """
-    sqrt, maximum, minimum, select, each, largest, pack = ev
+    sqrt, maximum, minimum, select, each, largest, all_, pack = ev
     # squares by multiplication: float ** 2 goes through libm pow, which is not
     # always correctly rounded, and the scalar and batch paths must agree
     at2 = a_tilde * a_tilde
@@ -289,9 +323,11 @@ def arccos_arguments(lp, lt, a_tilde, skip, ev: _Evaluator):
 
     arg = select(skip, np.nan, each(cosine, lp, lt))
     # a skipped row is all NaN, and its largest is NaN, which compares false
-    bad = largest(each(abs, arg)) > 1.0 + EPS_CLAMP
-    _reject(bad, lambda row: f"arccos argument out of range: {pack(arg)[row]}")
-    return each(lambda a: minimum(maximum(a, -1.0), 1.0), arg)
+    worst = largest(each(abs, arg))
+    _reject(worst > 1.0 + EPS_CLAMP, lambda row: f"arccos argument out of range: {pack(arg)[row]}")
+    if not all_(worst <= 1.0):  # clamping leaves an argument in [-1, 1] as it is
+        arg = each(lambda a: minimum(maximum(a, -1.0), 1.0), arg)
+    return arg
 
 
 @dataclass(frozen=True)
@@ -323,21 +359,21 @@ def _derive(off: np.ndarray) -> CorrDerived:
     if off.ndim == 1:  # the 4x4 matrix and a_tilde's covariance read from slots
         ev, x, lpx = _FLOATS, off.tolist(), lp.tolist()
         slots = x + [1.0]
-        lam_min = float(np.linalg.eigvalsh(np.array(slots)[_SLOTS])[0])
+        lam_min = float(eigvalsh(np.array(slots)[_SLOTS])[0])
         lt = [quad_term(x, t) for t in range(6)]
-        cov = np.array([[_anchored(slots[a], slots[b], slots[c]) for a, b, c in row]
-                        for row in _A_TILDE_SLOTS])
+        cov = np.array([_anchored(slots[a], slots[b], slots[c])
+                        for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
     else:  # the (N, 4, 4) matrices, and a_tilde's covariance as their blocks
         ev, x, lpx = _COLUMNS, off.T, lp.T
         mats = np.concatenate((off, np.ones((len(off), 1))), axis=1)[:, _SLOTS]
-        lam_min = np.linalg.eigvalsh(mats)[:, 0]
+        lam_min = eigvalsh(mats)[:, 0]
         lt = quad_term(x, _ALL_PAIRS)
         cov = _anchored_cov(mats, 1)
     k = _domain_rule(x, lam_min, ev)
     _reject(k == _INVALID, lambda row: "not a correlation matrix")
-    a_tilde = ev.sqrt(ev.maximum(2.0 * np.linalg.det(cov), 0.0))
+    a_tilde = ev.sqrt(ev.maximum(2.0 * _det(cov), 0.0))
     unit_pair = k == _UNIT_PAIR
-    if unit_pair.all():
+    if ev.all(unit_pair):
         cosines = np.full_like(lpx, np.nan)
     else:
         cosines = arccos_arguments(lpx, lt, a_tilde, unit_pair, ev)

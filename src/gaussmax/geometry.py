@@ -21,7 +21,7 @@ from .corrmat import (
     classify,
     derive,
     json_number,
-    rank,
+    rank_of,
 )
 
 # Facets in the fixed order F1..F4 (0-based vertex triples) and the facet
@@ -113,7 +113,7 @@ def embed(m: CorrelationMatrix4) -> Tetrahedron:
         raise ValueError("not a correlation matrix")
     mat = m.matrix()
     w, vec = np.linalg.eigh(mat)
-    if rank(m) > 3:
+    if rank_of(w) > 3:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
     rows = vec[:, 1:] * np.sqrt(np.clip(w[1:], 0.0, None))
 

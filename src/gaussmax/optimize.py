@@ -85,12 +85,20 @@ def project_elliptope(sym) -> CorrelationMatrix4:
     raise RuntimeError(f"projection did not reach residual {PROJ_TOL} in {PROJ_MAX_ITERS} iterations")
 
 
+# Flat indices of the stored pairs in a 4x4 matrix, in storage order.
+_PAIR_FLAT = tuple(4 * i + j for i, j in PAIRS)
+
+
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    """The rows of v scaled to unit length: the operations of
+    ``np.linalg.norm(v, axis=1, keepdims=True)``, without its dispatch."""
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
 
 
 def _gram(v: np.ndarray) -> CorrelationMatrix4:
-    return CorrelationMatrix4(tuple(np.clip((v @ v.T)[PAIR_ROWS, PAIR_COLS], -1.0, 1.0).tolist()))
+    """The correlation matrix of the rows of v, each entry clipped to [-1, 1]."""
+    g = (v @ v.T).ravel().tolist()
+    return CorrelationMatrix4(tuple(min(max(g[k], -1.0), 1.0) for k in _PAIR_FLAT))
 
 
 def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptResult:
@@ -132,7 +140,8 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
         e = g @ v
         d = np.einsum("ij,ij->i", e, v)
         r = e - d[:, None] * v
-        grad_norm = float(np.linalg.norm(r))
+        flat = r.ravel()
+        grad_norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(r), without its dispatch
         s_min = float("nan")
         step = line_search(r, grad_norm ** 2, 1) if grad_norm > cfg.grad_tol else None
         if step is None or step[3] <= value:

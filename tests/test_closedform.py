@@ -18,7 +18,7 @@ from conftest import F_IID3, F_IID4, F_STAR
 from test_corrmat import EDGE_ROWS, REFERENCE, UNIT_PAIR_ROWS, unit_vectors
 
 import gaussmax
-from gaussmax import closedform, geometry
+from gaussmax import closedform, corrmat, geometry
 
 from gaussmax.closedform import (
     COPLANAR_BOUND,
@@ -339,13 +339,13 @@ class TestSinglePass:
     @pytest.fixture()
     def eigvalsh_calls(self, monkeypatch):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh = corrmat.eigvalsh
 
         def counting(a):
             calls.append(1)
             return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(corrmat, "eigvalsh", counting)
         return calls
 
     @pytest.mark.parametrize("fn", [f_max, gradient, hessian, geometry.dihedrals])
@@ -358,6 +358,23 @@ class TestSinglePass:
         for fn in (f_max, gradient, hessian, geometry.dihedrals):
             fn(m)
         assert len(eigvalsh_calls) == 1
+
+    def test_unit_pair_f_max_classifies_without_deriving(self, monkeypatch, eigvalsh_calls):
+        def fail(off):
+            raise AssertionError("f_max derived a matrix with a unit pair")
+
+        monkeypatch.setattr(corrmat, "_derive", fail)
+        # vertices 1 and 4 coincide, the other two are independent of them
+        assert f_max(CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0))) == F_IID3
+        assert len(eigvalsh_calls) == 1
+
+    @pytest.mark.parametrize("off", [
+        (1.0, 0.9, 0.0, -0.9, 0.0, 0.0),   # X1 = X2, yet corr(X1, X3) != corr(X2, X3)
+        (1.0, 0.0, 0.0, 0.0, 0.0, 1.5),    # an entry above 1
+    ])
+    def test_invalid_unit_pair_f_max_raises(self, off):
+        with pytest.raises(ValueError, match="^not a correlation matrix$"):
+            f_max(CorrelationMatrix4(off))
 
     def test_value_of_a_unit_pair_is_nan(self):
         # a line-search trial with a unit pair scores NaN, which no Armijo
@@ -569,7 +586,7 @@ def test_output_digest_script_runs():
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-                "f_max_batch", "derive_batch", "maximize"]
+                "f_max_batch", "derive_batch", "maximize", "embed"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

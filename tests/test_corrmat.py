@@ -457,3 +457,78 @@ class TestDeriveBatch:
             assert got.shape == (20, 3, 3)
             for k, m in enumerate(battery20):
                 assert np.array_equal(got[k], complement_cov(m, anchor))
+
+
+class TestLinalgBinding:
+    """``corrmat.eigvalsh`` and ``corrmat._det`` call the gufuncs behind
+    ``np.linalg.eigvalsh`` and ``np.linalg.det`` directly.  A numpy that moves
+    its private ``_umath_linalg`` fails here and nowhere else."""
+
+    def test_bound_to_numpys_gufuncs(self):
+        from numpy.linalg import _umath_linalg
+
+        assert corrmat._eigvalsh_lo is _umath_linalg.eigvalsh_lo
+        assert corrmat._det is _umath_linalg.det
+
+    def test_eigvalsh_equals_numpy(self, battery20):
+        rng = np.random.default_rng(12)
+        sym = rng.normal(size=(50, 4, 4))
+        sym += np.swapaxes(sym, 1, 2)
+        corr = np.array([m.matrix() for m in battery20])
+        for a in (corr[0], corr, sym[0], sym):
+            got, expected = corrmat.eigvalsh(a), np.linalg.eigvalsh(a)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (50, 3, 3)], ids=["one", "stack"])
+    def test_det_equals_numpy(self, shape):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=shape)
+        got, expected = corrmat._det(a), np.linalg.det(a)
+        assert type(got) is type(expected) and np.asarray(got).shape == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_nan_eigenvalue_raises_linalgerror(self, monkeypatch):
+        eigvalsh_lo = corrmat._eigvalsh_lo
+
+        def not_converging(a):
+            # LAPACK's failure on the last matrix: numpy returns it all NaN
+            w = eigvalsh_lo(a)
+            w.reshape(-1, w.shape[-1])[-1] = np.nan
+            return w
+
+        monkeypatch.setattr(corrmat, "_eigvalsh_lo", not_converging)
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        for call in (classify, rank, derive, lambda m: derive_batch(np.array([m.offdiag] * 3))):
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                call(CorrelationMatrix4(m.offdiag))
+
+
+class TestArccosClamp:
+    """An arccos argument beyond 1 by no more than EPS_CLAMP is clamped to
+    +-1 on both evaluators; the arguments within [-1, 1] are left as they
+    are."""
+
+    LP = [-1e-10, 0.5, 0.7, 1.2, 0.4, 0.9]   # the first complement: a correlation just above 1
+    LT = [1.0, -0.2, 0.1, 0.3, -0.4, 0.2]
+
+    def expected(self, sign):
+        rest = [q / np.sqrt(p + q * q) for p, q in zip(self.LP[1:], self.LT[1:])]
+        return [sign] + rest
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_matrix(self, sign):
+        lt = [sign * self.LT[0]] + self.LT[1:]
+        args = corrmat.arccos_arguments(self.LP, lt, 1.0, False, corrmat._FLOATS)
+        unclamped = lt[0] / np.sqrt(self.LP[0] + 1.0)
+        assert 1.0 < abs(unclamped) <= 1.0 + EPS_CLAMP
+        assert [float(a) for a in args] == self.expected(sign)
+
+    def test_stack_row_by_row(self):
+        # row 0 needs the clamp, row 1 (in range) must come back unchanged
+        lp = np.array([self.LP, [0.5] + self.LP[1:]]).T
+        lt = np.array([self.LT, self.LT]).T
+        args = corrmat.arccos_arguments(lp, lt, np.ones(2), np.zeros(2, dtype=bool), corrmat._COLUMNS)
+        assert args[:, 0].tolist() == self.expected(1.0)
+        one = corrmat.arccos_arguments([0.5] + self.LP[1:], self.LT, 1.0, False, corrmat._FLOATS)
+        assert args[:, 1].tolist() == one

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import F_STAR
 
+from gaussmax import corrmat
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import PAIRS, CorrelationMatrix4, classify, DomainTag
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, classify, DomainTag, rank
 from gaussmax.geometry import (
     EDGE_OF_FACET_PAIR,
     FACET_PAIRS,
@@ -59,6 +60,31 @@ class TestEmbedding:
     def test_rank4_rejected(self):
         with pytest.raises(ValueError, match="rank 4"):
             embed(CorrelationMatrix4.identity())
+
+    def test_rank_is_read_from_its_own_eigh(self, monkeypatch):
+        calls = []
+        eigvalsh = corrmat.eigvalsh
+        monkeypatch.setattr(corrmat, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        embed(CorrelationMatrix4.equicorrelated(-1.0 / 3.0))
+        with pytest.raises(ValueError, match="rank 4"):
+            embed(CorrelationMatrix4.identity())
+        assert len(calls) == 2  # the classification's, one per call
+
+    def test_rank4_exactly_where_rank_says_so(self):
+        from gaussmax.optimize import random_psd
+
+        rng = np.random.default_rng(5)
+        ms = [random_psd(rng, dim) for dim in (2, 3, 4) for _ in range(100)]
+        # -1/3 + 1e-9: smallest eigenvalue 3e-9, above EPS_PSD times the largest
+        ms += [CorrelationMatrix4.equicorrelated(r)
+               for r in (1.0, 0.5, 0.0, -1.0 / 3.0, -1.0 / 3.0 + 1e-9)]
+        for m in ms:
+            try:
+                embed(m)
+                rank4 = False
+            except ValueError as exc:
+                rank4 = "rank 4" in str(exc)
+            assert rank4 == (rank(m) == 4)
 
     def test_rank1_flat(self):
         t = embed(CorrelationMatrix4.equicorrelated(1.0))

@@ -12,7 +12,7 @@ from conftest import F_STAR
 import gaussmax
 from gaussmax import closedform, optimize
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify
+from gaussmax.corrmat import PAIR_COLS, PAIR_ROWS, CorrelationMatrix4, DomainTag, classify
 from gaussmax.optimize import (
     CERTIFY_SEED,
     AscentConfig,
@@ -171,6 +171,34 @@ class TestOneDerivePerIterate:
         res = maximize(start)
         assert res.converged and res.iterations > 0
         assert counts["derive"] == counts["_gram"] > res.iterations
+
+
+class TestStepGlue:
+    """The ascent's row normalization and Gram read give the bits of the
+    numpy expressions they stand for."""
+
+    @staticmethod
+    def row_sets():
+        rng = np.random.default_rng(21)
+        sets = [rng.normal(size=(4, 4)) * rng.uniform(0.1, 10.0) for _ in range(200)]
+        for v in sets[:100]:  # repeated and opposite rows put Gram entries at +-1
+            v[3], v[2] = v[0], -v[1]
+        return sets
+
+    def test_unit_rows(self):
+        for v in self.row_sets():
+            expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+            assert optimize._unit_rows(v).tobytes() == expected.tobytes()
+
+    def test_gram(self):
+        clipped = 0
+        for v in self.row_sets():
+            u = optimize._unit_rows(v)
+            raw = (u @ u.T)[PAIR_ROWS, PAIR_COLS]
+            expected = np.clip(raw, -1.0, 1.0)
+            clipped += int(np.sum(raw != expected))
+            assert np.array(optimize._gram(u).offdiag).tobytes() == expected.tobytes()
+        assert clipped > 0
 
 
 def test_optimizer_battery_script_runs():
