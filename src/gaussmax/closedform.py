@@ -30,6 +30,7 @@ from .corrmat import (
     classify,
     derive,
     derive_batch,
+    has_unit_pair,
     is_unit,
     triangle_form,
 )
@@ -195,7 +196,7 @@ def hessian_of(d: CorrDerived) -> np.ndarray:
 def f_max(m: CorrelationMatrix4) -> float:
     """Expected maximum of the 4 coordinates, exact closed form.  A matrix
     with a unit pair needs only its domain class, not the derivation."""
-    if is_unit(max(m.offdiag)):
+    if has_unit_pair(m.offdiag):
         if classify(m).tag is DomainTag.INVALID:
             raise ValueError("not a correlation matrix")
         return _f_max_degenerate(m)

@@ -18,6 +18,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
+# The gufuncs that np.linalg.eigvalsh (lower triangle) and np.linalg.det run
+# on float64 input.  Their numpy wrappers (argument checks, type dispatch, an
+# error-state context) cost more than the LAPACK call on a 4x4 matrix.  The
+# module is private; tests/test_corrmat.py::TestLinalgBinding checks the
+# binding against the public functions.
+from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo
+
 # Storage order of the six vertex pairs (0-based vertex indices).
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_NAMES: tuple[str, ...] = ("12", "13", "14", "23", "24", "34")
@@ -165,12 +172,18 @@ def is_unit(r):
     return r >= 1.0 - EPS_ONE
 
 
+def has_unit_pair(x, largest=max):
+    """Whether the six off-diagonals ``x`` hold a unit pair: the unit bit of
+    the domain rule.  ``largest`` takes the largest of the six."""
+    return is_unit(largest(x))
+
+
 def _domain_rule(x, lam_min, ev: _Evaluator):
     """The domain rule: the class (an index into ``_TAGS``) of the six
     off-diagonals ``x`` (items of ``ev``) of a matrix whose smallest
     eigenvalue is ``lam_min``."""
     invalid = (ev.largest(ev.each(abs, x)) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
-    unit = is_unit(ev.largest(x))
+    unit = has_unit_pair(x, ev.largest)
     return _RULE[4 * invalid + 2 * unit + (lam_min > EPS_PSD)]
 
 
@@ -184,17 +197,6 @@ def _reject(bad, message) -> None:
     elif bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise ValueError(f"row {row}: {message(row)}")
-
-
-# The gufuncs that np.linalg.eigvalsh (lower triangle) and np.linalg.det run
-# on float64 input.  Their numpy wrappers (argument checks, type dispatch, an
-# error-state context) cost more than the LAPACK call on a 4x4 matrix.  The
-# module is private: a numpy that moves it gets the wrappers, which give the
-# same results, and fails tests/test_corrmat.py::TestLinalgBinding.
-try:
-    from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo
-except ImportError:
-    _det, _eigvalsh_lo = np.linalg.det, np.linalg.eigvalsh
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from gaussmax.corrmat import (
     derive,
     derive_batch,
     from_json_obj,
+    has_unit_pair,
     load_matrix,
     parse_offdiag_text,
     rank,
@@ -97,12 +98,15 @@ UNIT_PAIR_ROWS = [
 
 
 def assert_one_rule(ms):
-    """classify, derive and the rows of derive_batch give each matrix one tag."""
+    """classify, derive and the rows of derive_batch give each matrix one tag,
+    and a valid matrix has a unit pair exactly when it is tagged so."""
     batch = derive_batch(np.array([m.offdiag for m in ms]))
     for i, m in enumerate(ms):
         tag = classify(m).tag
         assert tag is derive(m).tag
         assert tag is batch.tag[i]
+        if tag is not DomainTag.INVALID:
+            assert has_unit_pair(m.offdiag) == (tag is DomainTag.DEGENERATE_UNIT_PAIR)
 
 
 class TestDomainRule:
@@ -461,8 +465,9 @@ class TestDeriveBatch:
 
 class TestLinalgBinding:
     """``corrmat.eigvalsh`` and ``corrmat._det`` call the gufuncs behind
-    ``np.linalg.eigvalsh`` and ``np.linalg.det`` directly.  A numpy that moves
-    its private ``_umath_linalg`` fails here and nowhere else."""
+    ``np.linalg.eigvalsh`` and ``np.linalg.det`` directly, imported from
+    numpy's private ``_umath_linalg``; these tests check that binding against
+    the public functions."""
 
     def test_bound_to_numpys_gufuncs(self):
         from numpy.linalg import _umath_linalg
