@@ -7,16 +7,15 @@ witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
 ``dihedrals`` (each of these five on a fresh copy of the matrix, so that
 each derives it), ``in_a_row`` (``f_max``, ``gradient``, ``hessian`` and
 ``dihedrals`` in a row on one matrix object, so that the last three read
-the record ``derive`` kept from the first), ``f_max_batch``, every field
-of ``derive_batch`` on the whole stack, ``maximize`` (every ``OptResult``
-field, then the ``worst_margin`` of ``certify``, then its ``target`` and
-``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each count twice, in
-alternating order, so a score kept from one call is hashed where the next
-call reads it), and ``embed`` (the vertices of ``geometry.embed`` on a
-fresh copy of every input; a matrix of rank 4 gives its error).  A call
-that raises contributes its exception type and message instead of a value.
-Two trees whose digests agree give bit-identical outputs on every input
-below.
+the record ``derive`` kept from the first), ``maximize`` (every
+``OptResult`` field, then the ``worst_margin`` of ``certify``, then its
+``target`` and ``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each
+count twice, in alternating order, so a score kept from one call is hashed
+where the next call reads it), and ``embed`` (the vertices of
+``geometry.embed`` on a fresh copy of every input; a matrix of rank 4 gives
+its error).  A call that raises contributes its exception type and message
+instead of a value.  Two trees whose digests agree give bit-identical
+outputs on every input below.
 
 Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
@@ -41,12 +40,12 @@ import pathlib
 import numpy as np
 
 from gaussmax import closedform, geometry
-from gaussmax.corrmat import CorrelationMatrix4, classify, derive, derive_batch
+from gaussmax.corrmat import CorrelationMatrix4, classify, derive
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "f_max_batch", "derive_batch", "maximize", "embed")
+            "maximize", "embed")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
@@ -106,10 +105,6 @@ def digests() -> dict[str, str]:
         d = derive(m)
         return (d.tag.value, d.lambda_prime, d.lambda_tilde, float(d.a_tilde), d.cosines)
 
-    def batch_derived(off):
-        d = derive_batch(off)
-        return (tuple(t.value for t in d.tag), d.lambda_prime, d.lambda_tilde, d.a_tilde, d.cosines)
-
     def maximized(m):
         res = maximize(m)
         margin, rivals = None, ()
@@ -128,9 +123,6 @@ def digests() -> dict[str, str]:
             _feed(h[name], fn, CorrelationMatrix4(m.offdiag))
         for _, fn in CALLS:
             _feed(h["in_a_row"], fn, m)
-    stack = np.array([m.offdiag for m in ms])
-    _feed(h["f_max_batch"], closedform.f_max_batch, stack)
-    _feed(h["derive_batch"], batch_derived, stack)
     rng = np.random.default_rng(MAXIMIZE_SEED)
     for _ in range(8):
         _feed(h["maximize"], maximized, random_interior(rng))

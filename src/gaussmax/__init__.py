@@ -12,7 +12,6 @@ from .closedform import (
     density,
     f_max,
     f_max3,
-    f_max_batch,
     gradient,
     hessian,
     quadrant_integral,
@@ -25,7 +24,6 @@ from .corrmat import (
     VertexGramian,
     classify,
     derive,
-    derive_batch,
     vertex_gramian,
 )
 from .geometry import (
@@ -87,7 +85,6 @@ __all__ = [
     "corr_of",
     "density",
     "derive",
-    "derive_batch",
     "dihedrals",
     "embed",
     "estimate_max",
@@ -95,7 +92,6 @@ __all__ = [
     "euler_relation_check",
     "f_max",
     "f_max3",
-    "f_max_batch",
     "f_width",
     "f_width_inv",
     "foot_data",

@@ -29,7 +29,6 @@ from .corrmat import (
     DomainTag,
     classify,
     derive,
-    derive_batch,
     has_unit_pair,
     is_unit,
     triangle_form,
@@ -105,22 +104,18 @@ def _f_max_degenerate(m: CorrelationMatrix4) -> float:
     return 0.0
 
 
-def value_of(d: CorrDerived):
-    """The closed-form sum over the last axis of ``d``: the value of one
-    matrix as a Python float, or shape (N,) for a ``derive_batch`` stack.
-    NaN where the matrix has a unit pair.
+def value_of(d: CorrDerived) -> float:
+    """The closed-form value of one matrix as a Python float; NaN where the
+    matrix has a unit pair.
 
-    One matrix takes one ``arccos`` over its six cosines and then sums its
-    terms on Python floats from the first to the last, the order in which
-    numpy sums six numbers, so it equals the stack's entry bit for bit."""
-    if d.cosines.ndim == 1:
-        # a loop, not sum(): from Python 3.12 sum() compensates its rounding
-        total = 0.0
-        for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist()):
-            total += math.sqrt(max(p, 0.0)) * a
-        return total / (2 * SQRT_PI3)
-    return np.sum(np.sqrt(np.clip(d.lambda_prime, 0.0, None)) * np.arccos(d.cosines),
-                  axis=-1) / (2 * SQRT_PI3)
+    One ``arccos`` over the six cosines, then the terms summed on Python
+    floats from the first to the last, the order in which numpy sums six
+    numbers."""
+    # a loop, not sum(): from Python 3.12 sum() compensates its rounding
+    total = 0.0
+    for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist()):
+        total += math.sqrt(max(p, 0.0)) * a
+    return total / (2 * SQRT_PI3)
 
 
 def gradient_of(d: CorrDerived) -> np.ndarray:
@@ -201,20 +196,6 @@ def f_max(m: CorrelationMatrix4) -> float:
             raise ValueError("not a correlation matrix")
         return _f_max_degenerate(m)
     return value_of(derive(m))
-
-
-def f_max_batch(off) -> np.ndarray:
-    """``f_max`` of each row of an (N, 6) array of off-diagonals, shape (N,).
-
-    One ``derive_batch`` pass and one ``value_of``, so each entry equals
-    ``f_max`` of that row bit for bit.  Rows with a unit pair, which are rare,
-    go through the scalar fallback one at a time."""
-    off = np.asarray(off, dtype=float)
-    d = derive_batch(off)
-    out = value_of(d)
-    for i in np.flatnonzero(d.tag == DomainTag.DEGENERATE_UNIT_PAIR):
-        out[i] = _f_max_degenerate(CorrelationMatrix4(tuple(off[i])))
-    return out
 
 
 def gradient(m: CorrelationMatrix4) -> np.ndarray:

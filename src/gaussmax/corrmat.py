@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -28,9 +28,6 @@ from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo
 # Storage order of the six vertex pairs (0-based vertex indices).
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_NAMES: tuple[str, ...] = ("12", "13", "14", "23", "24", "34")
-# Row and column index arrays of the stored pairs, for fancy indexing.
-PAIR_ROWS = np.array([p[0] for p in PAIRS])
-PAIR_COLS = np.array([p[1] for p in PAIRS])
 
 # For each stored pair (k, l): the complementary vertices (m, n), m < n.
 # The quadratic combination below and every index-substituted formula are
@@ -45,12 +42,9 @@ for _t, (_i, _j) in enumerate(PAIRS):
     PAIR_INDEX[(_j, _i)] = _t
 
 # Storage indices of (k, n), (l, n), (k, m), (l, m), (m, n) for each stored
-# pair (k, l) with complement (m, n), read by quad_term: one tuple per pair,
-# and the same table with a row per index role, for index arrays.
+# pair (k, l) with complement (m, n), read by quad_term: one tuple per pair.
 _QUAD_INDEX = tuple(tuple(PAIR_INDEX[p] for p in ((k, n), (l, n), (k, m), (l, m), (m, n)))
                     for (k, l), (m, n) in zip(PAIRS, PAIR_COMPLEMENT))
-_QUAD_ROLES = np.array(_QUAD_INDEX).T
-_ALL_PAIRS = np.arange(len(PAIRS))
 
 EPS_PSD = 1e-10   # absolute tolerance on the smallest eigenvalue
 EPS_ONE = 1e-12   # tolerance for detecting an off-diagonal equal to 1
@@ -83,7 +77,7 @@ class CorrelationMatrix4:
     offdiag: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.offdiag)
+        vals = tuple(map(float, self.offdiag))
         if len(vals) != 6:
             raise ValueError(f"need 6 off-diagonal values, got {len(vals)}")
         if not all(map(math.isfinite, vals)):
@@ -126,40 +120,9 @@ class CorrelationMatrix4:
 # A class is an index into the DomainTag values in declaration order.  The
 # domain rule is a table of classes indexed by 4 * invalid + 2 * unit pair +
 # positive definite: invalid wins, then a unit pair, then definiteness.
-_TAGS = np.array(tuple(DomainTag), dtype=object)
+_TAGS = tuple(DomainTag)
 _INTERIOR, _BOUNDARY, _UNIT_PAIR, _INVALID = range(len(_TAGS))
-_RULE = np.array([_BOUNDARY, _INTERIOR] + [_UNIT_PAIR] * 2 + [_INVALID] * 4)
-
-
-class _Evaluator(NamedTuple):
-    """How the derivation's formulas are evaluated on the six pairs of one
-    matrix or of a stack.  Each formula is written once over items that hold
-    one pair each; arithmetic, ``abs`` and comparisons mean the same on both,
-    and the remaining primitives are these fields."""
-
-    sqrt: Callable
-    maximum: Callable   # elementwise max of two
-    minimum: Callable   # elementwise min of two
-    select: Callable    # select(cond, a, b): a where cond holds, else b
-    each: Callable      # each(f, *items): f on every pair
-    largest: Callable   # the largest of the six pairs
-    all: Callable       # whether a truth value holds for one matrix or every row
-    pack: Callable      # items as an array with the pairs on the last axis
-
-
-# One matrix: a list of six Python floats, cheaper than numpy on six numbers.
-# A stack: the (6, N) columns, so that each step is one numpy operation.
-_FLOATS = _Evaluator(
-    sqrt=math.sqrt, maximum=max, minimum=min,
-    select=lambda cond, a, b: a if cond else b,
-    each=lambda f, *items: list(map(f, *items)),
-    largest=max, all=bool, pack=np.array)
-_COLUMNS = _Evaluator(
-    sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, select=np.where,
-    each=lambda f, *items: f(*items),
-    largest=lambda items: items.max(axis=0),
-    all=np.all,
-    pack=lambda items: items.T.copy())
+_RULE = (_BOUNDARY, _INTERIOR) + (_UNIT_PAIR,) * 2 + (_INVALID,) * 4
 
 # A matrix read from its seven slots, the six off-diagonals in storage order
 # and then its unit diagonal: entry (i, j) is slot _SLOTS[i, j].
@@ -172,41 +135,27 @@ def is_unit(r):
     return r >= 1.0 - EPS_ONE
 
 
-def has_unit_pair(x, largest=max):
+def has_unit_pair(x):
     """Whether the six off-diagonals ``x`` hold a unit pair: the unit bit of
-    the domain rule.  ``largest`` takes the largest of the six."""
-    return is_unit(largest(x))
+    the domain rule."""
+    return is_unit(max(x))
 
 
-def _domain_rule(x, lam_min, ev: _Evaluator):
+def _domain_rule(x, lam_min):
     """The domain rule: the class (an index into ``_TAGS``) of the six
-    off-diagonals ``x`` (items of ``ev``) of a matrix whose smallest
-    eigenvalue is ``lam_min``."""
-    invalid = (ev.largest(ev.each(abs, x)) > 1.0 + EPS_PSD) | (lam_min < -EPS_PSD)
-    unit = has_unit_pair(x, ev.largest)
-    return _RULE[4 * invalid + 2 * unit + (lam_min > EPS_PSD)]
-
-
-def _reject(bad, message) -> None:
-    """Raise ValueError(message(row)) where ``bad`` holds.  ``bad`` is one
-    truth value for one matrix (``row`` is ``()``), or an array with one per
-    row of a stack, and then the first bad row is named."""
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise ValueError(message(()))
-    elif bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"row {row}: {message(row)}")
+    off-diagonals ``x`` of a matrix whose smallest eigenvalue is
+    ``lam_min``."""
+    invalid = max(map(abs, x)) > 1.0 + EPS_PSD or lam_min < -EPS_PSD
+    return _RULE[4 * invalid + 2 * has_unit_pair(x) + (lam_min > EPS_PSD)]
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of a float64 array of shape (..., n, n), bit for
-    bit: the same gufunc, without the wrapper.  A matrix on which LAPACK does
-    not converge comes back all NaN; then this raises the wrapper's
-    LinAlgError (numpy may also have warned of the invalid value)."""
+    """``np.linalg.eigvalsh`` of a float64 n x n matrix, bit for bit: the same
+    gufunc, without the wrapper.  A matrix on which LAPACK does not converge
+    comes back all NaN; then this raises the wrapper's LinAlgError (numpy may
+    also have warned of the invalid value)."""
     w = _eigvalsh_lo(a)
-    failed = w[0] != w[0] if w.ndim == 1 else np.isnan(w[..., 0]).any()
-    if failed:
+    if w[0] != w[0]:
         raise LinAlgError("Eigenvalues did not converge")
     return w
 
@@ -217,7 +166,7 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     correlation matrix at all.  A unit pair's witness is the first pair in
     storage order whose correlation equals 1."""
     x = m.offdiag
-    tag = _TAGS[_domain_rule(x, float(eigvalsh(m.matrix())[0]), _FLOATS)]
+    tag = _TAGS[_domain_rule(x, float(eigvalsh(m.matrix())[0]))]
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
         i, j = PAIRS[next(t for t, r in enumerate(x) if is_unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
@@ -246,15 +195,6 @@ def _anchored(rij, ri, rj):
     return rij - ri - rj + 1.0
 
 
-def _anchored_cov(mat: np.ndarray, anchor: int) -> np.ndarray:
-    """Entry (a, b) is mat[i, j] - mat[i, anchor] - mat[j, anchor] + 1 for the
-    a-th and b-th vertices i, j other than ``anchor``; ``mat`` is a 4x4
-    correlation matrix or a stack of them, shape (..., 4, 4)."""
-    idx = _OTHERS[anchor]
-    col = mat[..., idx, anchor]
-    return _anchored(mat[..., idx[:, None], idx], col[..., :, None], col[..., None, :])
-
-
 # The slots of (i, j), (i, 1) and (j, 1) for each entry of the anchored
 # covariance at vertex 1, whose det gives a_tilde; row by row.
 _A_TILDE_SLOTS = tuple((int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1]))
@@ -264,16 +204,16 @@ _A_TILDE_SLOTS = tuple((int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1]))
 def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
     """Covariance of (X_l1 - X_k, X_l2 - X_k, X_l3 - X_k) for anchor vertex k
     (0-based), l1 < l2 < l3 the remaining vertices."""
-    return _anchored_cov(m.matrix(), anchor)
+    mat, idx = m.matrix(), _OTHERS[anchor]
+    col = mat[idx, anchor]
+    return _anchored(mat[idx[:, None], idx], col[:, None], col[None, :])
 
 
-def quad_term(x: Sequence, t: int | np.ndarray, one=1.0):
+def quad_term(x: Sequence, t: int, one=1.0):
     """Quadratic combination of stored pair ``t`` over any ring: ``x`` holds the
     six correlations in storage order, ``one`` is the ring's unit.  The exact
-    identity in ``verify`` evaluates this float expression on polynomials.
-    With ``t`` an index array and ``x`` an array of six rows, it gives the
-    combinations of those pairs in one expression."""
-    kn, ln, km, lm, mn = _QUAD_INDEX[t] if isinstance(t, int) else _QUAD_ROLES[:, t].tolist()
+    identity in ``verify`` evaluates this float expression on polynomials."""
+    kn, ln, km, lm, mn = _QUAD_INDEX[t]
     return (
         (one - x[t] + x[kn] - x[ln])
         * (one - x[t] + x[km] - x[lm])
@@ -298,37 +238,33 @@ def triangle_form(a, b, c):
     return 2 * a * b + 2 * a * c + 2 * b * c - a * a - b * b - c * c
 
 
-def arccos_arguments(lp, lt, a_tilde, skip, ev: _Evaluator):
+def arccos_arguments(lp, lt, a_tilde):
     """The six arccos arguments lambda_tilde / sqrt(lambda_prime a_tilde^2 +
     lambda_tilde^2), storage order, with 0/0 read as 1 and clamping to [-1, 1]
     within EPS_CLAMP.  Entry (k, l) is the cosine of the outer dihedral angle
     along edge (k, l) of the embedded tetrahedron.
 
-    ``lp`` and ``lt`` are items of ``ev``: six floats of one matrix, or the
-    (6, N) columns of a stack, with ``a_tilde`` and the boolean ``skip`` of
-    shape (N,).  Where ``skip`` holds the arguments are NaN and are not
-    range-checked; an out-of-range row of a stack is named in the error.
+    ``lp`` and ``lt`` are one matrix's six complements and quadratic
+    combinations as Python floats, and the arguments come back as a list.
     """
-    sqrt, maximum, minimum, select, each, largest, all_, pack = ev
-    # squares by multiplication: float ** 2 goes through libm pow, which is not
-    # always correctly rounded, and the scalar and batch paths must agree
+    # squares by multiplication: float ** 2 goes through libm pow, which is
+    # not always correctly rounded
     at2 = a_tilde * a_tilde
-    scale = minimum(1.0, largest(lp))
+    scale = min(1.0, max(lp))
     # the radical is homogeneous of degree 2 in lp and vanishes only when
     # a correlation equals 1, so the 0/0 cut-off scales with the simplex
     cut = EPS_ZERO_OVER_ZERO * (scale * scale)
 
     def cosine(p, q):
-        rad = sqrt(maximum(p * at2 + q * q, 0.0))
-        degenerate = rad <= cut
-        return select(degenerate, 1.0, q / select(degenerate, 1.0, rad))
+        rad = math.sqrt(max(p * at2 + q * q, 0.0))
+        return 1.0 if rad <= cut else q / rad
 
-    arg = select(skip, np.nan, each(cosine, lp, lt))
-    # a skipped row is all NaN, and its largest is NaN, which compares false
-    worst = largest(each(abs, arg))
-    _reject(worst > 1.0 + EPS_CLAMP, lambda row: f"arccos argument out of range: {pack(arg)[row]}")
-    if not all_(worst <= 1.0):  # clamping leaves an argument in [-1, 1] as it is
-        arg = each(lambda a: minimum(maximum(a, -1.0), 1.0), arg)
+    arg = list(map(cosine, lp, lt))
+    worst = max(map(abs, arg))
+    if worst > 1.0 + EPS_CLAMP:
+        raise ValueError(f"arccos argument out of range: {np.array(arg)}")
+    if worst > 1.0:  # clamping leaves an argument in [-1, 1] as it is
+        arg = [min(max(a, -1.0), 1.0) for a in arg]
     return arg
 
 
@@ -337,11 +273,10 @@ class CorrDerived:
     """Derived quantities of a correlation matrix: the single source that the
     closed-form value, gradient and Hessian and the dihedral angles read.
 
-    ``derive`` fills it for one matrix and ``derive_batch`` for N matrices,
-    with a leading axis of length N on every field.  ``tag`` is the domain
-    class found by the one classification in either; ``cosines`` are the six
-    arccos arguments of the closed form, NaN on a matrix with a unit pair
-    (whose value the closed form does not give).
+    ``derive`` fills it.  ``tag`` is the domain class found by its one
+    classification; ``cosines`` are the six arccos arguments of the closed
+    form, NaN on a matrix with a unit pair (whose value the closed form does
+    not give).
     """
 
     tag: DomainTag             # never INVALID: derive raises instead
@@ -352,39 +287,27 @@ class CorrDerived:
 
 
 def _derive(off: np.ndarray) -> CorrDerived:
-    """The one derivation pass for off-diagonals of shape (6,) or (N, 6): one
-    scatter and one eigvalsh for the domain rule, one det for a_tilde, and the
-    record's formulas on Python floats for one matrix or on the columns of a
-    stack.  Each formula takes the same operations in the same order on both,
-    so a row of a stack equals ``derive`` of it bit for bit."""
+    """The one derivation pass on one matrix's six off-diagonals: one scatter
+    and one eigvalsh for the domain rule, one det for a_tilde, and the
+    record's formulas on Python floats."""
     lp = 1.0 - off
-    if off.ndim == 1:  # the 4x4 matrix and a_tilde's covariance read from slots
-        ev, x, lpx = _FLOATS, off.tolist(), lp.tolist()
-        slots = x + [1.0]
-        lam_min = float(eigvalsh(np.array(slots)[_SLOTS])[0])
-        lt = [quad_term(x, t) for t in range(6)]
-        cov = np.array([_anchored(slots[a], slots[b], slots[c])
-                        for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
-    else:  # the (N, 4, 4) matrices, and a_tilde's covariance as their blocks
-        ev, x, lpx = _COLUMNS, off.T, lp.T
-        mats = np.concatenate((off, np.ones((len(off), 1))), axis=1)[:, _SLOTS]
-        lam_min = eigvalsh(mats)[:, 0]
-        lt = quad_term(x, _ALL_PAIRS)
-        cov = _anchored_cov(mats, 1)
-    k = _domain_rule(x, lam_min, ev)
-    _reject(k == _INVALID, lambda row: "not a correlation matrix")
-    a_tilde = ev.sqrt(ev.maximum(2.0 * _det(cov), 0.0))
-    unit_pair = k == _UNIT_PAIR
-    if ev.all(unit_pair):
-        cosines = np.full_like(lpx, np.nan)
+    x, lpx = off.tolist(), lp.tolist()
+    slots = x + [1.0]  # the 4x4 matrix and a_tilde's covariance read from slots
+    k = _domain_rule(x, float(eigvalsh(np.array(slots)[_SLOTS])[0]))
+    if k == _INVALID:
+        raise ValueError("not a correlation matrix")
+    lt = [quad_term(x, t) for t in range(6)]
+    cov = np.array([_anchored(slots[a], slots[b], slots[c])
+                    for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
+    a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
+    if k == _UNIT_PAIR:
+        cosines = np.full(6, np.nan)
     else:
-        cosines = arccos_arguments(lpx, lt, a_tilde, unit_pair, ev)
-    lt, cosines = ev.pack(lt), ev.pack(cosines)
+        cosines = np.array(arccos_arguments(lpx, lt, a_tilde))
+    lt = np.array(lt)
     for a in (lp, lt, cosines):
         a.flags.writeable = False
-    if off.ndim == 1:
-        a_tilde = np.float64(a_tilde)
-    return CorrDerived(_TAGS[k], lp, lt, a_tilde, cosines)
+    return CorrDerived(_TAGS[k], lp, lt, np.float64(a_tilde), cosines)
 
 
 # The last matrix ``derive`` was given and its record, read and rebound as
@@ -413,18 +336,6 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     record = _derive(m.array())
     _last = (m, record)
     return record
-
-
-def derive_batch(off) -> CorrDerived:
-    """``derive`` for an (N, 6) array of off-diagonals in storage order.  A row
-    that is not a correlation matrix raises ValueError naming the row."""
-    off = np.asarray(off, dtype=float)
-    if off.ndim != 2 or off.shape[1] != 6:
-        raise ValueError(f"expected an (N, 6) array, got shape {off.shape}")
-    finite = np.all(np.isfinite(off), axis=1)
-    if not np.all(finite):
-        raise ValueError(f"row {int(np.flatnonzero(~finite)[0])}: off-diagonal values must be finite")
-    return _derive(off)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .corrmat import (PAIR_COLS, PAIR_ROWS, PAIRS, CorrelationMatrix4, DomainTag, _SLOTS,
-                      _check_count, classify, derive)
+from .corrmat import (PAIRS, CorrelationMatrix4, DomainTag, _SLOTS, _check_count, classify,
+                      derive)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step of the Armijo line search
@@ -186,19 +186,10 @@ def optimal_value() -> float:
     return closedform.f_max(CorrelationMatrix4.equicorrelated(EQUICORRELATED_OPTIMUM))
 
 
-def random_psd_batch(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
-    """Off-diagonals, shape (n, 6), of the Gram matrices of n independent sets
-    of four random unit vectors in R^dim.  One draw of n * 4 * dim normals
-    consumes the stream exactly as n calls of ``random_psd``."""
-    a = rng.normal(size=(n, 4, dim))
-    a /= np.linalg.norm(a, axis=2, keepdims=True)
-    g = a @ a.transpose(0, 2, 1)
-    return np.clip(g[:, PAIR_ROWS, PAIR_COLS], -1.0, 1.0)
-
-
 def random_psd(rng: np.random.Generator, dim: int = 4) -> CorrelationMatrix4:
-    """Gram matrix of four random unit vectors in R^dim."""
-    return CorrelationMatrix4(tuple(random_psd_batch(rng, 1, dim)[0]))
+    """Gram matrix of four random unit vectors in R^dim, from one draw of
+    4 * dim normals."""
+    return _gram(_unit_rows(rng.normal(size=(4, dim))))
 
 
 def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> CorrelationMatrix4:
@@ -211,12 +202,11 @@ def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> Correlat
 
 @functools.cache
 def _certify_targets(n_random: int) -> tuple[float, float]:
-    """``optimal_value()`` and the best value among the ``n_random`` rivals
-    drawn from ``default_rng(CERTIFY_SEED)``, scored in one ``f_max_batch``
-    call.  Both depend on nothing but ``n_random``, so they are computed once
-    per process."""
+    """``optimal_value()`` and the best ``f_max`` among the ``n_random`` rivals
+    drawn from ``default_rng(CERTIFY_SEED)``.  Both depend on nothing but
+    ``n_random``, so they are computed once per process."""
     rng = np.random.default_rng(CERTIFY_SEED)
-    return optimal_value(), float(np.max(closedform.f_max_batch(random_psd_batch(rng, n_random))))
+    return optimal_value(), max(closedform.f_max(random_psd(rng)) for _ in range(n_random))
 
 
 def certify(res: OptResult, n_random: int = 100) -> ScanReport:

@@ -26,14 +26,13 @@ from gaussmax.closedform import (
     density,
     f_max,
     f_max3,
-    f_max_batch,
     gradient,
     gradient_of,
     hessian,
     quadrant_integral,
     value_of,
 )
-from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive, derive_batch
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, derive
 from gaussmax.montecarlo import estimate_max
 
 SQRT_PI3 = np.sqrt(np.pi**3)
@@ -236,53 +235,24 @@ class TestLowRankPermutation:
         assert gradient(mp) == pytest.approx(g[src], rel=0, abs=1e-5 * np.max(np.abs(g)))
 
 
-class TestBatch:
-    """f_max_batch evaluates the scalar path's own formulas, row by row."""
-
-    @given(st.lists(st.one_of(spread_unit_vectors(), clustered_unit_vectors()),
-                    min_size=1, max_size=30))
-    def test_batch_equals_scalar_bitwise(self, ms):
-        batch = f_max_batch(np.array([m.offdiag for m in ms]))
-        assert batch.shape == (len(ms),)
-        assert list(batch) == [f_max(m) for m in ms]
-
-    def test_special_rows(self, special5, battery20):
-        ms = special5 + battery20
-        assert list(f_max_batch(np.array([m.offdiag for m in ms]))) == [f_max(m) for m in ms]
-
-    def test_invalid_row_is_named(self):
-        off = np.array([CorrelationMatrix4.identity().offdiag,
-                        CorrelationMatrix4.identity().offdiag,
-                        CorrelationMatrix4.equicorrelated(-0.5).offdiag])
-        with pytest.raises(ValueError, match="row 2: not a correlation matrix"):
-            f_max_batch(off)
-
-    def test_rejects_bad_shape_and_non_finite(self):
-        with pytest.raises(ValueError, match="shape"):
-            f_max_batch(np.zeros(6))
-        off = np.zeros((2, 6))
-        off[1, 3] = np.nan
-        with pytest.raises(ValueError, match="row 1"):
-            f_max_batch(off)
-
-
 class TestOneMatrixOnFloats:
-    """``value_of`` and ``gradient_of`` evaluate one matrix on Python floats
-    and a stack on numpy: the value equals the stack's entry and the gradient
-    equals the numpy expression, bit for bit.  So does the unit-pair value,
-    against numpy on each choice of representatives."""
+    """``value_of`` and ``gradient_of`` evaluate one matrix on Python floats:
+    the value and the gradient equal the numpy expressions, bit for bit, so
+    the value sums its six terms in numpy's order.  So does the unit-pair
+    value, against numpy on each choice of representatives."""
 
     @staticmethod
     def check(ms):
-        stack = value_of(derive_batch(np.array([m.offdiag for m in ms])))
-        for m, row in zip(ms, stack.tolist()):
+        for m in ms:
             d = derive(m)
             v = value_of(d)
             assert type(v) is float
             if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
-                assert math.isnan(v) and math.isnan(row)
+                assert math.isnan(v)
                 continue
-            assert np.float64(v).tobytes() == np.float64(row).tobytes()
+            expected = np.sum(np.sqrt(np.clip(d.lambda_prime, 0, None))
+                              * np.arccos(d.cosines)) / (2 * SQRT_PI3)
+            assert np.float64(v).tobytes() == expected.tobytes()
             g = gradient_of(d)
             expected = -np.arccos(d.cosines) / (4 * np.sqrt(np.pi**3 * d.lambda_prime))
             assert g.dtype == expected.dtype and g.tobytes() == expected.tobytes()
@@ -586,7 +556,7 @@ def test_output_digest_script_runs():
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-                "f_max_batch", "derive_batch", "maximize", "embed"]
+                "maximize", "embed"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

@@ -22,7 +22,6 @@ from gaussmax.corrmat import (
     classify,
     complement_cov,
     derive,
-    derive_batch,
     from_json_obj,
     has_unit_pair,
     load_matrix,
@@ -98,13 +97,11 @@ UNIT_PAIR_ROWS = [
 
 
 def assert_one_rule(ms):
-    """classify, derive and the rows of derive_batch give each matrix one tag,
-    and a valid matrix has a unit pair exactly when it is tagged so."""
-    batch = derive_batch(np.array([m.offdiag for m in ms]))
-    for i, m in enumerate(ms):
+    """classify and derive give each matrix one tag, and a valid matrix has a
+    unit pair exactly when it is tagged so."""
+    for m in ms:
         tag = classify(m).tag
         assert tag is derive(m).tag
-        assert tag is batch.tag[i]
         if tag is not DomainTag.INVALID:
             assert has_unit_pair(m.offdiag) == (tag is DomainTag.DEGENERATE_UNIT_PAIR)
 
@@ -134,12 +131,6 @@ class TestDomainRule:
     ])
     def test_witness_is_first_unit_pair_in_storage_order(self, off, witness):
         assert classify(CorrelationMatrix4(off)).witness == witness
-
-    def test_first_invalid_row_of_a_stack_is_named(self, battery20):
-        stack = np.array([m.offdiag for m in battery20[:5]])
-        stack[[1, 3]] = -0.5
-        with pytest.raises(ValueError, match=r"^row 1: not a correlation matrix$"):
-            derive_batch(stack)
 
 
 class TestDerive:
@@ -177,10 +168,20 @@ class TestDerive:
         with pytest.raises(ValueError, match=r"^not a correlation matrix$"):
             derive(CorrelationMatrix4.equicorrelated(-0.5))
 
-    def test_one_record_for_scalar_and_stack(self):
+    @pytest.mark.parametrize("row, clamp, prefix", [
+        ((1.0 + EPS_PSD, 0.0, 0.0, 0.0, 0.0, 0.0), EPS_CLAMP, "not a correlation matrix"),
+        # a negative clamp tolerance puts every cosine of this row out of range
+        ((0.1, -0.2, 0.3, 0.05, -0.1, 0.2), -0.9, "arccos argument out of range: ["),
+    ], ids=["not-a-correlation-matrix", "arccos-out-of-range"])
+    def test_error_messages(self, monkeypatch, row, clamp, prefix):
+        monkeypatch.setattr(corrmat, "EPS_CLAMP", clamp)
+        with pytest.raises(ValueError) as err:
+            derive(CorrelationMatrix4(row))
+        assert str(err.value).startswith(prefix)
+
+    def test_record_fields(self):
         names = [f.name for f in dataclasses.fields(CorrDerived)]
         assert names == ["tag", "lambda_prime", "lambda_tilde", "a_tilde", "cosines"]
-        assert isinstance(derive_batch(np.zeros((2, 6))), CorrDerived)
 
     def test_unit_pair_cosines_are_nan_and_not_formed(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -402,8 +403,7 @@ class TestFormats:
 
 # Rows at the edges of the domain rule: an entry at exactly 1 - EPS_ONE and
 # one in (1, 1 + EPS_PSD] (unit pairs), one just outside EPS_ONE of 1 (the
-# smallest radical whose cosines are formed), and X4 = X1, whose radical is 0,
-# so that the stack takes the 0/0 cut on it before it skips the row.
+# smallest radical whose cosines are formed), and X4 = X1, whose radical is 0.
 EDGE_ROWS = [
     (1.0 - EPS_ONE, 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.3, 0.2, 1.0 - EPS_ONE, 0.1, 0.3, 0.2),
@@ -417,50 +417,6 @@ EDGE_ROWS = [
 def reference512():
     return [CorrelationMatrix4(tuple(e["offdiag"]))
             for e in json.loads(REFERENCE.read_text())["entries"]]
-
-
-class TestDeriveBatch:
-    # one matrix is derived on Python floats and a stack on numpy columns:
-    # this is the guard that the two evaluations agree
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(1, 4).flatmap(unit_vectors), min_size=1, max_size=6))
-    def test_rows_equal_scalar_derive(self, battery20, special5, reference512, drawn):
-        edges = [CorrelationMatrix4(off) for off in EDGE_ROWS]
-        ms = special5 + battery20 + reference512 + edges + drawn
-        d = derive_batch(np.array([m.offdiag for m in ms]))
-        for i, m in enumerate(ms):
-            ds = derive(m)
-            assert d.tag[i] is ds.tag
-            for name in ("lambda_prime", "lambda_tilde", "a_tilde", "cosines"):
-                # bit for bit, the NaN cosines of a unit pair included
-                row, one = np.asarray(getattr(d, name)[i]), np.asarray(getattr(ds, name))
-                assert row.dtype == one.dtype and row.tobytes() == one.tobytes(), name
-
-    @pytest.mark.parametrize("row, clamp", [
-        ((1.0 + EPS_PSD, 0.0, 0.0, 0.0, 0.0, 0.0), EPS_CLAMP),
-        # a negative clamp tolerance puts every cosine of this row out of range
-        ((0.1, -0.2, 0.3, 0.05, -0.1, 0.2), -0.9),
-    ], ids=["not-a-correlation-matrix", "arccos-out-of-range"])
-    def test_errors_match_scalar_derive(self, monkeypatch, row, clamp):
-        monkeypatch.setattr(corrmat, "EPS_CLAMP", clamp)
-        with pytest.raises(ValueError) as scalar:
-            derive(CorrelationMatrix4(row))
-        assert str(scalar.value).startswith(
-            ("not a correlation matrix", "arccos argument out of range: ["))
-        # the unit-pair rows ahead of it are not range-checked
-        with pytest.raises(ValueError) as batch:
-            derive_batch(np.array(UNIT_PAIR_ROWS[:2] + [row]))
-        assert str(batch.value) == f"row 2: {scalar.value}"
-
-    def test_complement_cov_of_a_stack(self, battery20):
-        from gaussmax.corrmat import _anchored_cov
-
-        stack = np.array([m.matrix() for m in battery20])
-        for anchor in range(4):
-            got = _anchored_cov(stack, anchor)
-            assert got.shape == (20, 3, 3)
-            for k, m in enumerate(battery20):
-                assert np.array_equal(got[k], complement_cov(m, anchor))
 
 
 class TestLinalgBinding:
@@ -479,8 +435,7 @@ class TestLinalgBinding:
         rng = np.random.default_rng(12)
         sym = rng.normal(size=(50, 4, 4))
         sym += np.swapaxes(sym, 1, 2)
-        corr = np.array([m.matrix() for m in battery20])
-        for a in (corr[0], corr, sym[0], sym):
+        for a in [m.matrix() for m in battery20] + list(sym):
             got, expected = corrmat.eigvalsh(a), np.linalg.eigvalsh(a)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
@@ -497,22 +452,21 @@ class TestLinalgBinding:
         eigvalsh_lo = corrmat._eigvalsh_lo
 
         def not_converging(a):
-            # LAPACK's failure on the last matrix: numpy returns it all NaN
+            # LAPACK's failure: numpy returns the eigenvalues all NaN
             w = eigvalsh_lo(a)
-            w.reshape(-1, w.shape[-1])[-1] = np.nan
+            w[:] = np.nan
             return w
 
         monkeypatch.setattr(corrmat, "_eigvalsh_lo", not_converging)
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
-        for call in (classify, rank, derive, lambda m: derive_batch(np.array([m.offdiag] * 3))):
+        for call in (classify, rank, derive):
             with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
                 call(CorrelationMatrix4(m.offdiag))
 
 
 class TestArccosClamp:
     """An arccos argument beyond 1 by no more than EPS_CLAMP is clamped to
-    +-1 on both evaluators; the arguments within [-1, 1] are left as they
-    are."""
+    +-1; the arguments within [-1, 1] are left as they are."""
 
     LP = [-1e-10, 0.5, 0.7, 1.2, 0.4, 0.9]   # the first complement: a correlation just above 1
     LT = [1.0, -0.2, 0.1, 0.3, -0.4, 0.2]
@@ -524,16 +478,7 @@ class TestArccosClamp:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_one_matrix(self, sign):
         lt = [sign * self.LT[0]] + self.LT[1:]
-        args = corrmat.arccos_arguments(self.LP, lt, 1.0, False, corrmat._FLOATS)
+        args = corrmat.arccos_arguments(self.LP, lt, 1.0)
         unclamped = lt[0] / np.sqrt(self.LP[0] + 1.0)
         assert 1.0 < abs(unclamped) <= 1.0 + EPS_CLAMP
         assert [float(a) for a in args] == self.expected(sign)
-
-    def test_stack_row_by_row(self):
-        # row 0 needs the clamp, row 1 (in range) must come back unchanged
-        lp = np.array([self.LP, [0.5] + self.LP[1:]]).T
-        lt = np.array([self.LT, self.LT]).T
-        args = corrmat.arccos_arguments(lp, lt, np.ones(2), np.zeros(2, dtype=bool), corrmat._COLUMNS)
-        assert args[:, 0].tolist() == self.expected(1.0)
-        one = corrmat.arccos_arguments([0.5] + self.LP[1:], self.LT, 1.0, False, corrmat._FLOATS)
-        assert args[:, 1].tolist() == one

@@ -12,7 +12,7 @@ from conftest import F_STAR
 import gaussmax
 from gaussmax import closedform, optimize
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import PAIR_COLS, PAIR_ROWS, CorrelationMatrix4, DomainTag, classify
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, classify
 from gaussmax.optimize import (
     CERTIFY_SEED,
     AscentConfig,
@@ -23,7 +23,6 @@ from gaussmax.optimize import (
     project_elliptope,
     random_interior,
     random_psd,
-    random_psd_batch,
 )
 
 
@@ -177,6 +176,8 @@ class TestStepGlue:
     """The ascent's row normalization and Gram read give the bits of the
     numpy expressions they stand for."""
 
+    ROWS, COLS = zip(*PAIRS)
+
     @staticmethod
     def row_sets():
         rng = np.random.default_rng(21)
@@ -194,7 +195,7 @@ class TestStepGlue:
         clipped = 0
         for v in self.row_sets():
             u = optimize._unit_rows(v)
-            raw = (u @ u.T)[PAIR_ROWS, PAIR_COLS]
+            raw = (u @ u.T)[self.ROWS, self.COLS]
             expected = np.clip(raw, -1.0, 1.0)
             clipped += int(np.sum(raw != expected))
             assert np.array(optimize._gram(u).offdiag).tobytes() == expected.tobytes()
@@ -215,10 +216,17 @@ def test_optimizer_battery_script_runs():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_random_psd_batch_equals_successive_draws(dim):
-    batch = random_psd_batch(np.random.default_rng(11), 25, dim)
+def test_random_psd_equals_one_draw_of_a_stack(dim):
+    # successive matrices consume the stream as one draw of 25 stacked sets
+    # of four vectors; this pins the rivals that certify scores
+    a = np.random.default_rng(11).normal(size=(25, 4, dim))
+    a /= np.linalg.norm(a, axis=2, keepdims=True)
+    g = a @ a.transpose(0, 2, 1)
+    rows, cols = zip(*PAIRS)
+    expected = np.clip(g[:, rows, cols], -1.0, 1.0)
     rng = np.random.default_rng(11)
-    assert np.array_equal(batch, [random_psd(rng, dim).offdiag for _ in range(25)])
+    got = np.array([random_psd(rng, dim).offdiag for _ in range(25)])
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
