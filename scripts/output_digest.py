@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One SHA-256 digest per output family of the closed-form path.
+"""One SHA-256 digest per output family of the closed-form path and of
+Monte Carlo.
 
 Feeds a fixed set of matrices through the library and hashes the exact bits
 of what comes back, one digest per family: the classification (tag and
@@ -13,7 +14,10 @@ the record ``derive`` kept from the first), ``maximize`` (every
 count twice, in alternating order, so a score kept from one call is hashed
 where the next call reads it), and ``embed`` (the vertices of
 ``geometry.embed`` on a fresh copy of every input; a matrix of rank 4 gives
-its error).  A call that raises contributes its exception type and message
+its error).  Two Monte-Carlo families hash ``estimate_max`` and
+``estimate_order_stats`` on a few matrices and ``(n, shards)`` pairs, whose
+shards run to several blocks: ``mc_mean`` the mean and e1..e4, ``mc_se`` every
+standard error.  A call that raises contributes its exception type and message
 instead of a value.  Two trees whose digests agree give bit-identical
 outputs on every input below.
 
@@ -21,7 +25,8 @@ Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
 handful of special matrices (identity, the regular simplex, unit pairs);
 ``maximize`` starts from 8 ``random_interior`` matrices drawn from
-``default_rng(MAXIMIZE_SEED)``.
+``default_rng(MAXIMIZE_SEED)``; the Monte-Carlo families run on
+``MC_MATRICES`` with ``MC_RUNS``.
 
 The digests hash float bits, which depend on the numpy build, the LAPACK
 it calls and the CPU.  Compare them only between runs on one machine, for
@@ -39,17 +44,26 @@ import pathlib
 
 import numpy as np
 
-from gaussmax import closedform, geometry
+from gaussmax import closedform, geometry, montecarlo
 from gaussmax.corrmat import CorrelationMatrix4, classify, derive
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "maximize", "embed")
+            "maximize", "embed", "mc_mean", "mc_se")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
 MAXIMIZE_SEED = 8
+MC_MATRICES = (
+    CorrelationMatrix4.identity(),
+    CorrelationMatrix4.equicorrelated(-1.0 / 3.0),  # rank 3: eigen factor
+    CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
+    CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)),  # rank 2
+)
+# (n, shards, seed): 3 blocks, the last of 8,193 pairs (a one-row last
+# chunk); 2 shards of 2 blocks; one block on the default shard count
+MC_RUNS = ((1_016_386, 1, 5), (3_000_000, 2, 6), (200_000, None, 7))
 
 
 def special_matrices() -> list[CorrelationMatrix4]:
@@ -128,6 +142,13 @@ def digests() -> dict[str, str]:
         _feed(h["maximize"], maximized, random_interior(rng))
     for m in ms:
         _feed(h["embed"], lambda m: geometry.embed(m).vertices, CorrelationMatrix4(m.offdiag))
+    for m in MC_MATRICES:
+        for n, shards, seed in MC_RUNS:
+            est = montecarlo.estimate_max(m, n, seed, shards=shards)
+            order = montecarlo.estimate_order_stats(m, n, seed, shards=shards)
+            _feed(h["mc_mean"], lambda: (est.mean, order.e1, order.e2, order.e3, order.e4))
+            _feed(h["mc_se"], lambda: (est.std_error, *order.std_errors,
+                                       order.se_third_identity, order.se_second_identity))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 

@@ -286,13 +286,12 @@ class CorrDerived:
     cosines: np.ndarray        # six arccos arguments, storage order
 
 
-def _derive(off: np.ndarray) -> CorrDerived:
-    """The one derivation pass on one matrix's six off-diagonals: one scatter
-    and one eigvalsh for the domain rule, one det for a_tilde, and the
-    record's formulas on Python floats."""
-    lp = 1.0 - off
-    x, lpx = off.tolist(), lp.tolist()
-    slots = x + [1.0]  # the 4x4 matrix and a_tilde's covariance read from slots
+def _derive(x: tuple[float, ...]) -> CorrDerived:
+    """The one derivation pass on one matrix's six off-diagonals, as Python
+    floats: one scatter and one eigvalsh for the domain rule, one det for
+    a_tilde, and the record's formulas on Python floats."""
+    lpx = [1.0 - v for v in x]
+    slots = [*x, 1.0]  # the 4x4 matrix and a_tilde's covariance read from slots
     k = _domain_rule(x, float(eigvalsh(np.array(slots)[_SLOTS])[0]))
     if k == _INVALID:
         raise ValueError("not a correlation matrix")
@@ -304,7 +303,7 @@ def _derive(off: np.ndarray) -> CorrDerived:
         cosines = np.full(6, np.nan)
     else:
         cosines = np.array(arccos_arguments(lpx, lt, a_tilde))
-    lt = np.array(lt)
+    lp, lt = np.array(lpx), np.array(lt)
     for a in (lp, lt, cosines):
         a.flags.writeable = False
     return CorrDerived(_TAGS[k], lp, lt, np.float64(a_tilde), cosines)
@@ -333,7 +332,7 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     last, record = _last
     if last is m:
         return record
-    record = _derive(m.array())
+    record = _derive(m.offdiag)
     _last = (m, record)
     return record
 

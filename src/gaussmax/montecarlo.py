@@ -2,18 +2,26 @@
 maximum and the four order-statistic means.
 
 Reproducibility contract: results depend only on (matrix, n, seed, shards) --
-never on thread count.  Shard s draws from Philox keyed by
+never on a thread count, GAUSSMAX_THREADS or the BLAS library's
+(OPENBLAS_NUM_THREADS).  Shard s draws from Philox keyed by
 SeedSequence(seed, spawn_key=(s,)), and shard partials are reduced in shard
 order with exact summation.  Antithetic pairs (z, -z) are used throughout,
 which makes the min/max symmetry of the order statistics exact in-sample.
 
-Each shard draws in blocks of _BLOCK pairs and adds one partial sum per
-block, so _BLOCK fixes the summation order: changing it changes results in
-the last bits.  Within a block the reducers read the draws in _CHUNK-sized
-transposed copies, so that max, min and the sorting network run on
-contiguous rows; those are exact elementwise operations, and the sums that
-follow see the same full-block arrays whatever the chunk size, so _CHUNK
-does not change results.
+Each shard draws in blocks of _BLOCK pairs.  One block of one shard is one
+task on the thread pool: it draws its standard normals, submits the shard's
+next block (which draws from the same generator, so the draws come in the
+same order whichever thread runs them) and then reduces its own draws to
+per-block addends.  A shard's sums add those addends in block order, so
+_BLOCK fixes the summation order: changing it changes results in the last
+bits.  Within a block the standard normals are transformed by the factor
+one _CHUNK at a time, into a transposed chunk buffer, so that no
+transformed copy of the whole block is held and max, min and the sorting
+network run on contiguous rows.  The chunk products equal the rows of the
+whole-block product, and max, min and the network are exact elementwise
+operations; the sums that follow see the same full-block arrays whatever
+the chunk size, so _CHUNK does not change results.  Sums of squares are
+taken with einsum, not BLAS, whose dot product splits across its threads.
 """
 
 from __future__ import annotations
@@ -110,73 +118,117 @@ def _check_args(n: int, shards):
 
 
 def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
-                 accumulate, width: int) -> tuple[np.ndarray, np.ndarray]:
+                 stats, addends, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-column sums and sums of squares over n antithetic draws.
 
-    ``accumulate(x, s, s2)`` adds one block of draws x (and their antithetic
-    mates -x) into the shard's length-``width`` sums s and s2 in place.
-    Shard partials are reduced in shard order with exact summation.
+    ``stats(z, lt)`` takes one block of standard normals z, shape (b, 4),
+    whose draws are the rows of ``z @ lt``, and returns per-draw statistics
+    from exact elementwise operations.  ``addends`` turns those into
+    the block's addends for the draws and their antithetic mates: a list of
+    (sums, sums of squares) pairs, each of length ``width``.
+
+    Each block of each shard is one task, which submits its shard's next
+    block as soon as it has drawn its own, so that a free thread draws while
+    this one reduces.  A shard's sums add its blocks' addends in block
+    order, and the shard partials are reduced in shard order with exact
+    summation.
     """
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
     lt = sample_factor(m).T
+    sizes = _shard_sizes(n // 2, nshards)
 
-    def worker(shard: int, size: int):
-        rng = _shard_rng(seed, shard)
+    def block(rng: np.random.Generator, left: int):
+        z = rng.standard_normal((min(left, _BLOCK), 4))
+        rest = left - len(z)
+        following = pool.submit(block, rng, rest) if rest else None
+        per_draw = stats(z, lt)
+        del z  # free the draws before the sums
+        return addends(per_draw), following
+
+    def shard_sums(task) -> tuple[np.ndarray, np.ndarray]:
         s = np.zeros(width)
         s2 = np.zeros(width)
-        left = size
-        while left > 0:
-            b = min(left, _BLOCK)
-            accumulate(rng.standard_normal((b, 4)) @ lt, s, s2)
-            left -= b
+        while task is not None:
+            steps, task = task.result()
+            for a, a2 in steps:
+                s += a
+                s2 += a2
         return s, s2
 
-    sizes = _shard_sizes(n // 2, nshards)
-    with ThreadPoolExecutor(max_workers=min(thread_count(), nshards)) as pool:
-        parts = list(pool.map(worker, range(nshards), sizes))
+    blocks = sum(-(-size // _BLOCK) for size in sizes)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), blocks)) as pool:
+        try:
+            heads = [pool.submit(block, _shard_rng(seed, shard), size) if size else None
+                     for shard, size in enumerate(sizes)]
+            parts = [shard_sums(task) for task in heads]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     s = np.array([math.fsum(p[0][i] for p in parts) for i in range(width)])
     s2 = np.array([math.fsum(p[1][i] for p in parts) for i in range(width)])
     return s, s2
 
 
-def _transposed_chunks(x: np.ndarray):
-    """Yield ``(rows, t)`` over the (b, 4) draws x in runs of _CHUNK, where t
-    is a contiguous (4, k) copy of x[rows].T held in one reused buffer."""
-    b = len(x)
+def _sums(c: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of c.  The squares are summed by einsum, not
+    BLAS, whose dot product splits across its threads from about 50k
+    elements, which changes the last bits."""
+    return c.sum(), np.einsum("i,i->", c, c)
+
+
+def _transposed_chunks(z: np.ndarray, lt: np.ndarray):
+    """Yield ``(rows, t)`` over the (b, 4) standard draws z in runs of
+    _CHUNK, where t is ``(z[rows] @ lt).T``, a contiguous (4, k) array held
+    in one reused buffer, so that no transform of the whole block is held.
+
+    The chunk product equals those rows of ``z @ lt`` bit for bit, except
+    that numpy multiplies a lone row by a vector kernel whose bits differ:
+    a one-row chunk of a longer block is multiplied together with a
+    neighbouring row.
+    """
+    b = len(z)
     buf = np.empty((4, min(_CHUNK, b)))
     for a in range(0, b, _CHUNK):
         rows = slice(a, min(a + _CHUNK, b))
         t = buf[:, :rows.stop - a]
-        np.copyto(t, x[rows].T)
+        if t.shape[1] > 1 or b == 1:
+            np.matmul(lt.T, z[rows].T, out=t)
+        else:  # a lone row of a longer block: multiply it with a neighbour
+            p = min(a, b - 2)
+            np.copyto(t, (lt.T @ z[p:p + 2].T)[:, a - p:a - p + 1])
         yield rows, t
 
 
-def _add_max(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
-    hi = np.empty(len(x))
-    lo = np.empty(len(x))
-    for rows, t in _transposed_chunks(x):
-        t.max(axis=0, out=hi[rows])
-        t.min(axis=0, out=lo[rows])
+def _extremes(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """The (2, b) array of each draw's max and min."""
+    ext = np.empty((2, len(z)))
+    for rows, t in _transposed_chunks(z, lt):
+        t.max(axis=0, out=ext[0, rows])
+        t.min(axis=0, out=ext[1, rows])
+    return ext
+
+
+def _max_addends(ext: np.ndarray) -> list:
+    (s_hi, q_hi), (s_lo, q_lo) = map(_sums, ext)
     # antithetic mate of each draw contributes max(-x) = -min(x)
-    s[0] += float(hi.sum() - lo.sum())
-    s2[0] += float(hi @ hi + lo @ lo)
+    return [((s_hi - s_lo,), (q_hi + q_lo,))]
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
     """Sample mean of max(X_1..X_4) over n draws (n/2 antithetic pairs)."""
-    s, s2 = _sample_sums(m, n, seed, shards, _add_max, 1)
+    s, s2 = _sample_sums(m, n, seed, shards, _extremes, _max_addends, 1)
     mean = float(s[0]) / n
     var = max(float(s2[0]) / n - mean * mean, 0.0)
     return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
-def _sorted_rows(x: np.ndarray) -> np.ndarray:
-    """The (4, b) array ``np.sort(x, axis=1).T``, from a 5-comparator sorting
-    network of np.minimum/np.maximum over contiguous chunk rows."""
-    asc = np.empty((4, len(x)))
-    scratch = np.empty((4, min(_CHUNK, len(x))))
-    for rows, t in _transposed_chunks(x):
+def _sorted_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """The (4, b) array ``np.sort(z @ lt, axis=1).T``, from a 5-comparator
+    sorting network of np.minimum/np.maximum over contiguous chunk rows."""
+    asc = np.empty((4, len(z)))
+    scratch = np.empty((4, min(_CHUNK, len(z))))
+    for rows, t in _transposed_chunks(z, lt):
         u = scratch[:, :t.shape[1]]
         x0, x1, x2, x3 = asc[:, rows]
         np.minimum(t[0], t[1], out=u[0])
@@ -193,20 +245,24 @@ def _sorted_rows(x: np.ndarray) -> np.ndarray:
     return asc
 
 
-def _add_order_stats(x: np.ndarray, s: np.ndarray, s2: np.ndarray) -> None:
-    asc = _sorted_rows(x)
-    for desc in (asc[::-1], -asc):  # draw and its antithetic mate
-        r3 = desc[2] - 3.0 * desc[0]
-        r2 = desc[1] + 3.0 * desc[0]
-        for i, col in enumerate((*desc, r3, r2)):
-            s[i] += float(col.sum())
-            s2[i] += float(col @ col)
+def _order_stat_addends(asc: np.ndarray) -> list:
+    desc = asc[::-1]
+    draw = [_sums(c) for c in desc]
+    # The antithetic mate -x sorts to -asc: its order statistics are the
+    # draw's negated and reversed, and so are their sums, exactly.
+    mate = [(-s, s2) for s, s2 in draw[::-1]]
+    # The residuals e3 - 3 e1 and e2 + 3 e1, one column at a time; the
+    # mate's are -asc[2] + 3 asc[0] and -(asc[1] + 3 asc[0]), exactly.
+    draw += [_sums(desc[2] - 3.0 * desc[0]), _sums(desc[1] + 3.0 * desc[0])]
+    r2, r2sq = _sums(asc[1] + 3.0 * asc[0])
+    mate += [_sums(3.0 * asc[0] - asc[2]), (-r2, r2sq)]
+    return [tuple(zip(*draw)), tuple(zip(*mate))]
 
 
 def estimate_order_stats(m: CorrelationMatrix4, n: int, seed: int,
                          shards: int | None = None) -> OrderStats:
     """Means of the four order statistics over n draws (antithetic pairs)."""
-    s, s2 = _sample_sums(m, n, seed, shards, _add_order_stats, 6)
+    s, s2 = _sample_sums(m, n, seed, shards, _sorted_rows, _order_stat_addends, 6)
     means = s / n
     var = np.maximum(s2 / n - means ** 2, 0.0)
     se = np.sqrt(var / n)

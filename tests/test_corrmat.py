@@ -266,10 +266,10 @@ class TestLastRecord:
     def test_alternating_matrices_equal_a_fresh_derivation(self, battery20):
         a, b = battery20[:2]
         for m in (a, b, a):
-            assert same_record(derive(m), corrmat._derive(m.array()))
+            assert same_record(derive(m), corrmat._derive(m.offdiag))
         # a matrix built after the last one was dropped may reuse its address
         for m in battery20:
-            assert same_record(derive(CorrelationMatrix4(m.offdiag)), corrmat._derive(m.array()))
+            assert same_record(derive(CorrelationMatrix4(m.offdiag)), corrmat._derive(m.offdiag))
 
     def test_same_object_hits_and_an_equal_copy_is_derived_afresh(self):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -291,7 +291,7 @@ class TestLastRecord:
         # each thread derives its own matrices, each twice in a row, while
         # the other replaces the slot; a record read across threads would
         # belong to another matrix
-        expected = [corrmat._derive(m.array()) for m in reference512]
+        expected = [corrmat._derive(m.offdiag) for m in reference512]
         wrong, done = [], []
 
         def work(offset):

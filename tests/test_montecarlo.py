@@ -1,5 +1,9 @@
+import itertools
 import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -106,12 +110,14 @@ class TestEstimateMax:
         assert a == estimate_max(m, 20_000, 0, shards=2)
 
     def test_golden_value(self):
-        # recorded before the reducers read transposed chunks; pins the
-        # draw stream, the block order and the summation order together
+        # the mean was recorded before the reducers read transposed chunks;
+        # it pins the draw stream, the block order and the summation order
+        # together.  The standard error was re-recorded when the sums of
+        # squares moved from BLAS ddot to einsum.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
         assert est.mean == 0.9941913086908519
-        assert est.std_error == 0.0016038815324083957
+        assert est.std_error == 0.0016038815324083964
 
 
 class TestOrderStats:
@@ -194,4 +200,77 @@ class TestChunkedReduction:
         x = rng.standard_normal((10_001, 4))
         x[::3, 2] = x[::3, 0]  # ties, as drawn from a matrix with a unit pair
         x[::5, 1] = x[::5, 3]
-        assert np.array_equal(montecarlo._sorted_rows(x), np.sort(x, axis=1).T)
+        # the identity factor transforms exactly, so the network sorts x itself
+        assert np.array_equal(montecarlo._sorted_rows(x, np.eye(4)), np.sort(x, axis=1).T)
+
+
+class TestBlockScheduler:
+    """Each block of each shard is one task on the thread pool; which thread
+    runs which block must not show in any result, and the pool must be gone
+    when the call returns, whether it returned or raised."""
+
+    M = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 3_000)  # 4-7 blocks per shard
+        before = threading.active_count()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a race
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("GAUSSMAX_THREADS", threads)
+                results.append((estimate_order_stats(self.M, 40_000, seed=6, shards=1),
+                                estimate_max(self.M, 60_000, seed=6, shards=3)))
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_reducer_error_raises_without_hang(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 2_000)
+        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
+        calls = itertools.count()
+        extremes = montecarlo._extremes
+
+        def fail_on_second_block(z, lt):
+            if next(calls) == 1:
+                raise RuntimeError("second block")
+            return extremes(z, lt)
+
+        monkeypatch.setattr(montecarlo, "_extremes", fail_on_second_block)
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                estimate_max(self.M, 20_000, seed=1, shards=1)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == ["second block"]
+        assert threading.active_count() == before
+
+
+def test_blas_thread_count_does_not_change_results():
+    # OpenBLAS splits a long dot product across its threads, which would
+    # change the sums of squares, hence the standard errors, in the last bits
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    code = ("from gaussmax.corrmat import CorrelationMatrix4 as C\n"
+            "from gaussmax.montecarlo import estimate_max, estimate_order_stats\n"
+            "m = C((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))\n"
+            "print(repr(estimate_max(m, 1_000_000, 3)))\n"
+            "print(repr(estimate_order_stats(m, 2_000_000, 3, shards=1)))\n")
+    out = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
