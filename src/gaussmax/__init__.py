@@ -9,7 +9,6 @@ maximum theorem.
 from .closedform import (
     COPLANAR_BOUND,
     QuadrantIntegralParams,
-    density,
     f_max,
     f_max3,
     gradient,
@@ -21,21 +20,17 @@ from .corrmat import (
     CorrelationMatrix4,
     DomainClass,
     DomainTag,
-    VertexGramian,
     classify,
     derive,
-    vertex_gramian,
 )
 from .geometry import (
     DihedralSet,
-    FootData,
     Tetrahedron,
     corr_of,
     dihedrals,
     embed,
     f_width,
     f_width_inv,
-    foot_data,
     h_func,
     mean_width,
     stationarity_residual,
@@ -69,7 +64,6 @@ __all__ = [
     "DihedralSet",
     "DomainClass",
     "DomainTag",
-    "FootData",
     "IntPolynomial6",
     "MCEstimate",
     "ObtuseInputError",
@@ -78,12 +72,10 @@ __all__ = [
     "QuadrantIntegralParams",
     "ScanReport",
     "Tetrahedron",
-    "VertexGramian",
     "bounds_check",
     "certify",
     "classify",
     "corr_of",
-    "density",
     "derive",
     "dihedrals",
     "embed",
@@ -94,7 +86,6 @@ __all__ = [
     "f_max3",
     "f_width",
     "f_width_inv",
-    "foot_data",
     "gradient",
     "h_func",
     "h_monotonicity_scan",
@@ -113,5 +104,4 @@ __all__ = [
     "sample_factor",
     "stationarity_residual",
     "u_interval_scan",
-    "vertex_gramian",
 ]

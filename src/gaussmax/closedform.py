@@ -87,8 +87,9 @@ def _f_max_degenerate(m: CorrelationMatrix4) -> float:
     """Value when some correlation equals 1: drop duplicated variables and
     fall back to the 3-, 2- or 1-variable formula.  The members of a class
     may differ slightly (their correlation need only be within EPS_ONE of 1),
-    so every choice of one representative per class is scored (correlations in sorted order) and the largest value is taken:
-    the result does not depend on the labelling."""
+    so every choice of one representative per class is scored (correlations
+    in sorted order) and the largest value is taken: the result does not
+    depend on the labelling."""
     classes = _unit_classes(m)
     if len(classes) >= 4:  # a unit pair always merges two vertices
         raise AssertionError("degenerate dispatch called without a unit pair")
@@ -231,16 +232,3 @@ def quadrant_integral(p: QuadrantIntegralParams) -> float:
     exp(-(a1 y^2 + b1 z^2 + 2 c1 y z) / (2 scale^2))."""
     disc = p.a1 * p.b1 - p.c1 ** 2
     return float(p.scale ** 2 / np.sqrt(disc) * np.arccos(p.c1 / np.sqrt(p.a1 * p.b1)))
-
-
-def density(m: CorrelationMatrix4, x) -> float:
-    """Gaussian density with covariance m at the 4-vector x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise ValueError("x must be a 4-vector")
-    mat = m.matrix()
-    det = np.linalg.det(mat)
-    if det <= EPS_PSD:
-        raise ValueError("density requires a nonsingular matrix")
-    quad = x @ np.linalg.solve(mat, x)
-    return float(np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** 4 * det))

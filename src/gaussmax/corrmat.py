@@ -337,48 +337,6 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     return record
 
 
-@dataclass(frozen=True)
-class VertexGramian:
-    """Covariance of the root-two-scaled differences ((X_li - X_k)/sqrt2) at an
-    anchor vertex, plus the off-diagonal entries of its adjugate."""
-
-    a0: float
-    b0: float
-    c0: float
-    r1: float
-    r2: float
-    r3: float
-    rho1: float
-    rho2: float
-    rho3: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.a0, self.r1, self.r2],
-                [self.r1, self.b0, self.r3],
-                [self.r2, self.r3, self.c0],
-            ]
-        )
-
-
-def vertex_gramian(m: CorrelationMatrix4, anchor: int) -> VertexGramian:
-    """Gramian at ``anchor`` (1-based vertex index, matching witness pairs)."""
-    if anchor not in (1, 2, 3, 4):
-        raise ValueError("anchor must be in 1..4")
-    if classify(m).tag is DomainTag.INVALID:
-        raise ValueError("not a correlation matrix")
-    u = 0.5 * complement_cov(m, anchor - 1)
-    a0, b0, c0 = u[0, 0], u[1, 1], u[2, 2]
-    r1, r2, r3 = u[0, 1], u[0, 2], u[1, 2]
-    return VertexGramian(
-        a0, b0, c0, r1, r2, r3,
-        rho1=r2 * r3 - c0 * r1,
-        rho2=r1 * r3 - b0 * r2,
-        rho3=r1 * r2 - a0 * r3,
-    )
-
-
 # ---------------------------------------------------------------------------
 # text / JSON formats
 

@@ -1,8 +1,8 @@
 """Tetrahedra of unit vectors: the geometric side of the expected-maximum
-problem.  Dihedral angles, perpendicular feet, the width-transfer function
-f(x) = sqrt(1-x^2)/arccos(x) and its inverse, the quadratic form H built
-from it, the stationarity relation satisfied by maximizers, and mean width
-by spherical quadrature.
+problem.  Dihedral angles, the width-transfer function f(x) =
+sqrt(1-x^2)/arccos(x) and its inverse, the quadratic form H built from it,
+the stationarity relation satisfied by maximizers, and mean width by
+spherical quadrature.
 """
 
 from __future__ import annotations
@@ -90,20 +90,6 @@ class DihedralSet:
     alpha: np.ndarray
 
 
-@dataclass(frozen=True)
-class FootData:
-    """Perpendicular feet from the circumcenter: lengths L_i to the facet
-    planes, volumes V_i of the cones over the facets, the mean gamma of the
-    six stationarity products L_i L_j alpha_ij / sin(alpha_ij) with its
-    relative spread, and the normalized lengths u_i = L_i / sqrt(gamma)."""
-
-    lengths: np.ndarray
-    volumes: np.ndarray
-    gamma: float
-    u: np.ndarray
-    residual: float
-
-
 def embed(m: CorrelationMatrix4) -> Tetrahedron:
     """Unit vectors in R^3 whose Gram matrix is m (rank <= 3 required).
 
@@ -171,7 +157,11 @@ def _outward_normals(t: Tetrahedron) -> np.ndarray:
         if norm < 1e-14:
             raise ValueError(f"facet {i + 1} is degenerate")
         n /= norm
-        if n @ (opp - p) > 0:
+        side = n @ (opp - p)
+        if abs(side) < 1e-12:
+            raise ValueError(f"flat tetrahedron: the vertex opposite facet {i + 1} "
+                             "lies on its plane")
+        if side > 0:
             n = -n
         normals[i] = n
     return normals
@@ -188,34 +178,16 @@ def dihedrals_of(t: Tetrahedron) -> DihedralSet:
     return DihedralSet(alpha)
 
 
-def facet_areas(t: Tetrahedron) -> np.ndarray:
-    v = t.vertices
-    return np.array([
-        0.5 * np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
-        for a, b, c in FACETS
-    ])
-
-
-def origin_inside(t: Tetrahedron, tol: float = 1e-10) -> bool:
-    """Strict interiority of the origin via signed barycentric coordinates."""
-    a = np.vstack([t.vertices.T, np.ones(4)])
-    try:
-        w = np.linalg.solve(a, np.array([0.0, 0.0, 0.0, 1.0]))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(w > tol))
-
-
-def foot_data(t: Tetrahedron) -> FootData:
-    """Feet of the perpendiculars from the origin to the facet planes."""
-    v = t.vertices
+def stationarity_residual(m: CorrelationMatrix4) -> float:
+    """Relative spread of the six products L_i L_j alpha_ij / sin(alpha_ij),
+    L_i the distance from the origin to the plane of facet i; zero exactly
+    at stationary configurations."""
+    t = embed(m)
     normals = _outward_normals(t)
-    dist = np.array([normals[i] @ v[FACETS[i][0]] for i in range(4)])
-    if np.min(np.abs(dist)) < 1e-12:
-        raise ValueError("origin lies on a facet plane")
-    lengths = np.abs(dist)
-    volumes = facet_areas(t) * lengths / 3.0
-    alpha = dihedrals_of(t).alpha
+    lengths = np.array([normals[i] @ t.vertices[FACETS[i][0]] for i in range(4)])
+    if not np.all(lengths > 0):
+        raise ValueError("origin is not strictly inside the tetrahedron")
+    alpha = dihedrals(m).alpha
     if np.any(alpha > np.pi - 1e-9):
         raise ValueError("flat fold: an outer dihedral angle equals pi")
     # alpha/sin(alpha) -> 1 as alpha -> 0
@@ -225,18 +197,7 @@ def foot_data(t: Tetrahedron) -> FootData:
         for idx, (i, j) in enumerate(FACET_PAIRS)
     ])
     gamma = float(np.mean(prods))
-    residual = float(np.max(np.abs(prods - gamma)) / gamma)
-    return FootData(lengths=lengths, volumes=volumes, gamma=gamma,
-                    u=lengths / np.sqrt(gamma), residual=residual)
-
-
-def stationarity_residual(m: CorrelationMatrix4) -> float:
-    """Relative spread of the six products L_i L_j alpha_ij / sin(alpha_ij);
-    zero exactly at stationary configurations."""
-    t = embed(m)
-    if not origin_inside(t):
-        raise ValueError("origin is not strictly inside the tetrahedron")
-    return foot_data(t).residual
+    return float(np.max(np.abs(prods - gamma)) / gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from gaussmax import closedform, corrmat, geometry
 from gaussmax.closedform import (
     COPLANAR_BOUND,
     QuadrantIntegralParams,
-    density,
     f_max,
     f_max3,
     gradient,
@@ -508,37 +507,6 @@ class TestQuadrantIntegral:
             QuadrantIntegralParams(1.0, 1.0, 0.5, 0.0)
 
 
-class TestDensity:
-    def test_identity_at_origin(self):
-        v = density(CorrelationMatrix4.identity(), np.zeros(4))
-        assert v == pytest.approx(1.0 / (2 * np.pi) ** 2, rel=1e-15)
-
-    def test_identity_unit_point(self):
-        v = density(CorrelationMatrix4.identity(), np.array([1.0, 0, 0, 0]))
-        assert v == pytest.approx(np.exp(-0.5) / (2 * np.pi) ** 2, rel=1e-15)
-
-    def test_integrates_to_one_by_monte_carlo(self, rng, battery20):
-        m = battery20[0]
-        n = 400_000
-        box = 6.0
-        pts = rng.uniform(-box, box, size=(n, 4))
-        mat = m.matrix()
-        inv = np.linalg.inv(mat)
-        det = np.linalg.det(mat)
-        quad = np.einsum("ij,jk,ik->i", pts, inv, pts)
-        vals = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** 4 * det)
-        vol = (2 * box) ** 4
-        est = vol * vals.mean()
-        se = vol * vals.std() / np.sqrt(n)
-        assert abs(est - 1.0) <= 3 * se
-        # spot-check the scalar routine against the vectorized oracle
-        assert density(m, pts[0]) == pytest.approx(vals[0], rel=1e-12)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            density(CorrelationMatrix4.equicorrelated(-1.0 / 3.0), np.zeros(4))
-
-
 class TestMonteCarloAgreement:
     def test_quick_battery(self, battery20):
         # acceptance runs the full 10^7 battery; this is the fast guard
@@ -560,3 +528,10 @@ def test_output_digest_script_runs():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)
+
+
+def test_public_names_resolve_once():
+    # a stale or doubled entry in __all__ would only break ``import *``
+    names = gaussmax.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(gaussmax, n)] == []

@@ -29,7 +29,6 @@ from gaussmax.corrmat import (
     rank,
     to_json_obj,
     triangle_factor,
-    vertex_gramian,
 )
 
 
@@ -316,54 +315,43 @@ class TestLastRecord:
         assert sorted(done) == [0, 1] and wrong == []
 
 
-class TestVertexGramian:
-    def test_identity_anchor2(self):
-        g = vertex_gramian(CorrelationMatrix4.identity(), anchor=2)
-        assert (g.a0, g.b0, g.c0) == (1.0, 1.0, 1.0)
-        assert (g.r1, g.r2, g.r3) == (0.5, 0.5, 0.5)
+def adjugate(u):
+    """Adjugate of a symmetric 3x3 matrix: row i is the cross product of the
+    other two rows, in cyclic order."""
+    return np.array([np.cross(u[1], u[2]), np.cross(u[2], u[0]), np.cross(u[0], u[1])])
 
-    def test_equicorrelated_pattern(self):
-        r = -0.2
-        g = vertex_gramian(CorrelationMatrix4.equicorrelated(r), anchor=2)
-        assert g.a0 == g.b0 == g.c0 == pytest.approx(1 - r)
-        assert g.r1 == g.r2 == g.r3 == pytest.approx((1 - r) / 2)
+
+class TestVertexGramian:
+    """The Gramian at a vertex: U = complement_cov(m, k) / 2, the covariance
+    of the root-two-scaled differences (X_l - X_k) / sqrt(2)."""
+
+    @staticmethod
+    def check_adjugate(m, anchor):
+        # adjugate entry (i, j) of U is a quarter of the quadratic combination
+        # of the pair of the anchor and the vertex of the missing row; adjugate
+        # row i sums to minus a quarter of the combination of the pair
+        # complementary to (anchor, vertex i)
+        lt = derive(m).lambda_tilde
+        others = [v for v in range(4) if v != anchor]
+        adj = adjugate(0.5 * complement_cov(m, anchor))
+
+        def quarter(pair):
+            return pytest.approx(lt[PAIRS.index(pair)] / 4, rel=1e-12, abs=1e-12)
+
+        for i in range(3):
+            pair = tuple(sorted((anchor, others[i])))
+            assert -adj[i].sum() == quarter(PAIR_COMPLEMENT[PAIRS.index(pair)])
+            for j in range(i + 1, 3):
+                assert adj[i, j] == quarter(tuple(sorted((anchor, others[3 - i - j]))))
 
     def test_rho_identities_anchor2(self, battery20):
-        # each adjugate off-diagonal is a quarter of the quadratic combination
-        # of the pair belonging to the missing row, and each adjugate row sum
-        # is minus a quarter of the complementary pair's combination
         for m in battery20:
-            lt = derive(m).lambda_tilde
-            g = vertex_gramian(m, anchor=2)
-            assert g.rho1 == pytest.approx(lt[PAIRS.index((1, 3))] / 4, rel=1e-12, abs=1e-12)
-            assert g.rho2 == pytest.approx(lt[PAIRS.index((1, 2))] / 4, rel=1e-12, abs=1e-12)
-            assert g.rho3 == pytest.approx(lt[PAIRS.index((0, 1))] / 4, rel=1e-12, abs=1e-12)
-            a = g.b0 * g.c0 - g.r3**2
-            b = g.a0 * g.c0 - g.r2**2
-            c = g.a0 * g.b0 - g.r1**2
-            assert a + g.rho1 + g.rho2 == pytest.approx(
-                -lt[PAIRS.index((2, 3))] / 4, rel=1e-12, abs=1e-12
-            )
-            assert b + g.rho1 + g.rho3 == pytest.approx(
-                -lt[PAIRS.index((0, 3))] / 4, rel=1e-12, abs=1e-12
-            )
-            assert c + g.rho2 + g.rho3 == pytest.approx(
-                -lt[PAIRS.index((0, 2))] / 4, rel=1e-12, abs=1e-12
-            )
+            self.check_adjugate(m, 1)  # vertex 2, 0-based index 1
 
     def test_adjugate_matches_quad_combination_all_anchors(self, battery20):
-        # adjugate entry (i, j) of the anchored Gramian is a quarter of the
-        # quadratic combination of the pair belonging to the missing row
-        for m in battery20[:5]:
-            lt = derive(m).lambda_tilde
-            for anchor in range(1, 5):
-                others = sorted(set(range(4)) - {anchor - 1})
-                g = vertex_gramian(m, anchor=anchor)
-                for rho, missing in ((g.rho1, 2), (g.rho2, 1), (g.rho3, 0)):
-                    pair = tuple(sorted((anchor - 1, others[missing])))
-                    assert rho == pytest.approx(
-                        lt[PAIRS.index(pair)] / 4, rel=1e-10, abs=1e-12
-                    )
+        for m in battery20:
+            for anchor in range(4):
+                self.check_adjugate(m, anchor)
 
 
 class TestFormats:

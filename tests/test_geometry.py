@@ -20,16 +20,15 @@ from gaussmax.geometry import (
     embed,
     f_width,
     f_width_inv,
-    facet_areas,
-    foot_data,
     h_func,
     h_func_expanded,
     mean_width,
-    origin_inside,
     stationarity_residual,
 )
 
 ACOS_THIRD = np.arccos(-1.0 / 3.0)
+# u_i = L_i / sqrt(gamma) on the regular simplex
+REGULAR_U = np.sqrt(np.sin(ACOS_THIRD) / ACOS_THIRD)
 
 
 def random_tetra(rng):
@@ -39,7 +38,8 @@ def random_tetra(rng):
 
 
 def polar_tetra(t1, t2, t3, t4, t5):
-    """The spherical parametrization used for the volume formulas."""
+    """Vertex 1 at the pole, vertex 2 in the xz-plane, vertices 3 and 4 by
+    polar and azimuthal angles."""
     return Tetrahedron(np.array([
         [0.0, 0.0, 1.0],
         [np.sin(t1), 0.0, np.cos(t1)],
@@ -168,6 +168,16 @@ class TestDihedrals:
         n_zero = int(np.sum(ds.alpha < 1e-6))
         assert n_zero == 2
 
+    def test_normals_reject_coplanar_points(self):
+        # each opposite vertex lies on its facet plane, so no facet normal can
+        # be oriented: exactly so on z = 0, up to rounding on a rotated copy
+        angles = np.array([0.0, 1.1, 2.4, 4.0])
+        v = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        for points in (v, v @ q.T):
+            with pytest.raises(ValueError, match="flat tetrahedron"):
+                dihedrals_of(Tetrahedron(points))
+
     def test_interior_matrix_still_has_dihedrals(self):
         # the formula needs no 3-D realization; interior (rank-4) inputs work
         ds = dihedrals(CorrelationMatrix4.equicorrelated(-0.25))
@@ -179,47 +189,7 @@ class TestDihedrals:
 
 
 class TestFootData:
-    def test_regular_lengths_one_third(self):
-        t = Tetrahedron.regular()
-        fd = foot_data(t)
-        assert np.allclose(fd.lengths, 1.0 / 3.0, atol=1e-12)
-        assert np.ptp(fd.volumes) < 1e-14
-        assert fd.residual <= 1e-10
-
-    def test_volumes_sum_to_total_volume(self, rng):
-        for _ in range(10):
-            t = random_tetra(rng)
-            if not origin_inside(t):
-                continue
-            v = t.vertices
-            total = abs(np.linalg.det(v[1:] - v[0])) / 6.0
-            assert np.sum(foot_data(t).volumes) == pytest.approx(total, rel=1e-9)
-
-    def test_polar_volume_formulas(self, rng):
-        # cone volumes over facets 1..3 in the spherical parametrization
-        for _ in range(10):
-            t1 = rng.uniform(0.3, np.pi - 0.3)
-            t2, t3 = rng.uniform(0.3, np.pi - 0.3, 2)
-            t4, t5 = rng.uniform(0.3, np.pi - 0.3, 2)
-            if abs(t4 - t5) < 0.05:
-                continue
-            t = polar_tetra(t1, t2, t3, t4, t5)
-            try:
-                fd = foot_data(t)
-            except ValueError:
-                continue
-            v1 = np.sin(t1) * abs(np.sin(t2)) * np.sin(t4) / 6.0
-            v2 = abs(np.sin(t2) * np.sin(t3) * np.sin(t4 - t5)) / 6.0
-            v3 = np.sin(t1) * abs(np.sin(t3)) * np.sin(t5) / 6.0
-            assert fd.volumes[0] == pytest.approx(v1, rel=1e-12)
-            assert fd.volumes[1] == pytest.approx(v2, rel=1e-12)
-            assert fd.volumes[2] == pytest.approx(v3, rel=1e-12)
-
-    def test_flat_quadruple_errors(self):
-        angles = np.array([0.0, 1.0, 2.0, 3.0])
-        v = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
-        with pytest.raises(ValueError):
-            foot_data(Tetrahedron(v))
+    """Facet areas against the dihedral angles between facets."""
 
     def test_law_of_sines(self, rng):
         # |X1X2| Area(F2) / sin(alpha_13) and its two stated analogues agree
@@ -230,7 +200,8 @@ class TestFootData:
                 alpha = dihedrals_of(t).alpha
             except ValueError:
                 continue
-            areas = facet_areas(t)
+            areas = [0.5 * np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
+                     for a, b, c in FACETS]
             idx = {fp: i for i, fp in enumerate(FACET_PAIRS)}
             r1 = np.linalg.norm(v[1] - v[0]) * areas[1] / np.sin(alpha[idx[(0, 2)]])
             r2 = np.linalg.norm(v[2] - v[0]) * areas[2] / np.sin(alpha[idx[(0, 1)]])
@@ -302,11 +273,10 @@ class TestWidthTransfer:
 
 class TestHFunction:
     def test_regular_value_is_inverse_gamma(self):
-        t = Tetrahedron.regular()
-        fd = foot_data(t)
-        u = fd.u[0]
-        assert np.ptp(fd.u) < 1e-12
-        assert h_func(u, u, u) == pytest.approx(1.0 / fd.gamma, rel=1e-10)
+        # regular simplex: every L_i = 1/3 and alpha_ij = arccos(-1/3), so
+        # gamma = alpha / (9 sin alpha) and u_i = L_i / sqrt(gamma) = REGULAR_U
+        assert h_func(REGULAR_U, REGULAR_U, REGULAR_U) == pytest.approx(
+            9 * np.sin(ACOS_THIRD) / ACOS_THIRD, rel=1e-10)
 
     def test_symmetry(self, rng):
         for _ in range(10):
@@ -329,11 +299,9 @@ class TestHFunction:
             assert h_func(x, y, z) == pytest.approx(float(expanded), rel=1e-10)
 
     def test_equal_h_condition_on_regular(self):
-        fd = foot_data(Tetrahedron.regular())
-        u = fd.u
-        vals = [h_func(u[i], u[j], u[k])
-                for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
-        assert np.ptp(vals) < 1e-10
+        # Gamma's entries f^-1(u_i u_j) are the cosines of the dihedral angles,
+        # all -1/3, so H takes one value on the four facet triples
+        assert f_width_inv(REGULAR_U * REGULAR_U) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_errors_name_the_condition(self):
         with pytest.raises(ValueError, match="x must be positive"):
@@ -367,6 +335,28 @@ class TestMeanWidth:
             fm = f_max(corr_of(t))
             w = mean_width(t, quad_order=50)
             assert GAUSSIAN_RADIAL_FACTOR * w / 2 == pytest.approx(fm, rel=1e-4)
+
+    def test_quadrature_error_falls_with_order(self):
+        # the closed form is the exact reference; the error need not shrink on
+        # every tetrahedron (2 of 100 from this seed do not), so only the
+        # worst cases are compared across orders
+        rng = np.random.default_rng(314)
+        errors = {50: [], 200: []}
+        for _ in range(30):
+            t = random_tetra(rng)
+            exact = 2 * f_max(corr_of(t)) / GAUSSIAN_RADIAL_FACTOR
+            for order, errs in errors.items():
+                errs.append(abs(mean_width(t, quad_order=order) / exact - 1))
+        assert max(errors[50]) <= 1e-4
+        assert max(errors[200]) <= 2e-6
+        assert 10 * max(errors[200]) <= max(errors[50])
+
+    def test_planar_square(self):
+        # a planar convex body in R^3 has mean width a quarter of its perimeter
+        t = Tetrahedron(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]))
+        exact = 2 * f_max(corr_of(t)) / GAUSSIAN_RADIAL_FACTOR
+        assert exact == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert mean_width(t, quad_order=200) == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
     def test_random_below_regular(self, rng):
         w_reg = mean_width(Tetrahedron.regular(), quad_order=50)
