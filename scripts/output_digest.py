@@ -14,7 +14,8 @@ the record ``derive`` kept from the first), ``maximize`` (every
 count twice, in alternating order, so a score kept from one call is hashed
 where the next call reads it), and ``embed`` (the vertices of
 ``geometry.embed`` on a fresh copy of every input; a matrix of rank 4 gives
-its error).  Two Monte-Carlo families hash ``estimate_max`` and
+its error), and ``mean_width`` (``geometry.mean_width`` at quadrature orders 50
+and 200 on the tetrahedra of ``mean_width_inputs``).  Two Monte-Carlo families hash ``estimate_max`` and
 ``estimate_order_stats`` on a few matrices and ``(n, shards)`` pairs, whose
 shards run to several blocks: ``mc_mean`` the mean and e1..e4, ``mc_se`` every
 standard error.  A call that raises contributes its exception type and message
@@ -25,7 +26,9 @@ Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
 handful of special matrices (identity, the regular simplex, unit pairs);
 ``maximize`` starts from 8 ``random_interior`` matrices drawn from
-``default_rng(MAXIMIZE_SEED)``; the Monte-Carlo families run on
+``default_rng(MAXIMIZE_SEED)``; ``mean_width`` runs on the regular
+tetrahedron, ``DEGENERATE_POINTS`` and 100 random tetrahedra from
+``default_rng(MEAN_WIDTH_SEED)``; the Monte-Carlo families run on
 ``MC_MATRICES`` with ``MC_RUNS``.
 
 The digests hash float bits, which depend on the numpy build, the LAPACK
@@ -50,11 +53,21 @@ from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "maximize", "embed", "mc_mean", "mc_se")
+            "maximize", "embed", "mean_width", "mc_mean", "mc_se")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
 MAXIMIZE_SEED = 8
+MEAN_WIDTH_SEED = 17
+# Point sets where pairs of vertices never cross on a latitude or cross at
+# coincident angles: a planar square, a repeated vertex, an antipodal pair on
+# the polar axis, four points on the small circle z = 0.6.
+DEGENERATE_POINTS = (
+    ((1.0, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)),
+    ((1.0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    ((0, 0, 1.0), (0, 0, -1), (1, 0, 0), (0, 1, 0)),
+    ((0.8, 0, 0.6), (0, 0.8, 0.6), (-0.8, 0, 0.6), (0, -0.8, 0.6)),
+)
 MC_MATRICES = (
     CorrelationMatrix4.identity(),
     CorrelationMatrix4.equicorrelated(-1.0 / 3.0),  # rank 3: eigen factor
@@ -87,6 +100,16 @@ def inputs() -> list[CorrelationMatrix4]:
         rng = np.random.default_rng(d)
         ms.extend(random_psd(rng, d) for _ in range(1000))
     return ms + special_matrices()
+
+
+def mean_width_inputs() -> list[geometry.Tetrahedron]:
+    rng = np.random.default_rng(MEAN_WIDTH_SEED)
+    random = []
+    for _ in range(100):
+        v = rng.normal(size=(4, 3))
+        random.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return ([geometry.Tetrahedron.regular()]
+            + [geometry.Tetrahedron(np.array(v)) for v in DEGENERATE_POINTS + tuple(random)])
 
 
 def _bits(value) -> bytes:
@@ -142,6 +165,9 @@ def digests() -> dict[str, str]:
         _feed(h["maximize"], maximized, random_interior(rng))
     for m in ms:
         _feed(h["embed"], lambda m: geometry.embed(m).vertices, CorrelationMatrix4(m.offdiag))
+    for t in mean_width_inputs():
+        for order in (50, 200):
+            _feed(h["mean_width"], geometry.mean_width, t, order)
     for m in MC_MATRICES:
         for n, shards, seed in MC_RUNS:
             est = montecarlo.estimate_max(m, n, seed, shards=shards)

@@ -18,6 +18,7 @@ from .corrmat import (
     PAIRS,
     CorrelationMatrix4,
     DomainTag,
+    _check_count,
     classify,
     derive,
     json_number,
@@ -37,6 +38,9 @@ EDGE_OF_FACET_PAIR: tuple[int, ...] = tuple(
 )
 
 _UNIT_TOL = 1e-12
+
+# The six vertex pairs i < j, as index arrays for the mean-width pass.
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def _f_inv_arr(y: np.ndarray) -> np.ndarray:
 def f_width(x):
     """sqrt(1-x^2)/arccos(x) on [-1,1], extended by f(1) = 1; increasing."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
+    if not np.all((-1.0 <= arr) & (arr <= 1.0)):
         raise ValueError("argument must lie in [-1, 1]")
     out = _f_width_arr(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -255,7 +259,7 @@ def f_width(x):
 def f_width_inv(y):
     """Inverse of f_width on [0, 1]."""
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((0.0 <= arr) & (arr <= 1.0)):
         raise ValueError("argument must lie in [0, 1]")
     out = _f_inv_arr(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -318,58 +322,37 @@ def gamma_det(x, y, z):
 # mean width
 
 
-def _azimuth_mean_of_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Average over phi of max_i(a_i cos(phi) + b_i sin(phi) + c_i).
-
-    The max of sinusoids is integrated exactly arc by arc; breakpoints are
-    the crossings of each pair of sinusoids.
-    """
-    cuts = [0.0]
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da, db, dc = a[i] - a[j], b[i] - b[j], c[j] - c[i]
-            r = np.hypot(da, db)
-            if r < 1e-15:
-                continue
-            if abs(dc) <= r:
-                base = np.arctan2(db, da)
-                half = np.arccos(np.clip(dc / r, -1.0, 1.0))
-                cuts.append((base + half) % (2 * np.pi))
-                cuts.append((base - half) % (2 * np.pi))
-    cuts = np.unique(np.asarray(cuts))
-    cuts = np.append(cuts, cuts[0] + 2 * np.pi)
-    total = 0.0
-    for k in range(len(cuts) - 1):
-        lo, hi = cuts[k], cuts[k + 1]
-        if hi - lo < 1e-14:
-            continue
-        mid = 0.5 * (lo + hi)
-        i = int(np.argmax(a * np.cos(mid) + b * np.sin(mid) + c))
-        total += (a[i] * (np.sin(hi) - np.sin(lo))
-                  - b[i] * (np.cos(hi) - np.cos(lo))
-                  + c[i] * (hi - lo))
-    return total / (2 * np.pi)
-
-
 def mean_width(t: Tetrahedron, quad_order: int = 50) -> float:
     """Twice the spherical average of the support function max_i <u, v_i>.
 
     Gauss-Legendre in the polar cosine (quad_order nodes); along each
-    latitude circle the piecewise-sinusoid support function is integrated
-    exactly.
+    latitude circle the support function max_i(a_i cos(phi) + b_i sin(phi) +
+    c_i) is a piecewise sinusoid, integrated exactly arc by arc between the
+    crossings of each pair of sinusoids.  All latitudes go in one array pass.
     """
-    if quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
+    _check_count("quad_order", quad_order, 1)
     nodes, weights = leggauss(quad_order)
     v = t.vertices
-    sin_t = np.sqrt(1.0 - nodes ** 2)
-    acc = 0.0
-    for i in range(quad_order):
-        acc += weights[i] / 2.0 * _azimuth_mean_of_max(
-            sin_t[i] * v[:, 0], sin_t[i] * v[:, 1], nodes[i] * v[:, 2]
-        )
-    return 2.0 * acc
+    sin_t = np.sqrt(1.0 - nodes ** 2)[:, None]
+    a, b, c = sin_t * v[:, 0], sin_t * v[:, 1], nodes[:, None] * v[:, 2]
+    # pair (i, j) crosses where da cos(phi) + db sin(phi) = dc; a pair that
+    # does not cross puts a cut at 0, and the empty arc it makes adds 0
+    da, db = a[:, _PAIR_I] - a[:, _PAIR_J], b[:, _PAIR_I] - b[:, _PAIR_J]
+    dc = c[:, _PAIR_J] - c[:, _PAIR_I]
+    r = np.hypot(da, db)
+    hit = (r >= 1e-15) & (np.abs(dc) <= r)
+    base = np.arctan2(db, da)
+    half = np.arccos(np.clip(dc / np.where(hit, r, 1.0), -1.0, 1.0))
+    cuts = np.where(np.tile(hit, 2), np.hstack([base + half, base - half]) % (2 * np.pi), 0.0)
+    zero = np.zeros((quad_order, 1))
+    edges = np.hstack([zero, np.sort(cuts, axis=1), zero + 2 * np.pi])
+    # the active vertex on each arc is the largest sinusoid at its midpoint
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[:, :, None]
+    top = np.argmax(a[:, None] * np.cos(mid) + b[:, None] * np.sin(mid) + c[:, None], axis=2)
+    a, b, c = (np.take_along_axis(x, top, axis=1) for x in (a, b, c))
+    totals = np.sum(a * np.diff(np.sin(edges)) - b * np.diff(np.cos(edges))
+                    + c * np.diff(edges), axis=1)
+    return float(weights @ totals) / (2 * np.pi)
 
 
 # Radial factor linking the spherical average to the Gaussian expectation:

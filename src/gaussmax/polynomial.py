@@ -41,9 +41,6 @@ class IntPolynomial6:
         exps[i] = 1
         return cls({tuple(exps): 1})
 
-    def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -55,9 +52,6 @@ class IntPolynomial6:
         if not self._terms:
             return -1
         return max(sum(e) for e in self._terms)
-
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self._terms.values()), default=0)
 
     def __add__(self, other: "IntPolynomial6") -> "IntPolynomial6":
         out = dict(self._terms)

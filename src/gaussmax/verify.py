@@ -16,8 +16,6 @@ import numpy as np
 
 from . import closedform
 from .corrmat import (
-    PAIR_COMPLEMENT,
-    PAIR_INDEX,
     PAIRS,
     CorrelationMatrix4,
     DomainTag,
@@ -26,6 +24,7 @@ from .corrmat import (
     derive,
     quad_term,
     triangle_factor,
+    triangle_form,
 )
 from .geometry import f_width_inv, gamma_det, h_func_expanded
 from .polynomial import IntPolynomial6
@@ -78,25 +77,28 @@ def triangle_factor_poly(tri) -> IntPolynomial6:
 def euler_row_poly(pair: int) -> IntPolynomial6:
     """Denominator-cleared residual of the second-derivative balance row for
     the given base pair; identically zero when the closed forms are
-    consistent."""
-    k, l = PAIRS[pair]
-    m, n = PAIR_COMPLEMENT[pair]
+    consistent.
 
-    def cp(a, b):
-        return _ONE - _VARS[PAIR_INDEX[(a, b)]]
-
-    def qc(a, b):
-        return quad_combination_poly(PAIR_INDEX[(a, b)])
-
-    d1 = triangle_factor_poly((k, l, m))
-    d2 = triangle_factor_poly((k, l, n))
-    total = qc(k, m) * (cp(k, l) + cp(l, m) - cp(k, m)) * d2
-    total = total + qc(k, n) * (cp(k, l) + cp(l, n) - cp(k, n)) * d1
-    total = total - 2 * (qc(l, m) * cp(k, m) * d2)
-    total = total - 2 * (qc(l, n) * cp(k, n) * d1)
-    total = total - 2 * (qc(k, m) * cp(l, m) * d2)
-    total = total - 2 * (qc(k, n) * cp(l, n) * d1)
-    total = total - 2 * (cp(m, n) * d1 * d2)
+    Row ``pair`` of ``closedform.hessian_of`` without its angle term, summed
+    against the complements 1 - corr and multiplied by the row's two triangle
+    factors, read from the same index tables."""
+    cp = [_ONE - v for v in _VARS]
+    tris = closedform._HESS_TRIS
+    s, d1, d2, km, lm, kn, ln = closedform._HESS_DIAG[pair]
+    t1, t2 = (triangle_form(*(cp[i] for i in tris[d])) for d in (d1, d2))
+    total = (quad_combination_poly(km) * (cp[s] + cp[lm] - cp[km]) * t2
+             + quad_combination_poly(kn) * (cp[s] + cp[ln] - cp[kn]) * t1)
+    for u, v, dfac, ij in closedform._HESS_OFF:
+        if pair not in (u, v):
+            continue
+        other = u + v - pair
+        if dfac is None:  # disjoint pairs
+            total = total - 2 * (cp[other] * t1 * t2)
+        else:
+            # the entry divides by one of the row's two triangles, named here
+            # in its own vertex order; clear it with the other triangle
+            clear = t2 if set(tris[dfac]) == set(tris[d1]) else t1
+            total = total - 2 * (quad_combination_poly(ij) * cp[other] * clear)
     return total
 
 

@@ -188,7 +188,7 @@ class TestDihedrals:
             dihedrals(CorrelationMatrix4((0, 0, 1.0, 0, 0, 0)))
 
 
-class TestFootData:
+class TestLawOfSines:
     """Facet areas against the dihedral angles between facets."""
 
     def test_law_of_sines(self, rng):
@@ -269,6 +269,13 @@ class TestWidthTransfer:
             f_width(1.5)
         with pytest.raises(ValueError):
             f_width_inv(-0.1)
+
+    def test_nan_is_a_domain_error(self):
+        for bad in (np.nan, np.array([0.5, np.nan, 0.25])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                f_width(bad)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                f_width_inv(bad)
 
 
 class TestHFunction:
@@ -356,7 +363,31 @@ class TestMeanWidth:
         t = Tetrahedron(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]))
         exact = 2 * f_max(corr_of(t)) / GAUSSIAN_RADIAL_FACTOR
         assert exact == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert mean_width(t, quad_order=50) == pytest.approx(np.sqrt(2.0), rel=1e-4)
         assert mean_width(t, quad_order=200) == pytest.approx(np.sqrt(2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("points", [
+        # a unit pair: f_max takes its degenerate branch
+        pytest.param([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]], id="repeated_vertex"),
+        pytest.param([[0, 0, 1.0], [0, 0, -1], [1, 0, 0], [0, 1, 0]], id="polar_antipodes"),
+        pytest.param([[0.8, 0, 0.6], [0, 0.8, 0.6], [-0.8, 0, 0.6], [0, -0.8, 0.6]],
+                     id="small_circle"),
+    ])
+    def test_degenerate_sets_match_closed_form(self, points):
+        # like the planar square: pairs that never cross on a latitude, and
+        # pairs whose crossings coincide, still give the closed-form width
+        t = Tetrahedron(np.array(points))
+        exact = 2 * f_max(corr_of(t)) / GAUSSIAN_RADIAL_FACTOR
+        assert mean_width(t, quad_order=50) == pytest.approx(exact, rel=1e-4)
+        assert mean_width(t, quad_order=200) == pytest.approx(exact, rel=1e-5)
+
+    def test_quad_order_must_be_a_positive_integer(self):
+        t = Tetrahedron.regular()
+        for bad in (True, 2.5, "3"):
+            with pytest.raises(TypeError, match="quad_order"):
+                mean_width(t, bad)
+        with pytest.raises(ValueError, match="quad_order"):
+            mean_width(t, 0)
 
     def test_random_below_regular(self, rng):
         w_reg = mean_width(Tetrahedron.regular(), quad_order=50)
