@@ -15,7 +15,11 @@ count twice, in alternating order, so a score kept from one call is hashed
 where the next call reads it), and ``embed`` (the vertices of
 ``geometry.embed`` on a fresh copy of every input; a matrix of rank 4 gives
 its error), and ``mean_width`` (``geometry.mean_width`` at quadrature orders 50
-and 200 on the tetrahedra of ``mean_width_inputs``).  Two Monte-Carlo families hash ``estimate_max`` and
+and 200 on the tetrahedra of ``mean_width_inputs``), and ``width_transfer``
+(``f_width`` and ``f_width_inv`` on fixed grids that include both ends and
+points 10^-k from them, the runs and endpoints of ``u_interval_scan`` on
+``U_SCANS`` seeded pairs, and the worst margin, its location and the pair
+count of a small ``h_monotonicity_scan``).  Two Monte-Carlo families hash ``estimate_max`` and
 ``estimate_order_stats`` on a few matrices and ``(n, shards)`` pairs, whose
 shards run to several blocks: ``mc_mean`` the mean and e1..e4, ``mc_se`` every
 standard error.  A call that raises contributes its exception type and message
@@ -29,7 +33,8 @@ handful of special matrices (identity, the regular simplex, unit pairs);
 ``default_rng(MAXIMIZE_SEED)``; ``mean_width`` runs on the regular
 tetrahedron, ``DEGENERATE_POINTS`` and 100 random tetrahedra from
 ``default_rng(MEAN_WIDTH_SEED)``; the Monte-Carlo families run on
-``MC_MATRICES`` with ``MC_RUNS``.
+``MC_MATRICES`` with ``MC_RUNS``; the ``u_interval_scan`` pairs are drawn
+from ``default_rng(WIDTH_SEED)``.
 
 The digests hash float bits, which depend on the numpy build, the LAPACK
 it calls and the CPU.  Compare them only between runs on one machine, for
@@ -47,18 +52,22 @@ import pathlib
 
 import numpy as np
 
-from gaussmax import closedform, geometry, montecarlo
+from gaussmax import closedform, geometry, montecarlo, verify
 from gaussmax.corrmat import CorrelationMatrix4, classify, derive
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "maximize", "embed", "mean_width", "mc_mean", "mc_se")
+            "maximize", "embed", "mean_width", "width_transfer", "mc_mean", "mc_se")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
 MAXIMIZE_SEED = 8
 MEAN_WIDTH_SEED = 17
+WIDTH_SEED = 18
+U_SCANS = 20
+# 10^-k for k = 1..16: the near-end offsets of the width-transfer grids
+NEAR_END = 10.0 ** -np.arange(1, 17)
 # Point sets where pairs of vertices never cross on a latitude or cross at
 # coincident angles: a planar square, a repeated vertex, an antipodal pair on
 # the polar axis, four points on the small circle z = 0.6.
@@ -110,6 +119,23 @@ def mean_width_inputs() -> list[geometry.Tetrahedron]:
         random.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     return ([geometry.Tetrahedron.regular()]
             + [geometry.Tetrahedron(np.array(v)) for v in DEGENERATE_POINTS + tuple(random)])
+
+
+def width_transfer_grids() -> tuple[np.ndarray, np.ndarray]:
+    """Arguments of ``f_width`` on [-1, 1] and of ``f_width_inv`` on [0, 1]."""
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 2001), 1 - NEAR_END, NEAR_END - 1])
+    ys = np.concatenate([np.linspace(0.0, 1.0, 2001), 1 - NEAR_END, NEAR_END])
+    return xs, ys
+
+
+def u_interval_pairs() -> list[tuple[float, float]]:
+    rng = np.random.default_rng(WIDTH_SEED)
+    pairs = []
+    while len(pairs) < U_SCANS:
+        x, y = (float(v) for v in rng.uniform(0.05, 1.5, 2))
+        if x * y < 1:
+            pairs.append((x, y))
+    return pairs
 
 
 def _bits(value) -> bytes:
@@ -168,6 +194,16 @@ def digests() -> dict[str, str]:
     for t in mean_width_inputs():
         for order in (50, 200):
             _feed(h["mean_width"], geometry.mean_width, t, order)
+    xs, ys = width_transfer_grids()
+    _feed(h["width_transfer"], geometry.f_width, xs)
+    _feed(h["width_transfer"], geometry.f_width_inv, ys)
+    for x, y in u_interval_pairs():
+        details = verify.u_interval_scan(x, y).details
+        _feed(h["width_transfer"], lambda: (details["runs"], details["z1"], details["z2"]))
+    h_rep = verify.h_monotonicity_scan(verify.HMonotonicityGrid(n_pairs=10, z_steps=50,
+                                                                det_samples=500))
+    _feed(h["width_transfer"], lambda: (h_rep.worst_margin, h_rep.worst_location,
+                                        h_rep.details["pairs_scanned"]))
     for m in MC_MATRICES:
         for n, shards, seed in MC_RUNS:
             est = montecarlo.estimate_max(m, n, seed, shards=shards)

@@ -3,6 +3,10 @@ problem.  Dihedral angles, the width-transfer function f(x) =
 sqrt(1-x^2)/arccos(x) and its inverse, the quadratic form H built from it,
 the stationarity relation satisfied by maximizers, and mean width by
 spherical quadrature.
+
+f is sin(t)/t at t = arccos(x), so both directions are closed expressions:
+f is evaluated directly, and its inverse is cos(t) for the root t of
+sin(t) = y t, found by a fixed number of Newton steps.
 """
 
 from __future__ import annotations
@@ -209,42 +213,23 @@ def stationarity_residual(m: CorrelationMatrix4) -> float:
 
 
 def _f_width_arr(x: np.ndarray) -> np.ndarray:
-    t = 1.0 - x
-    near1 = t < 1e-6
-    xs = np.where(near1, 0.0, x)
-    reg = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None)) / np.arccos(np.clip(xs, -1.0, 1.0))
-    # one-sided series at x = 1 where arccos loses precision
-    return np.where(near1, 1.0 - t / 3.0 - t * t / 45.0, reg)
-
-
-def _sinc_inv(y: np.ndarray) -> np.ndarray:
-    """t in [0, pi] with sin(t)/t = y, elementwise safeguarded Newton."""
-    t = np.where(y > 0.5, np.sqrt(6.0 * (1.0 - y)), np.pi * (1.0 - y) / (1.0 + y))
-    t = np.clip(t, 0.0, np.pi)
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, np.pi)
-    done = np.zeros(t.shape, dtype=bool)
-    for _ in range(80):
-        st, ct = np.sin(t), np.cos(t)
-        tt = np.where(t < 1e-8, 1.0, t)
-        g = np.where(t < 1e-8, 1.0 - t * t / 6.0, st / tt) - y
-        above = g > 0  # sinc decreasing: root lies to the right
-        lo = np.where(above & ~done, t, lo)
-        hi = np.where(above | done, hi, t)
-        gp = np.where(t < 1e-8, -t / 3.0, (ct * tt - st) / (tt * tt))
-        tn = t - g / np.where(np.abs(gp) < 1e-300, -1e-300, gp)
-        bad = ~np.isfinite(tn) | (tn < lo) | (tn > hi)
-        tn = np.where(bad & ~done, 0.5 * (lo + hi), tn)
-        tn = np.where(done, t, tn)
-        done |= np.abs(tn - t) < 1e-13
-        t = tn
-        if done.all():
-            break
-    return t
+    # (1-x)(1+x) keeps full relative precision at both ends, where 1 - x*x
+    # cancels; arccos vanishes only at x = 1, where f = 1
+    a = np.arccos(x)
+    return np.divide(np.sqrt((1.0 - x) * (1.0 + x)), a, out=np.ones_like(a), where=a > 0)
 
 
 def _f_inv_arr(y: np.ndarray) -> np.ndarray:
-    return np.cos(_sinc_inv(y))
+    # f(cos t) = sin(t)/t, so x = cos t with t the root in [0, pi] of the
+    # concave phi(t) = sin t - y t.  The start lies between the maximum of
+    # phi (t = arccos y) and that root, so plain Newton steps past the root
+    # at most once and then fall to it monotonically; five steps reach
+    # rounding on all of [0, 1], the sixth is margin.  phi' < 0 right of
+    # the maximum; its floor only keeps y = 1, t = 0 at 0 instead of 0/0.
+    t = np.maximum(np.sqrt(6.0 * (1.0 - y)), np.pi * (1.0 - y) / (1.0 + y))
+    for _ in range(6):
+        t = np.clip(t - (np.sin(t) - y * t) / np.minimum(np.cos(t) - y, -1e-300), 0.0, np.pi)
+    return np.cos(t)
 
 
 def f_width(x):
@@ -289,22 +274,21 @@ def h_func(x: float, y: float, z: float) -> float:
     return float(v @ np.linalg.solve(g, v))
 
 
-def _gamma_entries(x, y, z, xy_entry=None):
+def _gamma_entries(x, y, z):
     """The off-diagonal entries s, e, xi of Gamma (pairs xy, xz, yz) and its
     determinant; vectorized in z."""
-    s = f_width_inv(x * y) if xy_entry is None else xy_entry
+    s = f_width_inv(x * y)
     e = _f_inv_arr(np.asarray(x * z, dtype=float))
     xi = _f_inv_arr(np.asarray(y * z, dtype=float))
     return s, e, xi, 1.0 - s * s - e * e - xi * xi + 2.0 * s * e * xi
 
 
-def h_func_expanded(x, y, z, xy_entry=None):
+def h_func_expanded(x, y, z):
     """Vectorized H through the expanded rational form; z may be an array.
 
-    Returns (H, det) so scans can keep only det > 0 points.  ``xy_entry``
-    lets callers reuse f_width_inv(x*y) across a z-sweep.
+    Returns (H, det) so scans can keep only det > 0 points.
     """
-    s, e, xi, det = _gamma_entries(x, y, z, xy_entry)
+    s, e, xi, det = _gamma_entries(x, y, z)
     num = (
         x * x * (1 - xi * xi) + y * y * (1 - e * e) + z * z * (1 - s * s)
         + 2 * x * y * (e * xi - s) + 2 * x * z * (s * xi - e) + 2 * y * z * (s * e - xi)

@@ -26,7 +26,7 @@ from .corrmat import (
     triangle_factor,
     triangle_form,
 )
-from .geometry import f_width_inv, gamma_det, h_func_expanded
+from .geometry import gamma_det, h_func_expanded
 from .polynomial import IntPolynomial6
 
 
@@ -347,7 +347,7 @@ def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
                 continue
             band = _H_EDGE_BAND * (z2 - z1)
             z = np.linspace(z1 + band, z2 - band, grid.z_steps)
-            h, det = h_func_expanded(w1, w2, z, xy_entry=f_width_inv(w1 * w2))
+            h, det = h_func_expanded(w1, w2, z)
             if np.any(det <= 0):
                 keep = det > 0
                 z, h = z[keep], h[keep]
@@ -448,16 +448,13 @@ def p_ordering_scan(n_theta: int = 20, n_u: int = 25) -> ScanReport:
         above = np.linspace(theta + 0.02 * (2 * np.pi - 2 * theta),
                             2 * np.pi - theta - 0.02 * (2 * np.pi - 2 * theta), n_u)
         lim = p_limit(theta)
-        for u in below:
-            margin = lim - _p_func_arr(np.asarray(u), theta)
-            checked += 1
-            if margin < worst:
-                worst, worst_loc = float(margin), (float(u), float(theta))
-        for u in above:
-            margin = _p_func_arr(np.asarray(u), theta) - lim
-            checked += 1
-            if margin < worst:
-                worst, worst_loc = float(margin), (float(u), float(theta))
+        u = np.concatenate([below, above])
+        # lim - P below theta, P - lim above it (negation is exact)
+        margins = np.sign(u - theta) * (_p_func_arr(u, theta) - lim)
+        checked += len(u)
+        i = int(np.argmin(margins))
+        if margins[i] < worst:
+            worst, worst_loc = float(margins[i]), (float(u[i]), float(theta))
     return ScanReport(
         name="p_ordering",
         grid=f"{checked} (u, theta) points",

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,8 @@ class TestWidthTransfer:
         assert f_width(-1.0) == 0.0
         assert f_width(1.0) == 1.0
         assert f_width(0.0) == pytest.approx(2.0 / np.pi, rel=1e-15)
+        assert f_width_inv(1.0) == 1.0
+        assert f_width_inv(0.0) == -1.0
 
     def test_inverse_at_two_over_pi(self):
         assert f_width_inv(2.0 / np.pi) == pytest.approx(0.0, abs=1e-12)
@@ -245,11 +248,42 @@ class TestWidthTransfer:
         assert np.max(np.abs(back - x)) <= 1e-10
 
     def test_series_branch_agrees_with_direct_form(self):
-        # just outside the series window the two branches must agree
+        # near x = 1, where arccos(x) is small, f must match the textbook form
         for t in (2e-6, 1e-5, 1e-4):
             x = 1.0 - t
             direct = np.sqrt(1 - x * x) / np.arccos(x)
             assert f_width(x) == pytest.approx(direct, rel=1e-10)
+
+    def test_matches_mpmath_near_both_ends(self):
+        # 1 - x*x cancels near x = -1 and x = 1; f must keep full relative
+        # precision there
+        k = np.arange(1, 17)
+        xs = np.concatenate([1 - 10.0 ** -k, -(1 - 10.0 ** -k),
+                             np.random.default_rng(0).uniform(-1.0, 1.0, 2000)])
+        got = f_width(xs)
+        with mp.workdps(50):
+            for x, fx in zip(xs, got):
+                xm = mp.mpf(float(x))
+                ref = mp.sqrt(1 - xm * xm) / mp.acos(xm)
+                assert ref > 0
+                assert abs((mp.mpf(float(fx)) - ref) / ref) <= 1e-14, x
+
+    def test_inverse_matches_mpmath_root(self):
+        # x = cos t with t the root of sin(t)/t = y in [arccos(y), pi]
+        k = np.arange(1, 17)
+        ys = np.concatenate([[0.0, 1.0, 2.0 / np.pi], 1 - 10.0 ** -k, 10.0 ** -k,
+                             np.random.default_rng(1).uniform(0.0, 1.0, 2000)])
+        got = f_width_inv(ys)
+        with mp.workdps(50):
+            for y, x in zip(ys, got):
+                ym = mp.mpf(float(y))
+                if ym == 1:
+                    ref = mp.mpf(1)
+                else:
+                    t = mp.findroot(lambda t: mp.sin(t) / t - ym, (mp.acos(ym), mp.pi),
+                                    solver="anderson")
+                    ref = mp.cos(t)
+                assert abs(mp.mpf(float(x)) - ref) <= 2e-15, y
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0, allow_nan=False))

@@ -171,13 +171,13 @@ class TestHMonotonicity:
         assert not rep.passed
 
     def test_single_pair_sweep_monotone(self):
-        from gaussmax.geometry import f_width_inv, h_func_expanded
+        from gaussmax.geometry import h_func_expanded
         from gaussmax.verify import _interval_of_positive_det
 
         z1, z2, runs = _interval_of_positive_det(0.5, 0.5, 2000)
         assert runs == 1
         z = np.linspace(z1 + 1e-3 * (z2 - z1), z2 - 1e-3 * (z2 - z1), 100)
-        h, det = h_func_expanded(0.5, 0.5, z, xy_entry=f_width_inv(0.25))
+        h, det = h_func_expanded(0.5, 0.5, z)
         assert np.all(det > 0)
         assert np.all(np.diff(h) < 0)
 
