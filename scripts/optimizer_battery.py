@@ -3,7 +3,7 @@
 
 Runs the ascent on four unit vectors (optimize.maximize) from random interior
 starts and reports how close every run gets to the equicorrelated optimum,
-plus a certificate for the last run.
+the mean and largest iteration count, and a certificate for the last run.
 
 Usage: python scripts/optimizer_battery.py [--starts 20] [--seed N]
 """
@@ -51,6 +51,8 @@ def main():
         "target_value": target,
         "seconds": round(elapsed, 2),
         "worst_dev": max(r["argmax_max_dev"] for r in rows),
+        "mean_iterations": sum(r["iterations"] for r in rows) / len(rows),
+        "max_iterations": max(r["iterations"] for r in rows),
         "all_converged": all(r["converged"] for r in rows),
         "certificate": cert.to_json_obj(),
         "runs": rows,

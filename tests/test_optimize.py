@@ -98,6 +98,9 @@ class TestMaximize:
         assert res.converged
         assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
         assert abs(res.value - F_STAR) <= 1e-6
+        # the escape clears the secant pair: the gradient step after it
+        # starts from STEP_INIT (about 10.3 from the escape's secant)
+        assert res.trajectory_summary[1][1] == optimize.STEP_INIT
 
     def test_tiny_simplex_start_converges(self):
         # every correlation is 1 - 1e-10: a small regular simplex, not the
@@ -114,6 +117,24 @@ class TestMaximize:
             assert res.converged
             assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-4
             assert abs(res.value - F_STAR) <= 1e-6
+
+    def test_first_step_is_step_init_then_secant(self, identity_run):
+        # the first iteration has no secant pair; later ones start their
+        # line search from the Barzilai-Borwein step
+        etas = [t[1] for t in identity_run.trajectory_summary]
+        assert etas[0] == optimize.STEP_INIT
+        assert any(eta != optimize.STEP_INIT for eta in etas[1:])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_psd_starts_converge_within_60_iterations(self, dim):
+        # some rank-2 starts reach a saddle and take the escape, which
+        # resets the secant pair (8 escapes over the 30 at dim 2)
+        rng = np.random.default_rng(19 + dim)
+        for _ in range(30):
+            res = maximize(random_psd(rng, dim))
+            assert res.converged
+            assert res.iterations <= 60
+            assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-6
 
     def test_records_optimality_measures(self):
         cfg = AscentConfig()
@@ -213,6 +234,7 @@ def test_optimizer_battery_script_runs():
     summary = json.loads(proc.stdout[proc.stdout.index("{"):])
     assert summary["starts"] == 3
     assert summary["all_converged"]
+    assert summary["mean_iterations"] <= summary["max_iterations"] <= 100
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -315,9 +337,14 @@ class TestBasin:
 
     def test_battery20_converges_tightly(self, battery20):
         worst = 0.0
+        iterations = []
         for start in battery20:
             res = maximize(start)
             assert res.converged
-            assert res.iterations <= 100
+            iterations.append(res.iterations)
             worst = max(worst, float(np.max(np.abs(res.argmax.array() + 1.0 / 3.0))))
         assert worst <= 1e-6
+        # about 9.6 and 10 with the Barzilai-Borwein first trial, 13.2 and 14
+        # from a fixed first trial of STEP_INIT
+        assert np.mean(iterations) <= 11
+        assert max(iterations) <= 12
