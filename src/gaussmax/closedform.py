@@ -27,10 +27,10 @@ from .corrmat import (
     CorrDerived,
     CorrelationMatrix4,
     DomainTag,
+    _unit_classes,
     classify,
     derive,
     has_unit_pair,
-    is_unit,
     triangle_form,
 )
 
@@ -40,27 +40,6 @@ _PI3 = np.pi ** 3
 
 # Upper bound for the value on coplanar configurations, 4*pi / (2*sqrt(pi^3)).
 COPLANAR_BOUND = float(4 * np.pi / (2 * SQRT_PI3))
-
-
-def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
-    """Union-find over vertices joined by a correlation equal to 1; returns
-    the members of each class.  The partition does not depend on the
-    labelling."""
-    parent = list(range(4))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j), r in zip(PAIRS, m.offdiag):
-        if is_unit(r):
-            parent[find(i)] = find(j)
-    classes: dict[int, list[int]] = {}
-    for i in range(4):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
 
 
 def _f_max3_value(r) -> float:

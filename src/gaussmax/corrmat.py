@@ -131,7 +131,7 @@ _SLOTS = np.array([[PAIR_INDEX.get((i, j), 6) for j in range(4)] for i in range(
 
 def is_unit(r):
     """The unit-pair predicate: a correlation within EPS_ONE of 1.  The domain
-    rule, the ``classify`` witness and the degenerate closed form read it."""
+    rule, the ``classify`` witness and the unit classes read it."""
     return r >= 1.0 - EPS_ONE
 
 
@@ -139,6 +139,27 @@ def has_unit_pair(x):
     """Whether the six off-diagonals ``x`` hold a unit pair: the unit bit of
     the domain rule."""
     return is_unit(max(x))
+
+
+def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
+    """Union-find over vertices joined by a correlation equal to 1; returns
+    the members of each class.  The partition does not depend on the
+    labelling."""
+    parent = list(range(4))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (i, j), r in zip(PAIRS, m.offdiag):
+        if is_unit(r):
+            parent[find(i)] = find(j)
+    classes: dict[int, list[int]] = {}
+    for i in range(4):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
 
 
 def _domain_rule(x, lam_min):

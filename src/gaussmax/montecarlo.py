@@ -5,23 +5,28 @@ Reproducibility contract: results depend only on (matrix, n, seed, shards) --
 never on a thread count, GAUSSMAX_THREADS or the BLAS library's
 (OPENBLAS_NUM_THREADS).  Shard s draws from Philox keyed by
 SeedSequence(seed, spawn_key=(s,)), and shard partials are reduced in shard
-order with exact summation.  Antithetic pairs (z, -z) are used throughout,
-which makes the min/max symmetry of the order statistics exact in-sample.
+order with exact summation.
+
+The n draws are n/2 antithetic pairs (x, -x), and the pair is the unit of
+reduction: a statistic f is summed as its pair sums q = f(x) + f(-x), its
+mean is sum(q) / n and its standard error is that of the mean of the n/2
+pair averages q/2.  The mate -x has the draw's order statistics negated and
+reversed, so e3 = -e2 and e4 = -e1 exactly.
 
 Each shard draws in blocks of _BLOCK pairs.  One block of one shard is one
 task on the thread pool: it draws its standard normals, submits the shard's
 next block (which draws from the same generator, so the draws come in the
-same order whichever thread runs them) and then reduces its own draws to
-per-block addends.  A shard's sums add those addends in block order, so
-_BLOCK fixes the summation order: changing it changes results in the last
-bits.  Within a block the standard normals are transformed by the factor
-one _CHUNK at a time, into a transposed chunk buffer, so that no
-transformed copy of the whole block is held and max, min and the sorting
-network run on contiguous rows.  The chunk products equal the rows of the
-whole-block product, and max, min and the network are exact elementwise
-operations; the sums that follow see the same full-block arrays whatever
-the chunk size, so _CHUNK does not change results.  Sums of squares are
-taken with einsum, not BLAS, whose dot product splits across its threads.
+same order whichever thread runs them) and then reduces its own pair sums to
+per-block sums.  A shard's sums add those in block order, so _BLOCK fixes
+the summation order: changing it changes results in the last bits.  Within
+a block the standard normals are transformed by the factor one _CHUNK at a
+time, into a transposed chunk buffer, so that no transformed copy of the
+whole block is held and max, min and the sorting network run on contiguous
+rows.  The chunk products equal the rows of the whole-block product, and
+max, min and the network are exact elementwise operations; the sums that
+follow see the same full-block arrays whatever the chunk size, so _CHUNK
+does not change results.  Sums of squares are taken with einsum, not BLAS,
+whose dot product splits across its threads.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import CorrelationMatrix4, DomainTag, _check_count, classify
+from .corrmat import CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify
 
 _BLOCK = 500_000  # pairs per shard block; bounds peak memory
 _CHUNK = 8_192  # draws per transposed chunk; sized to stay in cache
@@ -67,9 +72,12 @@ class MCEstimate:
 class OrderStats:
     """Estimated means of the order statistics, largest (e1) to smallest (e4).
 
-    se_third_identity / se_second_identity are the standard errors of the
+    Every standard error is taken over the n/2 antithetic pairs, and
+    e3 = -e2, e4 = -e1, std_errors = (se1, se2, se2, se1).
+    se_third_identity and se_second_identity are the standard errors of the
     in-sample residuals e3 - 3*e1 and e2 + 3*e1 used by the order-statistic
-    identity checks.
+    identity checks; they are equal, as the residuals' pair sums are each
+    other's negation.
     """
 
     e1: float
@@ -85,7 +93,9 @@ class OrderStats:
 
 def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     """4x4 factor L with L @ L.T equal to the matrix: Cholesky when positive
-    definite, eigen-based with eigenvalues clipped at 0 otherwise."""
+    definite, eigen-based with eigenvalues clipped at 0 otherwise.  The
+    members of a unit class are one variable, drawn from one row: the first
+    member's."""
     cls = classify(m)
     if cls.tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
@@ -93,7 +103,11 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     if cls.tag is DomainTag.INTERIOR_S:
         return np.linalg.cholesky(mat)
     w, v = np.linalg.eigh(mat)
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:
+        for members in _unit_classes(m):
+            factor[members] = factor[members[0]]
+    return factor
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
@@ -118,20 +132,19 @@ def _check_args(n: int, shards):
 
 
 def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
-                 stats, addends, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-column sums and sums of squares over n antithetic draws.
+                 pair_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-row sums of the pair sums q and of q**2 over n/2 antithetic
+    pairs.
 
-    ``stats(z, lt)`` takes one block of standard normals z, shape (b, 4),
-    whose draws are the rows of ``z @ lt``, and returns per-draw statistics
-    from exact elementwise operations.  ``addends`` turns those into
-    the block's addends for the draws and their antithetic mates: a list of
-    (sums, sums of squares) pairs, each of length ``width``.
+    ``pair_rows(z, lt)`` takes one block of standard normals z, shape (b, 4),
+    whose draws x are the rows of ``z @ lt``, and returns a (k, b) array
+    whose column j holds the pair sums f(x) + f(-x) of k statistics f at
+    draw j, from exact elementwise operations.
 
     Each block of each shard is one task, which submits its shard's next
     block as soon as it has drawn its own, so that a free thread draws while
-    this one reduces.  A shard's sums add its blocks' addends in block
-    order, and the shard partials are reduced in shard order with exact
-    summation.
+    this one reduces.  A shard's sums add its blocks' sums in block order,
+    and the shard partials are reduced in shard order with exact summation.
     """
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
@@ -142,39 +155,39 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
         z = rng.standard_normal((min(left, _BLOCK), 4))
         rest = left - len(z)
         following = pool.submit(block, rng, rest) if rest else None
-        per_draw = stats(z, lt)
+        q = pair_rows(z, lt)
         del z  # free the draws before the sums
-        return addends(per_draw), following
+        return (q.sum(axis=1), np.einsum("ij,ij->i", q, q)), following
 
     def shard_sums(task) -> tuple[np.ndarray, np.ndarray]:
-        s = np.zeros(width)
-        s2 = np.zeros(width)
+        (s, s2), task = task.result()
         while task is not None:
-            steps, task = task.result()
-            for a, a2 in steps:
-                s += a
-                s2 += a2
+            (a, a2), task = task.result()
+            s += a
+            s2 += a2
         return s, s2
 
     blocks = sum(-(-size // _BLOCK) for size in sizes)
     with ThreadPoolExecutor(max_workers=min(thread_count(), blocks)) as pool:
         try:
-            heads = [pool.submit(block, _shard_rng(seed, shard), size) if size else None
-                     for shard, size in enumerate(sizes)]
+            heads = [pool.submit(block, _shard_rng(seed, shard), size)
+                     for shard, size in enumerate(sizes) if size]
             parts = [shard_sums(task) for task in heads]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    s = np.array([math.fsum(p[0][i] for p in parts) for i in range(width)])
-    s2 = np.array([math.fsum(p[1][i] for p in parts) for i in range(width)])
-    return s, s2
+    sums, squares = zip(*parts)
+    return (np.array([math.fsum(col) for col in zip(*sums)]),
+            np.array([math.fsum(col) for col in zip(*squares)]))
 
 
-def _sums(c: np.ndarray) -> tuple[float, float]:
-    """Sum and sum of squares of c.  The squares are summed by einsum, not
-    BLAS, whose dot product splits across its threads from about 50k
-    elements, which changes the last bits."""
-    return c.sum(), np.einsum("i,i->", c, c)
+def _mean_se(s: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors of n draws' statistics from the sums s and
+    s2 of their pair sums q and of q**2: the mean is s / n, and the n/2 pair
+    averages q/2 have variance s2 / (2n) - mean**2."""
+    mean = s / n
+    var = np.maximum(s2 / (2 * n) - mean ** 2, 0.0)
+    return mean, np.sqrt(2 * var / n)
 
 
 def _transposed_chunks(z: np.ndarray, lt: np.ndarray):
@@ -200,27 +213,18 @@ def _transposed_chunks(z: np.ndarray, lt: np.ndarray):
         yield rows, t
 
 
-def _extremes(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (2, b) array of each draw's max and min."""
-    ext = np.empty((2, len(z)))
+def _max_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """The (1, b) pair sums of the maximum, max(x) + max(-x) = max(x) - min(x)."""
+    q = np.empty((1, len(z)))
     for rows, t in _transposed_chunks(z, lt):
-        t.max(axis=0, out=ext[0, rows])
-        t.min(axis=0, out=ext[1, rows])
-    return ext
-
-
-def _max_addends(ext: np.ndarray) -> list:
-    (s_hi, q_hi), (s_lo, q_lo) = map(_sums, ext)
-    # antithetic mate of each draw contributes max(-x) = -min(x)
-    return [((s_hi - s_lo,), (q_hi + q_lo,))]
+        np.ptp(t, axis=0, out=q[0, rows])
+    return q
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
     """Sample mean of max(X_1..X_4) over n draws (n/2 antithetic pairs)."""
-    s, s2 = _sample_sums(m, n, seed, shards, _extremes, _max_addends, 1)
-    mean = float(s[0]) / n
-    var = max(float(s2[0]) / n - mean * mean, 0.0)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+    mean, se = _mean_se(*_sample_sums(m, n, seed, shards, _max_rows), n)
+    return MCEstimate(mean=float(mean[0]), std_error=float(se[0]), n_samples=n, seed=seed)
 
 
 def _sorted_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
@@ -245,31 +249,27 @@ def _sorted_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
     return asc
 
 
-def _order_stat_addends(asc: np.ndarray) -> list:
-    desc = asc[::-1]
-    draw = [_sums(c) for c in desc]
-    # The antithetic mate -x sorts to -asc: its order statistics are the
-    # draw's negated and reversed, and so are their sums, exactly.
-    mate = [(-s, s2) for s, s2 in draw[::-1]]
-    # The residuals e3 - 3 e1 and e2 + 3 e1, one column at a time; the
-    # mate's are -asc[2] + 3 asc[0] and -(asc[1] + 3 asc[0]), exactly.
-    draw += [_sums(desc[2] - 3.0 * desc[0]), _sums(desc[1] + 3.0 * desc[0])]
-    r2, r2sq = _sums(asc[1] + 3.0 * asc[0])
-    mate += [_sums(3.0 * asc[0] - asc[2]), (-r2, r2sq)]
-    return [tuple(zip(*draw)), tuple(zip(*mate))]
+def _order_stat_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """The (3, b) pair sums of e1, e2 and e2 + 3 e1, built in place in the
+    sorted rows: the mate -x sorts to -x reversed, so they are x(1) - x(4),
+    x(2) - x(3) and (x(2) - x(3)) + 3 (x(1) - x(4)) in descending order."""
+    asc = _sorted_rows(z, lt)
+    np.subtract(asc[3], asc[0], out=asc[0])
+    np.subtract(asc[2], asc[1], out=asc[1])
+    np.multiply(asc[0], 3.0, out=asc[2])
+    asc[2] += asc[1]
+    return asc[:3]
 
 
 def estimate_order_stats(m: CorrelationMatrix4, n: int, seed: int,
                          shards: int | None = None) -> OrderStats:
     """Means of the four order statistics over n draws (antithetic pairs)."""
-    s, s2 = _sample_sums(m, n, seed, shards, _sorted_rows, _order_stat_addends, 6)
-    means = s / n
-    var = np.maximum(s2 / n - means ** 2, 0.0)
-    se = np.sqrt(var / n)
+    (e1, e2, _), (se1, se2, se_identity) = _mean_se(
+        *_sample_sums(m, n, seed, shards, _order_stat_rows), n)
     return OrderStats(
-        e1=means[0], e2=means[1], e3=means[2], e4=means[3],
-        std_errors=tuple(se[:4]),
-        se_third_identity=float(se[4]),
-        se_second_identity=float(se[5]),
+        e1=e1, e2=e2, e3=-e2, e4=-e1,
+        std_errors=(se1, se2, se2, se1),
+        se_third_identity=float(se_identity),
+        se_second_identity=float(se_identity),
         n_samples=n, seed=seed,
     )

@@ -270,7 +270,7 @@ class TestOneMatrixOnFloats:
     def numpy_unit_pair_value(m):
         """The unit-pair value with numpy on each representative choice, the
         reference for the float evaluation."""
-        classes, mat = closedform._unit_classes(m), m.matrix()
+        classes, mat = corrmat._unit_classes(m), m.matrix()
         choices = itertools.product(*classes)
         if len(classes) == 3:
             return max(float(np.sum(np.sqrt(np.clip(1.0 - np.array(sorted(

@@ -12,7 +12,7 @@ from conftest import F_IID4
 
 from gaussmax import montecarlo
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import CorrelationMatrix4
+from gaussmax.corrmat import CorrelationMatrix4, _unit_classes
 from gaussmax.montecarlo import (
     estimate_max,
     estimate_order_stats,
@@ -77,9 +77,10 @@ class TestEstimateMax:
         assert abs(est.mean - F_IID4) <= 4 * est.std_error
 
     def test_fully_correlated_mean_zero(self):
+        # the four coordinates are one variable, so every pair sum
+        # max(x) - min(x) is exactly 0
         est = estimate_max(CorrelationMatrix4.equicorrelated(1.0), 100_000, seed=3)
-        assert abs(est.mean) <= 4 * est.std_error
-        assert est.std_error == pytest.approx(1.0 / np.sqrt(est.n_samples), rel=0.05)
+        assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_equicorrelated_optimum(self):
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
@@ -112,12 +113,12 @@ class TestEstimateMax:
     def test_golden_value(self):
         # the mean was recorded before the reducers read transposed chunks;
         # it pins the draw stream, the block order and the summation order
-        # together.  The standard error was re-recorded when the sums of
-        # squares moved from BLAS ddot to einsum.
+        # together.  The standard error was re-recorded when it moved to the
+        # pair averages of the antithetic pairs.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
         assert est.mean == 0.9941913086908519
-        assert est.std_error == 0.0016038815324083964
+        assert est.std_error == 0.001388883187160297
 
 
 class TestOrderStats:
@@ -126,6 +127,9 @@ class TestOrderStats:
         assert os_.e4 == -os_.e1
         assert os_.e3 == -os_.e2
         assert os_.e1 >= os_.e2 >= os_.e3 >= os_.e4
+        se1, se2, se3, se4 = os_.std_errors
+        assert (se3, se4) == (se2, se1)
+        assert os_.se_third_identity == os_.se_second_identity
 
     def test_max_agrees_with_estimate_max(self):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -176,6 +180,48 @@ class TestOrderStats:
         a = estimate_order_stats(m, 100_000, seed=8, shards=4)
         b = estimate_order_stats(m, 100_000, seed=8, shards=4)
         assert a == b
+
+
+class TestPairStandardError:
+    """The standard errors are those of a mean of n/2 antithetic pair
+    averages: over seeds, the means spread as far as the reported SE says."""
+
+    SEEDS = range(200)
+
+    @staticmethod
+    def spread_over_se(values, ses) -> float:
+        return float(np.std(values) / np.median(ses))
+
+    @pytest.mark.parametrize("r", [0.9, -1.0 / 3.0])
+    def test_spread_matches_reported_se(self, r):
+        m = CorrelationMatrix4.equicorrelated(r)
+        mx = [estimate_max(m, 20_000, seed, shards=1) for seed in self.SEEDS]
+        os_ = [estimate_order_stats(m, 20_000, seed, shards=1) for seed in self.SEEDS]
+        ratios = (
+            self.spread_over_se([e.mean for e in mx], [e.std_error for e in mx]),
+            self.spread_over_se([o.e2 for o in os_], [o.std_errors[1] for o in os_]),
+            self.spread_over_se([o.e2 + 3 * o.e1 for o in os_],
+                                [o.se_second_identity for o in os_]),
+        )
+        assert all(0.85 <= q <= 1.2 for q in ratios), ratios
+
+
+class TestUnitPairs:
+    """The members of a unit class are one variable: they take one row of
+    the factor, so they draw equal coordinates."""
+
+    @pytest.mark.parametrize("off", [(1.0,) * 6, (1.0, 0.5, 0.5, 0.5, 0.5, 1.0)])
+    def test_unit_class_draws_one_variable(self, off):
+        m = CorrelationMatrix4(off)
+        l = sample_factor(m)
+        for members in _unit_classes(m):
+            assert all(np.array_equal(l[i], l[members[0]]) for i in members)
+        assert np.max(np.abs(l @ l.T - m.matrix())) <= 1e-14
+        est = estimate_max(m, 100_000, seed=3)
+        os_ = estimate_order_stats(m, 100_000, seed=3)
+        # every class has two or four members, so the top two coordinates tie
+        assert os_.e1 == os_.e2 == est.mean
+        assert abs(est.mean - f_max(m)) <= 4 * est.std_error
 
 
 class TestChunkedReduction:
@@ -231,14 +277,14 @@ class TestBlockScheduler:
         monkeypatch.setattr(montecarlo, "_BLOCK", 2_000)
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")
         calls = itertools.count()
-        extremes = montecarlo._extremes
+        max_rows = montecarlo._max_rows
 
         def fail_on_second_block(z, lt):
             if next(calls) == 1:
                 raise RuntimeError("second block")
-            return extremes(z, lt)
+            return max_rows(z, lt)
 
-        monkeypatch.setattr(montecarlo, "_extremes", fail_on_second_block)
+        monkeypatch.setattr(montecarlo, "_max_rows", fail_on_second_block)
         before = threading.active_count()
         raised = []
 
