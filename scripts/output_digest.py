@@ -17,14 +17,15 @@ where the next call reads it), and ``embed`` (the vertices of
 its error), and ``mean_width`` (``geometry.mean_width`` at quadrature orders 50
 and 200 on the tetrahedra of ``mean_width_inputs``), and ``width_transfer``
 (``f_width`` and ``f_width_inv`` on fixed grids that include both ends and
-points 10^-k from them, the runs and endpoints of ``u_interval_scan`` on
-``U_SCANS`` seeded pairs, and the worst margin, its location and the pair
-count of a small ``h_monotonicity_scan``).  Two Monte-Carlo families hash ``estimate_max`` and
-``estimate_order_stats`` on a few matrices and ``(n, shards)`` pairs, whose
-shards run to several blocks: ``mc_mean`` the mean and e1..e4, ``mc_se`` every
-standard error.  A call that raises contributes its exception type and message
-instead of a value.  Two trees whose digests agree give bit-identical
-outputs on every input below.
+points 10^-k from them, and the runs and endpoints of ``u_interval_scan`` on
+``U_SCANS`` seeded pairs), ``h_scan`` (the worst margin, its location and the
+pair count of a small ``h_monotonicity_scan``), and ``scans`` (the reports of
+the default ``p_inequality_scan`` and ``p_ordering_scan``).  Two Monte-Carlo
+families hash ``estimate_max`` and ``estimate_order_stats`` on a few matrices
+and ``(n, shards)`` pairs, whose shards run to several blocks: ``mc_mean`` the
+mean and e1..e4, ``mc_se`` every standard error.  A call that raises
+contributes its exception type and message instead of a value.  Two trees
+whose digests agree give bit-identical outputs on every input below.
 
 Inputs: the 512 rows of perfbench/reference_evaluate.json, 1,000
 ``random_psd(default_rng(d), d)`` matrices for each d = 2, 3, 4, and a
@@ -58,7 +59,8 @@ from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "maximize", "embed", "mean_width", "width_transfer", "mc_mean", "mc_se")
+            "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans",
+            "mc_mean", "mc_se")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
@@ -202,8 +204,10 @@ def digests() -> dict[str, str]:
         _feed(h["width_transfer"], lambda: (details["runs"], details["z1"], details["z2"]))
     h_rep = verify.h_monotonicity_scan(verify.HMonotonicityGrid(n_pairs=10, z_steps=50,
                                                                 det_samples=500))
-    _feed(h["width_transfer"], lambda: (h_rep.worst_margin, h_rep.worst_location,
-                                        h_rep.details["pairs_scanned"]))
+    _feed(h["h_scan"], lambda: (h_rep.worst_margin, h_rep.worst_location,
+                                h_rep.details["pairs_scanned"]))
+    for rep in (verify.p_inequality_scan(), verify.p_ordering_scan()):
+        _feed(h["scans"], lambda: json.dumps(rep.to_json_obj(), sort_keys=True))
     for m in MC_MATRICES:
         for n, shards, seed in MC_RUNS:
             est = montecarlo.estimate_max(m, n, seed, shards=shards)

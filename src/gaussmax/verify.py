@@ -210,12 +210,14 @@ def k_func(u: float, theta: float) -> float:
     return float(num / (theta * (np.cos(theta) - np.cos(u))))
 
 
-def p_limit(theta: float) -> float:
-    """Limit of p_func(u, theta) as u -> theta."""
-    if not 0 < theta < np.pi:
+def p_limit(theta):
+    """Limit of p_func(u, theta) as u -> theta; theta may be an array."""
+    t = np.asarray(theta, dtype=float)
+    if not np.all((0 < t) & (t < np.pi)):
         raise ValueError("theta must lie in (0, pi)")
-    s = np.sin(theta)
-    return float((theta * theta - s * s) / (theta * s * s))
+    s = np.sin(t)
+    out = (t * t - s * s) / (t * s * s)
+    return float(out) if t.ndim == 0 else out
 
 
 def _p_terms(u, theta, cos, sin):
@@ -249,7 +251,7 @@ def p_func(u: float, theta: float) -> float:
     return float(_p_func_arr(np.asarray(u, dtype=float), theta))
 
 
-def _p_func_arr(u: np.ndarray, theta: float) -> np.ndarray:
+def _p_func_arr(u: np.ndarray, theta) -> np.ndarray:
     num, den = _p_terms(u, theta, np.cos, np.sin)
     return num / den
 
@@ -266,11 +268,11 @@ def _p_inequality_terms(u, theta, cos, sin):
     return dc * dc * b1 + dc * b2
 
 
-def _p_inequality_lhs(u: np.ndarray, theta: float) -> np.ndarray:
+def _p_inequality_lhs(u: np.ndarray, theta) -> np.ndarray:
     return _p_inequality_terms(u, theta, np.cos, np.sin)
 
 
-def _p_inequality_noise_scale(u: np.ndarray, theta: float) -> np.ndarray:
+def _p_inequality_noise_scale(u: np.ndarray, theta) -> np.ndarray:
     """Magnitude of the largest cancelling intermediates; the double-precision
     result is only sign-reliable well above ~1e-16 times this."""
     ct, st = np.cos(theta), np.sin(theta)
@@ -294,17 +296,19 @@ def _p_inequality_lhs_mp(u: float, theta: float) -> float:
 
 _H_W_MIN, _H_W_MAX = 0.15, 1.3
 _H_EDGE_BAND = 1e-3  # fraction of the admissible interval skipped at each end
+_H_BISECTIONS = 45  # halvings of each end's coarse bracket
+_H_BLOCK = 1 << 19  # grid points per block of pairs; bounds peak memory
 
 
 @dataclass(frozen=True)
 class HMonotonicityGrid:
-    """Grid for the H-decrease scan: n_pairs^2 points (w1, w2) in
-    [0.15, 1.3]^2 with w1*w2 < 1; for each admissible pair, z sweeps
-    z_steps points strictly inside the admissible interval."""
+    """Grid for the H-decrease scan: n_pairs^2 points (w1, w2) in [0.15, 1.3]^2
+    with w1*w2 < 1; for each, z sweeps z_steps points strictly inside the
+    admissible interval, whose ends a det_samples-point sign scan brackets."""
 
     n_pairs: int = 50
     z_steps: int = 200
-    det_samples: int = 2000
+    det_samples: int = 64
 
     def __post_init__(self):
         _check_count("n_pairs", self.n_pairs, 1)
@@ -316,18 +320,42 @@ class HMonotonicityGrid:
                 f"[{_H_W_MIN},{_H_W_MAX}]^2, {self.z_steps} z-steps")
 
 
-def _interval_of_positive_det(x: float, y: float, n: int):
-    """Endpoints of the det > 0 run in z over (0, 1/max(x,y)), by sign scan;
-    returns (z1, z2, n_runs) with n_runs the number of contiguous runs."""
-    zmax = 1.0 / max(x, y)
-    z = np.linspace(zmax * 1e-6, zmax * (1 - 1e-9), n)
-    det = gamma_det(x, y, z)
-    pos = det > 0
-    if not pos.any():
-        return None, None, 0
-    idx = np.flatnonzero(pos)
-    runs = int(np.sum(np.diff(idx) > 1)) + 1
-    return float(z[idx[0]]), float(z[idx[-1]]), runs
+def _interval_of_positive_det(x, y, n: int):
+    """Sign scan of det at n points of z in (0, 1/max(x,y)), one row per pair: the z
+    grid, and each row's first and last det > 0 index and number of det > 0 runs."""
+    zmax = 1.0 / np.maximum(x, y)
+    z = np.linspace(zmax * 1e-6, zmax * (1 - 1e-9), n, axis=-1)
+    pos = gamma_det(x[:, None], y[:, None], z) > 0
+    runs = pos[:, 0] + np.sum(pos[:, 1:] & ~pos[:, :-1], axis=1)
+    return z, np.argmax(pos, axis=1), n - 1 - np.argmax(pos[:, ::-1], axis=1), runs
+
+
+def _det_roots(x: np.ndarray, y: np.ndarray, n: int):
+    """Per pair: the sign scan's det > 0 runs, and its first and last det > 0
+    z, each bisected toward the det root just outside it."""
+    z, first, last, runs = _interval_of_positive_det(x, y, n)
+    ends = np.stack([first, last], axis=1)
+    inside = np.take_along_axis(z, ends, axis=1)
+    outside = np.take_along_axis(z, np.clip(ends + [-1, 1], 0, n - 1), axis=1)
+    for _ in range(_H_BISECTIONS):
+        mid = 0.5 * (inside + outside)
+        pos = gamma_det(x[:, None], y[:, None], mid) > 0
+        inside, outside = np.where(pos, mid, inside), np.where(pos, outside, mid)
+    return runs, inside[:, 0], inside[:, 1]
+
+
+def _h_block(x: np.ndarray, y: np.ndarray, grid: HMonotonicityGrid):
+    """Per pair: its det > 0 runs, the least decrease of H along its sweep (inf
+    without a run), and whether it has several runs or meets det <= 0 on the sweep."""
+    runs, z1, z2 = _det_roots(x, y, grid.det_samples)
+    hit = runs > 0
+    band = _H_EDGE_BAND * (z2[hit] - z1[hit])
+    h, det = h_func_expanded(x[hit, None], y[hit, None], np.linspace(
+        z1[hit] + band, z2[hit] - band, grid.z_steps, axis=-1))
+    margin, flawed = np.full(len(hit), np.inf), runs > 1
+    margin[hit] = -np.max(np.diff(h, axis=1), axis=1)  # least decrease between steps
+    flawed[hit] |= np.any(det <= 0, axis=1)
+    return runs, margin, flawed
 
 
 def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
@@ -335,36 +363,20 @@ def h_monotonicity_scan(grid: HMonotonicityGrid | None = None) -> ScanReport:
     interval, for every admissible pair (w1, w2)."""
     grid = grid or HMonotonicityGrid()
     ws = np.linspace(_H_W_MIN, _H_W_MAX, grid.n_pairs)
-    worst = np.inf
-    worst_loc = None
-    pairs_scanned = 0
-    for w1 in ws:
-        for w2 in ws:
-            if w1 * w2 >= 1:
-                continue
-            z1, z2, runs = _interval_of_positive_det(w1, w2, grid.det_samples)
-            if runs == 0:
-                continue
-            band = _H_EDGE_BAND * (z2 - z1)
-            z = np.linspace(z1 + band, z2 - band, grid.z_steps)
-            h, det = h_func_expanded(w1, w2, z)
-            if np.any(det <= 0):
-                keep = det > 0
-                z, h = z[keep], h[keep]
-                if len(z) < 2:
-                    continue
-            margin = float(-np.max(np.diff(h)))  # min decrease between steps
-            pairs_scanned += 1
-            if margin < worst:
-                worst = margin
-                worst_loc = (float(w1), float(w2))
+    w1, w2 = np.repeat(ws, len(ws)), np.tile(ws, len(ws))
+    w1, w2 = w1[w1 * w2 < 1], w2[w1 * w2 < 1]
+    rows = max(1, _H_BLOCK // max(grid.det_samples, grid.z_steps))
+    runs, margin, flawed = (np.concatenate(parts) for parts in zip(
+        *(_h_block(w1[i:i + rows], w2[i:i + rows], grid) for i in range(0, len(w1), rows))))
+    pairs_scanned = int(np.count_nonzero(runs))
+    i = int(np.argmin(margin))
     return ScanReport(
         name="h_monotonicity",
         grid=grid.describe(),
-        passed=bool(pairs_scanned and worst > 0),
-        worst_margin=float(worst),
-        worst_location=worst_loc,
-        details={"pairs_scanned": pairs_scanned},
+        passed=bool(pairs_scanned and margin[i] > 0 and not flawed.any()),
+        worst_margin=float(margin[i]),
+        worst_location=(float(w1[i]), float(w2[i])) if pairs_scanned else None,
+        details={"pairs_scanned": pairs_scanned, "pairs_not_one_run": int(flawed.sum())},
     )
 
 
@@ -375,14 +387,15 @@ def u_interval_scan(x: float, y: float, n: int = 10_000) -> ScanReport:
     if not x * y < 1:
         raise ValueError("product xy must be < 1")
     _check_count("n", n, 2)
-    z1, z2, runs = _interval_of_positive_det(x, y, n)
+    (z,), (first,), (last,), (runs,) = _interval_of_positive_det(np.array([x]), np.array([y]), n)
+    z1, z2 = (float(z[first]), float(z[last])) if runs else (None, None)
     return ScanReport(
         name="u_interval",
         grid=f"{n} z samples on (0, {1.0 / max(x, y):.6g})",
-        passed=runs <= 1,
+        passed=bool(runs <= 1),
         worst_margin=float(1 - runs),
         worst_location=(x, y),
-        details={"runs": runs, "z1": z1, "z2": z2},
+        details={"runs": int(runs), "z1": z1, "z2": z2},
     )
 
 
@@ -407,61 +420,48 @@ class PInequalityGrid:
 
 
 def p_inequality_scan(grid: PInequalityGrid | None = None) -> ScanReport:
+    """The inequality equivalent to dP/du > 0, for each theta at n_u points
+    spaced evenly inside (0, 2*pi - theta), outside the band around u = theta."""
     grid = grid or PInequalityGrid()
     thetas = np.linspace(_P_THETA_MIN, _P_THETA_MAX, grid.n_theta)
-    worst = np.inf
-    worst_loc = None
-    refined = 0
-    for theta in thetas:
-        u = np.linspace(0.0, 2 * np.pi - theta, grid.n_u + 2)[1:-1]
-        u = u[np.abs(u - theta) >= _P_DIAG_BAND]
-        vals = _p_inequality_lhs(u, theta)
-        # points below the double-precision noise floor get a high-precision
-        # re-evaluation so the sign is meaningful, not roundoff
-        unsure = np.abs(vals) < 1e-13 * _p_inequality_noise_scale(u, theta)
-        for j in np.flatnonzero(unsure):
-            vals[j] = _p_inequality_lhs_mp(float(u[j]), float(theta))
-            refined += 1
-        i = int(np.argmin(vals))
-        if vals[i] < worst:
-            worst = float(vals[i])
-            worst_loc = (float(u[i]), float(theta))
+    u = np.linspace(0.0, 2 * np.pi - thetas, grid.n_u + 2, axis=-1)[:, 1:-1]
+    theta = np.broadcast_to(thetas[:, None], u.shape)
+    vals = _p_inequality_lhs(u, theta)
+    vals[np.abs(u - theta) < _P_DIAG_BAND] = np.inf  # the band is skipped
+    # points below the double-precision noise floor get a high-precision
+    # re-evaluation so the sign is meaningful, not roundoff
+    unsure = np.abs(vals) < 1e-13 * _p_inequality_noise_scale(u, theta)
+    vals[unsure] = [_p_inequality_lhs_mp(float(uj), float(tj))
+                    for uj, tj in zip(u[unsure], theta[unsure])]
+    i = np.unravel_index(np.argmin(vals), vals.shape)
     return ScanReport(
         name="p_inequality",
         grid=grid.describe(),
-        passed=bool(worst > 0),
-        worst_margin=worst,
-        worst_location=worst_loc,
-        details={"points_refined": refined},
+        passed=bool(vals[i] > 0),
+        worst_margin=float(vals[i]),
+        worst_location=(float(u[i]), float(theta[i])),
+        details={"points_refined": int(np.count_nonzero(unsure))},
     )
 
 
 def p_ordering_scan(n_theta: int = 20, n_u: int = 25) -> ScanReport:
-    """P(u, theta) < P(theta) for u < theta and > for u > theta."""
+    """P(u, theta) < P(theta) for u < theta and > for u > theta, n_u points each side."""
     _check_count("n_theta", n_theta, 1)
     _check_count("n_u", n_u, 1)
-    worst = np.inf
-    worst_loc = None
-    checked = 0
-    for theta in np.linspace(0.1, 3.0, n_theta):
-        below = np.linspace(theta * 0.02, theta * 0.98, n_u)
-        above = np.linspace(theta + 0.02 * (2 * np.pi - 2 * theta),
-                            2 * np.pi - theta - 0.02 * (2 * np.pi - 2 * theta), n_u)
-        lim = p_limit(theta)
-        u = np.concatenate([below, above])
-        # lim - P below theta, P - lim above it (negation is exact)
-        margins = np.sign(u - theta) * (_p_func_arr(u, theta) - lim)
-        checked += len(u)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, worst_loc = float(margins[i]), (float(u[i]), float(theta))
+    thetas = np.linspace(0.1, 3.0, n_theta)
+    gap = 0.02 * (2 * np.pi - 2 * thetas)
+    u = np.concatenate(np.linspace([thetas * 0.02, thetas + gap],
+                                   [thetas * 0.98, 2 * np.pi - thetas - gap], n_u, axis=-1), axis=1)
+    theta = thetas[:, None]
+    # lim - P below theta, P - lim above it (negation is exact)
+    margins = np.sign(u - theta) * (_p_func_arr(u, theta) - p_limit(theta))
+    i = np.unravel_index(np.argmin(margins), margins.shape)
     return ScanReport(
         name="p_ordering",
-        grid=f"{checked} (u, theta) points",
-        passed=bool(worst > 0),
-        worst_margin=float(worst),
-        worst_location=worst_loc,
-        details={},
+        grid=f"{u.size} (u, theta) points",
+        passed=bool(margins[i] > 0),
+        worst_margin=float(margins[i]),
+        worst_location=(float(u[i]), float(thetas[i[0]])),
     )
 
 

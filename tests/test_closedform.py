@@ -524,7 +524,8 @@ def test_output_digest_script_runs():
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-                "maximize", "embed", "mean_width", "width_transfer", "mc_mean", "mc_se"]
+                "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans",
+                "mc_mean", "mc_se"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

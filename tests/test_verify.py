@@ -92,6 +92,17 @@ class TestKernelFunctions:
             for du in (1e-6, -1e-6):
                 assert abs(p_func(theta + du, theta) - lim) <= 1e-4 * max(1.0, abs(lim))
 
+    def test_p_limit_on_an_array_equals_the_scalar_calls(self):
+        thetas = np.linspace(0.01, np.pi - 0.01, 37).reshape(37, 1)
+        arr = p_limit(thetas)
+        assert arr.shape == thetas.shape
+        assert arr.ravel().tolist() == [p_limit(float(t)) for t in thetas.ravel()]
+
+    @pytest.mark.parametrize("bad", [0.0, np.pi, -1.0])
+    def test_p_limit_rejects_an_array_with_one_bad_entry(self, bad):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            p_limit(np.array([1.0, bad, 2.0]))
+
     def test_p_at_diagonal_returns_limit(self):
         assert p_func(1.3, 1.3) == p_limit(1.3)
 
@@ -170,12 +181,51 @@ class TestHMonotonicity:
         assert rep.details["pairs_scanned"] == 0
         assert not rep.passed
 
+    def test_default_grid_finds_one_run_per_pair(self):
+        rep = h_monotonicity_scan()
+        assert rep.passed
+        assert rep.details == {"pairs_scanned": 2175, "pairs_not_one_run": 0}
+
+    def test_bisected_ends_bracket_the_dense_scan(self):
+        # each end is a det root to ~2^-45 of a coarse step, so it lies at or
+        # outside the dense scan's end sample and within one dense step of it
+        from gaussmax.verify import _det_roots
+
+        xs, ys = np.array([0.15, 0.5, 0.6, 0.9714, 1.3]), np.array([0.15, 0.5, 0.7, 0.9714, 0.2])
+        runs, z1, z2 = _det_roots(xs, ys, HMonotonicityGrid().det_samples)
+        assert np.all(runs == 1)
+        for x, y, lo, hi in zip(xs, ys, z1, z2):
+            dense = u_interval_scan(x, y, n=10_000).details
+            zmax = 1.0 / max(x, y)
+            step = (zmax * (1 - 1e-9) - zmax * 1e-6) / (10_000 - 1)
+            assert 0 <= dense["z1"] - lo < step
+            assert 0 <= hi - dense["z2"] < step
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        import gaussmax.verify as verify
+
+        grid = HMonotonicityGrid(n_pairs=10, z_steps=50)
+        whole = h_monotonicity_scan(grid).to_json_obj()
+        monkeypatch.setattr(verify, "_H_BLOCK", 100)  # one pair per block
+        assert h_monotonicity_scan(grid).to_json_obj() == whole
+
+    def test_det_at_or_below_zero_on_a_sweep_fails_the_pair(self, monkeypatch):
+        import gaussmax.verify as verify
+
+        real = verify.h_func_expanded
+        monkeypatch.setattr(verify, "h_func_expanded", lambda x, y, z: (real(x, y, z)[0], -z))
+        rep = h_monotonicity_scan(HMonotonicityGrid(n_pairs=4, z_steps=10))
+        assert rep.details["pairs_not_one_run"] == rep.details["pairs_scanned"] > 0
+        assert not rep.passed
+
     def test_single_pair_sweep_monotone(self):
         from gaussmax.geometry import h_func_expanded
         from gaussmax.verify import _interval_of_positive_det
 
-        z1, z2, runs = _interval_of_positive_det(0.5, 0.5, 2000)
+        (z,), (first,), (last,), (runs,) = _interval_of_positive_det(
+            np.array([0.5]), np.array([0.5]), 2000)
         assert runs == 1
+        z1, z2 = z[first], z[last]
         z = np.linspace(z1 + 1e-3 * (z2 - z1), z2 - 1e-3 * (z2 - z1), 100)
         h, det = h_func_expanded(0.5, 0.5, z)
         assert np.all(det > 0)
@@ -185,7 +235,9 @@ class TestHMonotonicity:
         from gaussmax.geometry import h_func
         from gaussmax.verify import _interval_of_positive_det
 
-        z1, z2, _ = _interval_of_positive_det(0.6, 0.7, 5000)
+        (z,), (first,), (last,), _ = _interval_of_positive_det(
+            np.array([0.6]), np.array([0.7]), 5000)
+        z1, z2 = z[first], z[last]
         width = z2 - z1
         for z in (z1 + 1e-4 * width, z2 - 1e-4 * width):
             val = h_func(0.6, 0.7, z)
