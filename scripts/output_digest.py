@@ -19,8 +19,12 @@ and 200 on the tetrahedra of ``mean_width_inputs``), and ``width_transfer``
 (``f_width`` and ``f_width_inv`` on fixed grids that include both ends and
 points 10^-k from them, and the runs and endpoints of ``u_interval_scan`` on
 ``U_SCANS`` seeded pairs), ``h_scan`` (the worst margin, its location and the
-pair count of a small ``h_monotonicity_scan``), and ``scans`` (the reports of
-the default ``p_inequality_scan`` and ``p_ordering_scan``).  Two Monte-Carlo
+pair count of a small ``h_monotonicity_scan``), ``scans`` (the reports of
+the default ``p_inequality_scan`` and ``p_ordering_scan``), and ``shared``
+(``montecarlo.sample_factor`` on the inputs, ``geometry.corr_of`` on the
+tetrahedra of ``mean_width_inputs``, ``geometry.h_func`` on the admissible
+points of ``h_grid``, and the reports of the ``hessian`` and ``bounds``
+suites of ``gaussmax verify`` at its default seed).  Two Monte-Carlo
 families hash ``estimate_max`` and ``estimate_order_stats`` on a few matrices
 and ``(n, shards)`` pairs, whose shards run to several blocks: ``mc_mean`` the
 mean and e1..e4, ``mc_se`` every standard error.  A call that raises
@@ -53,13 +57,13 @@ import pathlib
 
 import numpy as np
 
-from gaussmax import closedform, geometry, montecarlo, verify
+from gaussmax import cli, closedform, geometry, montecarlo, verify
 from gaussmax.corrmat import CorrelationMatrix4, classify, derive
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-            "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans",
+            "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans", "shared",
             "mc_mean", "mc_se")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
@@ -140,6 +144,16 @@ def u_interval_pairs() -> list[tuple[float, float]]:
     return pairs
 
 
+def h_grid() -> list[tuple[float, float, float]]:
+    """Triples on a 13-point grid of [0.15, 1.3] per axis where det(Gamma) > 0."""
+    ws = np.linspace(0.15, 1.3, 13)
+    x, y, z = (a.ravel() for a in np.meshgrid(ws, ws, ws, indexing="ij"))
+    inside = np.maximum(np.maximum(x * y, x * z), y * z) < 1
+    x, y, z = x[inside], y[inside], z[inside]
+    keep = geometry.gamma_det(x, y, z) > 0
+    return list(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
+
+
 def _bits(value) -> bytes:
     if isinstance(value, np.ndarray):
         return str(value.dtype).encode() + str(value.shape).encode() + value.tobytes()
@@ -208,6 +222,16 @@ def digests() -> dict[str, str]:
                                 h_rep.details["pairs_scanned"]))
     for rep in (verify.p_inequality_scan(), verify.p_ordering_scan()):
         _feed(h["scans"], lambda: json.dumps(rep.to_json_obj(), sort_keys=True))
+    for m in ms:
+        _feed(h["shared"], montecarlo.sample_factor, m)
+    for t in mean_width_inputs():
+        _feed(h["shared"], lambda t: np.array(geometry.corr_of(t).offdiag), t)
+    for x, y, z in h_grid():
+        _feed(h["shared"], geometry.h_func, x, y, z)
+    seed = cli.build_parser().parse_args(["verify"]).seed
+    for suite in ("hessian", "bounds"):
+        for rep in cli._suite_reports(suite, seed):
+            _feed(h["shared"], lambda: json.dumps(rep.to_json_obj(), sort_keys=True))
     for m in MC_MATRICES:
         for n, shards, seed in MC_RUNS:
             est = montecarlo.estimate_max(m, n, seed, shards=shards)

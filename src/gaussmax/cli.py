@@ -138,16 +138,16 @@ def _cmd_dihedrals(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if args.file is not None and args.start != "file":
+        raise ValueError(f"--file does not apply to --start {args.start}")
     if args.start == "identity":
         start = CorrelationMatrix4.identity()
     elif args.start == "random":
         start = optimize.random_interior(np.random.default_rng(args.seed))
-    elif args.start == "file":
+    else:  # --start file
         if not args.file:
             raise ValueError("--start file needs --file")
         start = load_matrix(args.file)
-    else:
-        raise ValueError(f"unknown start {args.start!r}")
     cfg = optimize.AscentConfig(grad_tol=args.tol, max_iters=args.max_iters)
     res = optimize.maximize(start, cfg)
     doc = {
@@ -246,9 +246,12 @@ def _cmd_scan(args) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
 
 
-def _add_matrix_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corr", help="six comma-separated correlations (12,13,14,23,24,34)")
-    p.add_argument("--file", help="matrix file (text line or JSON with 'offdiag')")
+def _add_matrix_args(p: argparse.ArgumentParser):
+    """--corr and --file in a group of inputs that other input flags join: two are a usage error."""
+    inputs = p.add_mutually_exclusive_group()
+    inputs.add_argument("--corr", help="six comma-separated correlations (12,13,14,23,24,34)")
+    inputs.add_argument("--file", help="matrix file (text line or JSON with 'offdiag')")
+    return inputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("compute", help="closed-form expected maximum")
-    _add_matrix_args(p)
-    p.add_argument("--corr3", help="three correlations r12,r13,r23 for the 3-D formula")
+    _add_matrix_args(p).add_argument(
+        "--corr3", help="three correlations r12,r13,r23 for the 3-D formula")
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("grad", help="gradient of the expected maximum")
@@ -287,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("meanwidth", help="mean width by spherical quadrature")
-    _add_matrix_args(p)
-    p.add_argument("--tetra", help="tetrahedron JSON file with 'vertices'")
+    _add_matrix_args(p).add_argument("--tetra", help="tetrahedron JSON file with 'vertices'")
     p.add_argument("--order", type=int, default=50)
     p.set_defaults(fn=_cmd_meanwidth)
 

@@ -2,12 +2,14 @@
 vector, with exact first and second derivatives in the six correlations.
 
 Everything is evaluated from one ``corrmat.CorrDerived`` record: its
-``tag`` picks the branch and its ``cosines`` are the arccos arguments.
-``value_of``, ``gradient_of`` and ``hessian_of`` are the formulas on that
-record, so a caller that already holds it (the ascent, the checks in
-``verify``) derives once.  ``f_max``, ``gradient`` and ``hessian`` call
-them on ``derive(m)``, which keeps the last matrix's record: calling them,
-and ``geometry.dihedrals``, in a row on one matrix object derives it once.
+``tag`` picks the branch and its ``angles``, the arccos of its ``cosines``
+taken once by ``derive``, are the outer dihedral angles.  ``value_of``,
+``gradient_of`` and ``hessian_of`` are the formulas on that record, so a
+caller that already holds it (the ascent, the checks in ``verify``) derives
+once; ``hessian_of`` on a record with zero angles is the Hessian's rational
+part.  ``f_max``, ``gradient`` and ``hessian`` call them on ``derive(m)``,
+which keeps the last matrix's record: calling them, and
+``geometry.dihedrals``, in a row on one matrix object derives it once.
 ``f_max`` of a matrix with a unit pair only classifies it.
 """
 
@@ -88,24 +90,22 @@ def value_of(d: CorrDerived) -> float:
     """The closed-form value of one matrix as a Python float; NaN where the
     matrix has a unit pair.
 
-    One ``arccos`` over the six cosines, then the terms summed on Python
-    floats from the first to the last, the order in which numpy sums six
-    numbers."""
+    The terms are summed on Python floats from the first to the last, the
+    order in which numpy sums six numbers."""
     # a loop, not sum(): from Python 3.12 sum() compensates its rounding
     total = 0.0
-    for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist()):
+    for p, a in zip(d.lambda_prime.tolist(), d.angles.tolist()):
         total += math.sqrt(max(p, 0.0)) * a
     return total / (2 * SQRT_PI3)
 
 
 def gradient_of(d: CorrDerived) -> np.ndarray:
-    """``gradient`` from one matrix's derived quantities: -arccos(cosine) /
-    (4 sqrt(pi^3 lambda_prime)) per pair, on Python floats after one
-    ``arccos``."""
+    """``gradient`` from one matrix's derived quantities: -angle /
+    (4 sqrt(pi^3 lambda_prime)) per pair, on Python floats."""
     if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         raise ValueError("gradient requires all correlations != 1")
     return np.array([-a / (4 * math.sqrt(_PI3 * p))
-                     for p, a in zip(d.lambda_prime.tolist(), np.arccos(d.cosines).tolist())])
+                     for p, a in zip(d.lambda_prime.tolist(), d.angles.tolist())])
 
 
 def _hessian_tables():
@@ -147,7 +147,7 @@ def hessian_of(d: CorrDerived) -> np.ndarray:
     if d.tag is not DomainTag.INTERIOR_S:
         raise ValueError("hessian requires an interior (positive definite) matrix")
     lp, lt, at = d.lambda_prime.tolist(), d.lambda_tilde.tolist(), float(d.a_tilde)
-    angle = np.arccos(d.cosines).tolist()
+    angle = d.angles.tolist()
     tf = [triangle_form(lp[a], lp[b], lp[c]) for a, b, c in _HESS_TRIS]
     h = [[0.0] * 6 for _ in range(6)]
     for s, d1, d2, km, lm, kn, ln in _HESS_DIAG:

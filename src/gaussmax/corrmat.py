@@ -104,7 +104,7 @@ class CorrelationMatrix4:
         return cls(tuple(m[i, j] for i, j in PAIRS))
 
     def matrix(self) -> np.ndarray:
-        return np.array(self.offdiag + (1.0,))[_SLOTS]
+        return _scatter(self.offdiag)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.offdiag, dtype=float)
@@ -127,6 +127,13 @@ _RULE = (_BOUNDARY, _INTERIOR) + (_UNIT_PAIR,) * 2 + (_INVALID,) * 4
 # A matrix read from its seven slots, the six off-diagonals in storage order
 # and then its unit diagonal: entry (i, j) is slot _SLOTS[i, j].
 _SLOTS = np.array([[PAIR_INDEX.get((i, j), 6) for j in range(4)] for i in range(4)])
+# Flat indices of the stored pairs in a 4x4 matrix, in storage order.
+_PAIR_FLAT = tuple(4 * i + j for i, j in PAIRS)
+
+
+def _scatter(x) -> np.ndarray:
+    """The 4x4 matrix of the six off-diagonals ``x`` and a unit diagonal."""
+    return np.array([*x, 1.0])[_SLOTS]
 
 
 def is_unit(r):
@@ -162,10 +169,10 @@ def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
     return list(classes.values())
 
 
-def _domain_rule(x, lam_min):
+def _domain_rule(x):
     """The domain rule: the class (an index into ``_TAGS``) of the six
-    off-diagonals ``x`` of a matrix whose smallest eigenvalue is
-    ``lam_min``."""
+    off-diagonals ``x``, from the smallest eigenvalue of their matrix."""
+    lam_min = float(eigvalsh(_scatter(x))[0])
     invalid = max(map(abs, x)) > 1.0 + EPS_PSD or lam_min < -EPS_PSD
     return _RULE[4 * invalid + 2 * has_unit_pair(x) + (lam_min > EPS_PSD)]
 
@@ -187,7 +194,7 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     correlation matrix at all.  A unit pair's witness is the first pair in
     storage order whose correlation equals 1."""
     x = m.offdiag
-    tag = _TAGS[_domain_rule(x, float(eigvalsh(m.matrix())[0]))]
+    tag = _TAGS[_domain_rule(x)]
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
         i, j = PAIRS[next(t for t, r in enumerate(x) if is_unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
@@ -296,8 +303,8 @@ class CorrDerived:
 
     ``derive`` fills it.  ``tag`` is the domain class found by its one
     classification; ``cosines`` are the six arccos arguments of the closed
-    form, NaN on a matrix with a unit pair (whose value the closed form does
-    not give).
+    form and ``angles`` their arccos, the outer dihedral angles; both are NaN
+    on a matrix with a unit pair (whose value the closed form does not give).
     """
 
     tag: DomainTag             # never INVALID: derive raises instead
@@ -305,18 +312,19 @@ class CorrDerived:
     lambda_tilde: np.ndarray   # six quadratic combinations, storage order
     a_tilde: float             # sqrt(2 det) of the difference covariance at vertex 2
     cosines: np.ndarray        # six arccos arguments, storage order
+    angles: np.ndarray         # arccos of the cosines, storage order
 
 
 def _derive(x: tuple[float, ...]) -> CorrDerived:
     """The one derivation pass on one matrix's six off-diagonals, as Python
     floats: one scatter and one eigvalsh for the domain rule, one det for
-    a_tilde, and the record's formulas on Python floats."""
+    a_tilde, the record's formulas on Python floats and one arccos."""
     lpx = [1.0 - v for v in x]
-    slots = [*x, 1.0]  # the 4x4 matrix and a_tilde's covariance read from slots
-    k = _domain_rule(x, float(eigvalsh(np.array(slots)[_SLOTS])[0]))
+    k = _domain_rule(x)
     if k == _INVALID:
         raise ValueError("not a correlation matrix")
     lt = [quad_term(x, t) for t in range(6)]
+    slots = [*x, 1.0]  # a_tilde's covariance read from the matrix's slots
     cov = np.array([_anchored(slots[a], slots[b], slots[c])
                     for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
     a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
@@ -324,10 +332,10 @@ def _derive(x: tuple[float, ...]) -> CorrDerived:
         cosines = np.full(6, np.nan)
     else:
         cosines = np.array(arccos_arguments(lpx, lt, a_tilde))
-    lp, lt = np.array(lpx), np.array(lt)
-    for a in (lp, lt, cosines):
+    lp, lt, angles = np.array(lpx), np.array(lt), np.arccos(cosines)
+    for a in (lp, lt, cosines, angles):
         a.flags.writeable = False
-    return CorrDerived(_TAGS[k], lp, lt, np.float64(a_tilde), cosines)
+    return CorrDerived(_TAGS[k], lp, lt, np.float64(a_tilde), cosines, angles)
 
 
 # The last matrix ``derive`` was given and its record, read and rebound as
@@ -356,6 +364,18 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     record = _derive(m.offdiag)
     _last = (m, record)
     return record
+
+
+def gram_of_rows(v: np.ndarray) -> CorrelationMatrix4:
+    """The correlation matrix of the unit rows of v, entries clipped to [-1, 1]."""
+    g = (v @ v.T).ravel().tolist()
+    return CorrelationMatrix4(tuple(min(max(g[k], -1.0), 1.0) for k in _PAIR_FLAT))
+
+
+def eigen_factor(m: CorrelationMatrix4) -> tuple[np.ndarray, np.ndarray]:
+    """m's eigenvalues w, ascending, and the factor u sqrt(max(w, 0)), u its eigenvectors."""
+    w, u = np.linalg.eigh(m.matrix())
+    return w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .corrmat import (
     _check_count,
     classify,
     derive,
+    eigen_factor,
+    gram_of_rows,
     json_number,
     rank_of,
 )
@@ -43,8 +45,8 @@ EDGE_OF_FACET_PAIR: tuple[int, ...] = tuple(
 
 _UNIT_TOL = 1e-12
 
-# The six vertex pairs i < j, as index arrays for the mean-width pass.
-_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+# The six vertex pairs in storage order, as index arrays for the mean-width pass.
+_PAIR_I, _PAIR_J = np.array(PAIRS).T
 
 
 @dataclass(frozen=True)
@@ -105,11 +107,10 @@ def embed(m: CorrelationMatrix4) -> Tetrahedron:
     """
     if classify(m).tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
-    mat = m.matrix()
-    w, vec = np.linalg.eigh(mat)
+    w, rows = eigen_factor(m)
     if rank_of(w) > 3:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
-    rows = vec[:, 1:] * np.sqrt(np.clip(w[1:], 0.0, None))
+    rows = rows[:, 1:]
 
     e3 = rows[0] / np.linalg.norm(rows[0])
     e1 = None
@@ -128,27 +129,26 @@ def embed(m: CorrelationMatrix4) -> Tetrahedron:
     verts = rows @ frame
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     gram = verts @ verts.T
-    if np.max(np.abs(gram - mat)) > 1e-10:
+    if np.max(np.abs(gram - m.matrix())) > 1e-10:
         raise ValueError("embedding failed to reproduce the Gram matrix")
     return Tetrahedron(verts)
 
 
 def corr_of(t: Tetrahedron) -> CorrelationMatrix4:
     """Gram matrix of the vertices as a correlation matrix."""
-    g = t.vertices @ t.vertices.T
-    return CorrelationMatrix4(tuple(float(np.clip(g[i, j], -1.0, 1.0)) for i, j in PAIRS))
+    return gram_of_rows(t.vertices)
 
 
 def dihedrals(m: CorrelationMatrix4) -> DihedralSet:
     """Outer dihedral angles from the derived matrix quantities alone.
 
-    cos(alpha) along edge (k,l) is the arccos argument of the closed form;
-    the angle is stored under the facet pair sharing that edge.
+    The angle along edge (k,l) is the record's angle of that pair; it is
+    stored under the facet pair sharing that edge.
     """
     d = derive(m)
     if d.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         raise ValueError("dihedrals require all correlations != 1")
-    alpha = np.arccos(d.cosines[list(EDGE_OF_FACET_PAIR)])
+    alpha = d.angles[list(EDGE_OF_FACET_PAIR)]
     alpha.flags.writeable = False
     return DihedralSet(alpha)
 
@@ -250,26 +250,19 @@ def f_width_inv(y):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _gram_of_triple(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([
-        [1.0, f_width_inv(x * y), f_width_inv(x * z)],
-        [f_width_inv(x * y), 1.0, f_width_inv(y * z)],
-        [f_width_inv(x * z), f_width_inv(y * z), 1.0],
-    ])
-
-
 def h_func(x: float, y: float, z: float) -> float:
     """Quadratic form (x,y,z) Gamma^-1 (x,y,z)^T with Gamma_ij the f-inverse
-    of the pairwise products; defined where det(Gamma) > 0."""
+    of the pairwise products (``_gamma_entries``); defined where det > 0."""
     for name, v in (("x", x), ("y", y), ("z", z)):
         if not v > 0:
             raise ValueError(f"{name} must be positive")
     for name, p in (("xy", x * y), ("xz", x * z), ("yz", y * z)):
         if not p < 1:
             raise ValueError(f"product {name} must be < 1")
-    g = _gram_of_triple(x, y, z)
-    if np.linalg.det(g) <= 0:
+    s, e, xi, det = _gamma_entries(x, y, z)
+    if det <= 0:
         raise ValueError("det(Gamma) <= 0: triple outside the admissible set")
+    g = np.array([[1.0, s, e], [s, 1.0, xi], [e, xi, 1.0]])
     v = np.array([x, y, z])
     return float(v @ np.linalg.solve(g, v))
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify
+from .corrmat import (CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify,
+                      eigen_factor)
 
 _BLOCK = 500_000  # pairs per shard block; bounds peak memory
 _CHUNK = 8_192  # draws per transposed chunk; sized to stay in cache
@@ -99,11 +100,9 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     cls = classify(m)
     if cls.tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
-    mat = m.matrix()
     if cls.tag is DomainTag.INTERIOR_S:
-        return np.linalg.cholesky(mat)
-    w, v = np.linalg.eigh(mat)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
+        return np.linalg.cholesky(m.matrix())
+    factor = eigen_factor(m)[1]
     if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         for members in _unit_classes(m):
             factor[members] = factor[members[0]]

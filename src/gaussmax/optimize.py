@@ -32,7 +32,7 @@ import numpy as np
 
 from . import closedform
 from .corrmat import (PAIRS, CorrelationMatrix4, DomainTag, _SLOTS, _check_count, classify,
-                      derive)
+                      derive, eigen_factor, gram_of_rows)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step on the first iteration, after an escape and on fallback
@@ -97,20 +97,10 @@ def project_elliptope(sym) -> CorrelationMatrix4:
     raise RuntimeError(f"projection did not reach residual {PROJ_TOL} in {PROJ_MAX_ITERS} iterations")
 
 
-# Flat indices of the stored pairs in a 4x4 matrix, in storage order.
-_PAIR_FLAT = tuple(4 * i + j for i, j in PAIRS)
-
-
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """The rows of v scaled to unit length: the operations of
     ``np.linalg.norm(v, axis=1, keepdims=True)``, without its dispatch."""
     return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
-
-
-def _gram(v: np.ndarray) -> CorrelationMatrix4:
-    """The correlation matrix of the rows of v, each entry clipped to [-1, 1]."""
-    g = (v @ v.T).ravel().tolist()
-    return CorrelationMatrix4(tuple(min(max(g[k], -1.0), 1.0) for k in _PAIR_FLAT))
 
 
 def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptResult:
@@ -120,9 +110,8 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     tag = classify(start).tag
     if tag in (DomainTag.INVALID, DomainTag.DEGENERATE_UNIT_PAIR):
         raise ValueError("start must have all correlations != 1")
-    w, u = np.linalg.eigh(start.matrix())
-    v = _unit_rows(u * np.sqrt(np.clip(w, 0.0, None)))
-    m = _gram(v)
+    v = _unit_rows(eigen_factor(start)[1])
+    m = gram_of_rows(v)
     derived = derive(m)
     value = closedform.value_of(derived)
 
@@ -133,7 +122,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
         (rows, matrix, derived, value, eta) or None."""
         while eta > 1e-16:
             cand = _unit_rows(v + eta * direction)
-            cand_m = _gram(cand)
+            cand_m = gram_of_rows(cand)
             cand_derived = derive(cand_m)
             cand_val = closedform.value_of(cand_derived)
             if cand_val >= value + ARMIJO * gain * eta ** power:
@@ -213,7 +202,7 @@ def optimal_value() -> float:
 def random_psd(rng: np.random.Generator, dim: int = 4) -> CorrelationMatrix4:
     """Gram matrix of four random unit vectors in R^dim, from one draw of
     4 * dim normals."""
-    return _gram(_unit_rows(rng.normal(size=(4, dim))))
+    return gram_of_rows(_unit_rows(rng.normal(size=(4, dim))))
 
 
 def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> CorrelationMatrix4:

@@ -8,7 +8,7 @@ mpmath refinements evaluate the numpy expressions of P at high precision."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,7 +20,6 @@ from .corrmat import (
     CorrelationMatrix4,
     DomainTag,
     _check_count,
-    classify,
     derive,
     quad_term,
     triangle_factor,
@@ -498,8 +497,8 @@ def nonobtuse_hessian_check(m: CorrelationMatrix4) -> ScanReport:
     if np.any(-d.cosines < 0):
         raise ObtuseInputError("tetrahedron has an obtuse dihedral angle")
     neg = -closedform.hessian_of(d)
-    phi = np.diag(np.arccos(d.cosines) / (8 * np.sqrt(np.pi ** 3 * d.lambda_prime ** 3)))
-    psi = neg - phi
+    # the rational part: the Hessian with its angle terms set to zero
+    psi = -closedform.hessian_of(replace(d, angles=np.zeros(6)))
     v = d.lambda_prime
     kernel_resid = float(np.linalg.norm(psi @ v) / np.linalg.norm(v))
     diag_min = float(np.min(np.diag(neg)))
@@ -532,8 +531,6 @@ def sample_nonobtuse_interior(rng: np.random.Generator) -> CorrelationMatrix4:
 
 def bounds_check(m: CorrelationMatrix4) -> ScanReport:
     """Value bounds: sum(sqrt(1-corr)) / (4 sqrt pi) <= value <= same / 3."""
-    if classify(m).tag is DomainTag.INVALID:
-        raise ValueError("not a correlation matrix")
     s = float(np.sum(np.sqrt(np.clip(1.0 - m.array(), 0.0, None))))
     lower = s / (4 * np.sqrt(np.pi))
     upper = s / (3 * np.sqrt(np.pi))

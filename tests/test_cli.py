@@ -281,3 +281,25 @@ class TestScan:
         assert code == 2
         assert out == ""
         assert f"error: {name} must be >=" in err
+
+
+class TestInputConflicts:
+    """Two input sources for one command are a usage error, not one of them
+    silently ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--corr", "0,0,0,0,0,0", "--corr3", "0,0,0"),
+        ("grad", "--corr", "0,0,0,0,0,0", "--file", "/nonexistent"),
+        ("meanwidth", "--tetra", "f", "--corr", "0,0,0,0,0,0"),
+    ], ids=["compute-corr-corr3", "grad-corr-file", "meanwidth-tetra-corr"])
+    def test_two_inputs_are_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_optimize_file_without_file_start_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "optimize", "--start", "identity", "--file", "/nonexistent")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --file does not apply to --start identity\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -356,6 +357,29 @@ class TestSinglePass:
             gradient_of(d)
 
 
+class TestRecordAngles:
+    """Value, gradient, Hessian and dihedrals read the record's angles: on a
+    record whose angles were halved, each moves as its formula says."""
+
+    def test_formulas_follow_replaced_angles(self, battery20, monkeypatch):
+        for m in battery20[:5]:
+            d = derive(m)
+            r = dataclasses.replace(d, angles=d.angles / 2)
+            lp = d.lambda_prime
+            assert value_of(r) == pytest.approx(np.sqrt(lp) @ r.angles / (2 * SQRT_PI3),
+                                                rel=1e-14)
+            np.testing.assert_allclose(gradient_of(r), -r.angles / (4 * np.sqrt(np.pi**3 * lp)),
+                                       rtol=1e-14)
+            moved = closedform.hessian_of(r) - closedform.hessian_of(d)
+            shift = r.angles / (8 * np.sqrt(np.pi**3 * lp**3))
+            assert np.all(moved[~np.eye(6, dtype=bool)] == 0.0)
+            np.testing.assert_allclose(np.diag(moved), shift, rtol=1e-10)
+            monkeypatch.setattr(geometry, "derive", lambda _: r)
+            alpha = geometry.dihedrals(m).alpha
+            assert alpha.tobytes() == r.angles[list(geometry.EDGE_OF_FACET_PAIR)].tobytes()
+            monkeypatch.undo()
+
+
 class TestFMax3:
     def test_symmetric_optimum(self):
         v = f_max3(-0.5, -0.5, -0.5)
@@ -524,7 +548,7 @@ def test_output_digest_script_runs():
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
-                "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans",
+                "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans", "shared",
                 "mc_mean", "mc_se"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families

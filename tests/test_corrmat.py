@@ -180,7 +180,7 @@ class TestDerive:
 
     def test_record_fields(self):
         names = [f.name for f in dataclasses.fields(CorrDerived)]
-        assert names == ["tag", "lambda_prime", "lambda_tilde", "a_tilde", "cosines"]
+        assert names == ["tag", "lambda_prime", "lambda_tilde", "a_tilde", "cosines", "angles"]
 
     def test_unit_pair_cosines_are_nan_and_not_formed(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -190,6 +190,18 @@ class TestDerive:
         d = derive(CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
         assert d.tag is DomainTag.DEGENERATE_UNIT_PAIR
         assert d.cosines.shape == (6,) and np.all(np.isnan(d.cosines))
+
+    def test_angles_are_the_arccos_of_the_cosines(self, reference512):
+        for m in reference512:
+            d = derive(m)
+            assert d.angles.tobytes() == np.arccos(d.cosines).tobytes()
+
+    def test_unit_pair_angles_are_nan_and_angles_read_only(self):
+        unit = derive(CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
+        assert unit.angles.shape == (6,) and np.all(np.isnan(unit.angles))
+        for d in (unit, derive(CorrelationMatrix4.identity())):
+            with pytest.raises(ValueError, match="read-only"):
+                d.angles[0] = 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(unit_vectors(4))

@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import F_STAR
 
-from gaussmax import corrmat
+from gaussmax import corrmat, geometry
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import PAIRS, CorrelationMatrix4, classify, DomainTag, rank
 from gaussmax.geometry import (
@@ -21,6 +23,7 @@ from gaussmax.geometry import (
     embed,
     f_width,
     f_width_inv,
+    gamma_det,
     h_func,
     h_func_expanded,
     mean_width,
@@ -351,6 +354,42 @@ class TestHFunction:
             h_func(2.0, 0.6, 0.1)
         with pytest.raises(ValueError, match="det"):
             h_func(0.9, 0.9, 0.05)
+
+
+class TestHFromGammaEntries:
+    """h_func builds Gamma from ``_gamma_entries`` and tests the det the scans
+    test, on a fixed grid of triples with every pairwise product below 1."""
+
+    @staticmethod
+    def grid():
+        ws = np.linspace(0.15, 1.3, 11)
+        return [t for t in itertools.product(ws, repeat=3)
+                if max(t[0] * t[1], t[0] * t[2], t[1] * t[2]) < 1]
+
+    def test_raises_exactly_where_det_is_not_positive(self):
+        grid, raised = self.grid(), 0
+        for x, y, z in grid:
+            if gamma_det(x, y, z) <= 0:
+                with pytest.raises(ValueError, match="det"):
+                    h_func(x, y, z)
+                raised += 1
+            else:
+                h_func(x, y, z)
+        assert 0 < raised < len(grid)
+
+    def test_equals_the_solve_on_gamma(self):
+        admitted = 0
+        for x, y, z in self.grid():
+            s, e, xi, det = geometry._gamma_entries(x, y, z)
+            if det <= 0:
+                continue
+            # the entries are f_width_inv of the pairwise products
+            assert (s, e, xi) == (f_width_inv(x * y), f_width_inv(x * z), f_width_inv(y * z))
+            g = np.array([[1.0, s, e], [s, 1.0, xi], [e, xi, 1.0]])
+            v = np.array([x, y, z])
+            assert h_func(x, y, z) == float(v @ np.linalg.solve(g, v))
+            admitted += 1
+        assert admitted > 0
 
 
 class TestMeanWidth:

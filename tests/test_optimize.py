@@ -10,7 +10,7 @@ import pytest
 from conftest import F_STAR
 
 import gaussmax
-from gaussmax import closedform, optimize
+from gaussmax import closedform, corrmat, optimize
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import PAIRS, CorrelationMatrix4, DomainTag, classify
 from gaussmax.optimize import (
@@ -177,7 +177,7 @@ class TestOneDerivePerIterate:
         # behind the closed-form entry points alike
         start = (CorrelationMatrix4.identity() if seed is None
                  else random_interior(np.random.default_rng(seed)))
-        counts = {"derive": 0, "_gram": 0}
+        counts = {"derive": 0, "gram_of_rows": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -185,12 +185,13 @@ class TestOneDerivePerIterate:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(optimize, "_gram", counting("_gram", optimize._gram))
+        monkeypatch.setattr(optimize, "gram_of_rows",
+                            counting("gram_of_rows", corrmat.gram_of_rows))
         monkeypatch.setattr(optimize, "derive", counting("derive", optimize.derive))
         monkeypatch.setattr(closedform, "derive", counting("derive", closedform.derive))
         res = maximize(start)
         assert res.converged and res.iterations > 0
-        assert counts["derive"] == counts["_gram"] > res.iterations
+        assert counts["derive"] == counts["gram_of_rows"] > res.iterations
 
 
 class TestStepGlue:
@@ -219,7 +220,7 @@ class TestStepGlue:
             raw = (u @ u.T)[self.ROWS, self.COLS]
             expected = np.clip(raw, -1.0, 1.0)
             clipped += int(np.sum(raw != expected))
-            assert np.array(optimize._gram(u).offdiag).tobytes() == expected.tobytes()
+            assert np.array(corrmat.gram_of_rows(u).offdiag).tobytes() == expected.tobytes()
         assert clipped > 0
 
 
