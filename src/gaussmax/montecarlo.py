@@ -3,9 +3,13 @@ maximum and the four order-statistic means.
 
 Reproducibility contract: results depend only on (matrix, n, seed, shards) --
 never on a thread count, GAUSSMAX_THREADS or the BLAS library's
-(OPENBLAS_NUM_THREADS).  Shard s draws from Philox keyed by
-SeedSequence(seed, spawn_key=(s,)), and shard partials are reduced in shard
-order with exact summation.
+(OPENBLAS_NUM_THREADS).  The n/2 pairs are split evenly over the shards,
+and each shard into blocks of _BLOCK pairs.  Block k of shard s draws from
+its own SFC64 generator, keyed by SeedSequence(seed, spawn_key=(s, k)), so
+each block is an independent task on the thread pool and its draws do not
+depend on which thread runs it or when.  A shard's sums add its blocks'
+sums in block order, and shard partials are reduced in shard order with
+exact summation.
 
 The n draws are n/2 antithetic pairs (x, -x), and the pair is the unit of
 reduction: a statistic f is summed as its pair sums q = f(x) + f(-x), its
@@ -13,19 +17,15 @@ mean is sum(q) / n and its standard error is that of the mean of the n/2
 pair averages q/2.  The mate -x has the draw's order statistics negated and
 reversed, so e3 = -e2 and e4 = -e1 exactly.
 
-Each shard draws in blocks of _BLOCK pairs.  One block of one shard is one
-task on the thread pool: it draws its standard normals, submits the shard's
-next block (which draws from the same generator, so the draws come in the
-same order whichever thread runs them) and then reduces its own pair sums to
-per-block sums.  A shard's sums add those in block order, so _BLOCK fixes
-the summation order: changing it changes results in the last bits.  Within
-a block the standard normals are transformed by the factor one _CHUNK at a
-time, into a transposed chunk buffer, so that no transformed copy of the
-whole block is held and max, min and the sorting network run on contiguous
-rows.  The chunk products equal the rows of the whole-block product, and
-max, min and the network are exact elementwise operations; the sums that
-follow see the same full-block arrays whatever the chunk size, so _CHUNK
-does not change results.  Sums of squares are taken with einsum, not BLAS,
+A block draws _CHUNK pairs at a time into one reused buffer, transforms
+them by the factor into a contiguous (4, c) array and writes their pair
+sums into the block's (k, b) array, so that no (b, 4) draws and no
+transform of the whole block are held.  Drawing in pieces gives the same
+stream as one call, each transformed column depends on its own draw alone,
+and max, min and the sorting network are exact elementwise operations; the
+block's sums are taken over the whole (k, b) array.  So _CHUNK does not
+change results, while _BLOCK does: it fixes both the keys of the streams
+and the summation order.  Sums of squares are taken with einsum, not BLAS,
 whose dot product splits across its threads.
 """
 
@@ -42,8 +42,8 @@ import numpy as np
 from .corrmat import (CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify,
                       eigen_factor)
 
-_BLOCK = 500_000  # pairs per shard block; bounds peak memory
-_CHUNK = 8_192  # draws per transposed chunk; sized to stay in cache
+_BLOCK = 500_000  # pairs per block, one pool task; bounds peak memory
+_CHUNK = 8_192  # pairs drawn at a time; sized to stay in cache
 
 
 def thread_count() -> int:
@@ -109,8 +109,9 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     return factor
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(shard,))))
+def _block_rng(seed: int, shard: int, block: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(shard, block))))
 
 
 def _shard_sizes(pairs: int, shards: int) -> list[int]:
@@ -135,43 +136,44 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
     """Exact per-row sums of the pair sums q and of q**2 over n/2 antithetic
     pairs.
 
-    ``pair_rows(z, lt)`` takes one block of standard normals z, shape (b, 4),
-    whose draws x are the rows of ``z @ lt``, and returns a (k, b) array
+    ``pair_rows(z, lt)`` takes one chunk of standard normals z, shape (c, 4),
+    whose draws x are the rows of ``z @ lt``, and returns a (k, c) array
     whose column j holds the pair sums f(x) + f(-x) of k statistics f at
-    draw j, from exact elementwise operations.
-
-    Each block of each shard is one task, which submits its shard's next
-    block as soon as it has drawn its own, so that a free thread draws while
-    this one reduces.  A shard's sums add its blocks' sums in block order,
-    and the shard partials are reduced in shard order with exact summation.
+    draw j, from exact elementwise operations.  Each block is one pool
+    task, submitted up front; the module docstring gives the order of the
+    sums.
     """
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
     lt = sample_factor(m).T
     sizes = _shard_sizes(n // 2, nshards)
 
-    def block(rng: np.random.Generator, left: int):
-        z = rng.standard_normal((min(left, _BLOCK), 4))
-        rest = left - len(z)
-        following = pool.submit(block, rng, rest) if rest else None
-        q = pair_rows(z, lt)
-        del z  # free the draws before the sums
-        return (q.sum(axis=1), np.einsum("ij,ij->i", q, q)), following
+    def block_sums(shard: int, block: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = _block_rng(seed, shard, block)
+        z = np.empty((min(_CHUNK, b), 4))
+        q = None
+        for a in range(0, b, _CHUNK):
+            chunk = z[:min(_CHUNK, b - a)]
+            rng.standard_normal(out=chunk)
+            rows = pair_rows(chunk, lt)
+            if q is None:  # the first chunk tells the number of statistics
+                q = np.empty((len(rows), b))
+            q[:, a:a + len(chunk)] = rows
+        return q.sum(axis=1), np.einsum("ij,ij->i", q, q)
 
-    def shard_sums(task) -> tuple[np.ndarray, np.ndarray]:
-        (s, s2), task = task.result()
-        while task is not None:
-            (a, a2), task = task.result()
-            s += a
-            s2 += a2
-        return s, s2
-
-    blocks = sum(-(-size // _BLOCK) for size in sizes)
-    with ThreadPoolExecutor(max_workers=min(thread_count(), blocks)) as pool:
+    keys = [[(shard, k, min(_BLOCK, size - a)) for k, a in enumerate(range(0, size, _BLOCK))]
+            for shard, size in enumerate(sizes) if size]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), sum(map(len, keys)))) as pool:
         try:
-            heads = [pool.submit(block, _shard_rng(seed, shard), size)
-                     for shard, size in enumerate(sizes) if size]
-            parts = [shard_sums(task) for task in heads]
+            tasks = [[pool.submit(block_sums, *key) for key in shard] for shard in keys]
+            parts = []
+            for shard in tasks:
+                s, s2 = shard[0].result()
+                for task in shard[1:]:
+                    a, a2 = task.result()
+                    s += a
+                    s2 += a2
+                parts.append((s, s2))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -189,35 +191,22 @@ def _mean_se(s: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     return mean, np.sqrt(2 * var / n)
 
 
-def _transposed_chunks(z: np.ndarray, lt: np.ndarray):
-    """Yield ``(rows, t)`` over the (b, 4) standard draws z in runs of
-    _CHUNK, where t is ``(z[rows] @ lt).T``, a contiguous (4, k) array held
-    in one reused buffer, so that no transform of the whole block is held.
+def _transposed(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """``(z @ lt).T``, a contiguous (4, c) array whose rows max, min and the
+    sorting network read.
 
-    The chunk product equals those rows of ``z @ lt`` bit for bit, except
+    Each column depends on its own draw alone, whatever the chunk, except
     that numpy multiplies a lone row by a vector kernel whose bits differ:
-    a one-row chunk of a longer block is multiplied together with a
-    neighbouring row.
+    a lone row is multiplied together with a copy of itself.
     """
-    b = len(z)
-    buf = np.empty((4, min(_CHUNK, b)))
-    for a in range(0, b, _CHUNK):
-        rows = slice(a, min(a + _CHUNK, b))
-        t = buf[:, :rows.stop - a]
-        if t.shape[1] > 1 or b == 1:
-            np.matmul(lt.T, z[rows].T, out=t)
-        else:  # a lone row of a longer block: multiply it with a neighbour
-            p = min(a, b - 2)
-            np.copyto(t, (lt.T @ z[p:p + 2].T)[:, a - p:a - p + 1])
-        yield rows, t
+    if len(z) == 1:
+        return (lt.T @ np.repeat(z, 2, axis=0).T)[:, :1].copy()
+    return lt.T @ z.T
 
 
 def _max_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (1, b) pair sums of the maximum, max(x) + max(-x) = max(x) - min(x)."""
-    q = np.empty((1, len(z)))
-    for rows, t in _transposed_chunks(z, lt):
-        np.ptp(t, axis=0, out=q[0, rows])
-    return q
+    """The (1, c) pair sums of the maximum, max(x) + max(-x) = max(x) - min(x)."""
+    return np.ptp(_transposed(z, lt), axis=0, keepdims=True)
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
@@ -227,24 +216,22 @@ def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = 
 
 
 def _sorted_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (4, b) array ``np.sort(z @ lt, axis=1).T``, from a 5-comparator
-    sorting network of np.minimum/np.maximum over contiguous chunk rows."""
-    asc = np.empty((4, len(z)))
-    scratch = np.empty((4, min(_CHUNK, len(z))))
-    for rows, t in _transposed_chunks(z, lt):
-        u = scratch[:, :t.shape[1]]
-        x0, x1, x2, x3 = asc[:, rows]
-        np.minimum(t[0], t[1], out=u[0])
-        np.maximum(t[0], t[1], out=u[1])
-        np.minimum(t[2], t[3], out=u[2])
-        np.maximum(t[2], t[3], out=u[3])
-        # t is free from here on and holds the two middle candidates
-        np.minimum(u[0], u[2], out=x0)
-        np.maximum(u[0], u[2], out=t[0])
-        np.minimum(u[1], u[3], out=t[1])
-        np.maximum(u[1], u[3], out=x3)
-        np.minimum(t[0], t[1], out=x1)
-        np.maximum(t[0], t[1], out=x2)
+    """The (4, c) array ``np.sort(z @ lt, axis=1).T``, from a 5-comparator
+    sorting network of np.minimum/np.maximum over contiguous rows."""
+    t = _transposed(z, lt)
+    u = np.empty_like(t)
+    asc = np.empty_like(t)
+    np.minimum(t[0], t[1], out=u[0])
+    np.maximum(t[0], t[1], out=u[1])
+    np.minimum(t[2], t[3], out=u[2])
+    np.maximum(t[2], t[3], out=u[3])
+    # t is free from here on and holds the two middle candidates
+    np.minimum(u[0], u[2], out=asc[0])
+    np.maximum(u[0], u[2], out=t[0])
+    np.minimum(u[1], u[3], out=t[1])
+    np.maximum(u[1], u[3], out=asc[3])
+    np.minimum(t[0], t[1], out=asc[1])
+    np.maximum(t[0], t[1], out=asc[2])
     return asc
 
 

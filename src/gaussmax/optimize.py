@@ -15,11 +15,12 @@ Each gradient step is an Armijo backtracking line search whose first trial
 is the Barzilai-Borwein step <s, y> / <y, y> (Barzilai & Borwein, IMA J.
 Numer. Anal. 1988), s the change in the four rows and y the decrease of the
 Riemannian gradient over the previous step, both in ambient coordinates,
-clamped to [STEP_MIN, STEP_MAX].  On the first iteration, after an escape
-step, and where <s, y> <= 0 or the ratio is not finite, the first trial is
-STEP_INIT.  Near the optimum the curvatures differ by less than a factor of
-two, so no fixed step matches all of them and the adaptive one saves about
-a quarter of the iterations.
+clamped to [STEP_MIN, STEP_MAX].  On the first iteration and after an
+escape step the first trial is STEP_INIT.  Where <s, y> <= 0 or the ratio
+is not finite, as on the way out of a saddle while the gradient grows, it
+is twice the last accepted step, clamped alike.  Near the optimum the
+curvatures differ by less than a factor of two, so no fixed step matches
+all of them and the adaptive one saves about a quarter of the iterations.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .corrmat import (PAIRS, CorrelationMatrix4, DomainTag, _SLOTS, _check_count
                       derive, eigen_factor, gram_of_rows)
 from .verify import ScanReport
 
-STEP_INIT = 4.0   # first trial step on the first iteration, after an escape and on fallback
+STEP_INIT = 4.0   # first trial step on the first iteration and after an escape
 STEP_MIN = STEP_INIT / 1024  # bounds of the Barzilai-Borwein first trial: a tiny one
 STEP_MAX = STEP_INIT * 1024  # would reach line_search's eta floor after few trials
 BACKTRACK = 0.5   # step shrink factor per rejected trial
@@ -152,8 +153,9 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
             y = (secant[1] - r).ravel()
             sy = float(s.dot(y))
             bb = sy / float(y.dot(y)) if sy > 0 else math.nan
-            if math.isfinite(bb):
-                eta0 = min(max(bb, STEP_MIN), STEP_MAX)
+            # without positive curvature along s (leaving a saddle, say) the
+            # ratio means nothing: try twice the last accepted step instead
+            eta0 = min(max(bb if math.isfinite(bb) else 2 * eta, STEP_MIN), STEP_MAX)
         secant = v, r
         step = line_search(r, grad_norm ** 2, 1, eta0) if grad_norm > cfg.grad_tol else None
         if step is None or step[3] <= value:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,14 +112,13 @@ class TestEstimateMax:
         assert a == estimate_max(m, 20_000, 0, shards=2)
 
     def test_golden_value(self):
-        # the mean was recorded before the reducers read transposed chunks;
-        # it pins the draw stream, the block order and the summation order
-        # together.  The standard error was re-recorded when it moved to the
-        # pair averages of the antithetic pairs.
+        # pins the draw stream (SFC64 keyed by (seed, shard, block)) and the
+        # summation order together; _CHUNK does not enter.  Both values were
+        # recorded when each block got its own generator.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
-        assert est.mean == 0.9941913086908519
-        assert est.std_error == 0.001388883187160297
+        assert est.mean == 0.9940831612560901
+        assert est.std_error == 0.0013935021650408413
 
 
 class TestOrderStats:
@@ -300,6 +300,47 @@ class TestBlockScheduler:
         assert not caller.is_alive()
         assert raised == ["second block"]
         assert threading.active_count() == before
+
+
+class TestBlockStreams:
+    """Block k of shard s draws from its own generator, keyed by
+    (seed, s, k), one chunk at a time."""
+
+    def test_draws_in_pieces_equal_one_call(self):
+        pieces = (1, 7, montecarlo._CHUNK, 5_900)
+        whole = montecarlo._block_rng(5, 1, 2).standard_normal((sum(pieces), 4))
+        rng = montecarlo._block_rng(5, 1, 2)
+        drawn = np.empty_like(whole)
+        a = 0
+        for size in pieces:
+            rng.standard_normal(out=drawn[a:a + size])
+            a += size
+        assert np.array_equal(drawn, whole)
+
+    def test_keys_give_distinct_streams(self):
+        keys = list(itertools.product(range(3), range(3)))
+        firsts = {montecarlo._block_rng(5, s, k).standard_normal(4).tobytes() for s, k in keys}
+        assert len(firsts) == len(keys)
+
+
+class TestPeakMemory:
+    """A running block holds its (k, b) pair sums and one chunk of draws:
+    no (b, 4) draws and no (4, b) transform of the block."""
+
+    M = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+
+    @pytest.mark.parametrize("estimate, n, shards, limit_mb", [
+        (estimate_order_stats, 2_000_000, 1, 32), (estimate_max, 10_000_000, 5, 16),
+    ])
+    def test_peak_traced_memory(self, estimate, n, shards, limit_mb, monkeypatch):
+        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
+        tracemalloc.start()
+        try:
+            estimate(self.M, n, 7, shards=shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2 ** 20, peak / 2 ** 20
 
 
 def test_blas_thread_count_does_not_change_results():

@@ -136,6 +136,17 @@ class TestMaximize:
             assert res.iterations <= 60
             assert np.max(np.abs(res.argmax.array() + 1.0 / 3.0)) <= 1e-6
 
+    def test_steps_grow_out_of_a_saddle(self):
+        # leaving a saddle <s, y> <= 0, so the first trial is twice the last
+        # accepted step: from STEP_INIT instead, seed 3 took 29 iterations,
+        # 14 of them at exactly STEP_INIT, and the 100 starts 24.0 on average
+        res = maximize(random_psd(np.random.default_rng(3), 2))
+        assert res.converged
+        assert res.iterations <= 25
+        iterations = [maximize(random_psd(np.random.default_rng(s), 2)).iterations
+                      for s in range(100)]
+        assert np.mean(iterations) <= 20
+
     def test_records_optimality_measures(self):
         cfg = AscentConfig()
         res = maximize(CorrelationMatrix4.identity(), cfg)
