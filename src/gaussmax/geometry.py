@@ -45,8 +45,13 @@ EDGE_OF_FACET_PAIR: tuple[int, ...] = tuple(
 
 _UNIT_TOL = 1e-12
 
-# The six vertex pairs in storage order, as index arrays for the mean-width pass.
+# Index arrays for the array passes: the six vertex pairs in storage order, the
+# facets' vertices by position, the vertex opposite each facet (the four
+# indices sum to 6) and the facet pairs.
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
+_FACET_VERTICES = np.array(FACETS).T
+_OPPOSITE = 6 - _FACET_VERTICES.sum(axis=0)
+_FACET_I, _FACET_J = np.array(FACET_PAIRS).T
 
 
 @dataclass(frozen=True)
@@ -103,30 +108,18 @@ class DihedralSet:
 def embed(m: CorrelationMatrix4) -> Tetrahedron:
     """Unit vectors in R^3 whose Gram matrix is m (rank <= 3 required).
 
-    Convention: v1 = (0,0,1); v2 in the xz-plane with x >= 0.
+    Convention: v1 = (0,0,1); v2 in the xz-plane with x >= 0.  The QR of the
+    eigen rows puts v1 on the first axis and v2 in the first plane; R's rows
+    flipped to a nonnegative diagonal, with axes (z, x, y), give it at any rank.
     """
     if classify(m).tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
     w, rows = eigen_factor(m)
     if rank_of(w) > 3:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
-    rows = rows[:, 1:]
-
-    e3 = rows[0] / np.linalg.norm(rows[0])
-    e1 = None
-    for cand in rows[1:]:
-        p = cand - (cand @ e3) * e3
-        if np.linalg.norm(p) > 1e-9:
-            e1 = p / np.linalg.norm(p)
-            break
-    if e1 is None:  # rank 1: all vertices on one axis
-        e1 = np.zeros(3)
-        e1[int(np.argmin(np.abs(e3)))] = 1.0
-        e1 -= (e1 @ e3) * e3
-        e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    frame = np.column_stack([e1, e2, e3])
-    verts = rows @ frame
+    r = np.linalg.qr(rows[:, 1:].T, mode="r")
+    r *= np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
+    verts = r.T[:, [1, 2, 0]]
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     gram = verts @ verts.T
     if np.max(np.abs(gram - m.matrix())) > 1e-10:
@@ -156,32 +149,27 @@ def dihedrals(m: CorrelationMatrix4) -> DihedralSet:
 def _outward_normals(t: Tetrahedron) -> np.ndarray:
     """Unit facet normals pointing away from the opposite vertex."""
     v = t.vertices
-    normals = np.empty((4, 3))
-    for i, facet in enumerate(FACETS):
-        p, q, r = (v[j] for j in facet)
-        opp = v[list(set(range(4)) - set(facet))[0]]
-        n = np.cross(q - p, r - p)
-        norm = np.linalg.norm(n)
-        if norm < 1e-14:
+    p, q, r = v[_FACET_VERTICES]
+    n = np.cross(q - p, r - p)
+    norm = np.linalg.norm(n, axis=1)
+    side = np.einsum("ij,ij->i", n, v[_OPPOSITE] - p)
+    degenerate = norm < 1e-14
+    bad = np.flatnonzero(degenerate | (np.abs(side) < 1e-12 * norm))
+    if bad.size:
+        i = bad[0]
+        if degenerate[i]:
             raise ValueError(f"facet {i + 1} is degenerate")
-        n /= norm
-        side = n @ (opp - p)
-        if abs(side) < 1e-12:
-            raise ValueError(f"flat tetrahedron: the vertex opposite facet {i + 1} "
-                             "lies on its plane")
-        if side > 0:
-            n = -n
-        normals[i] = n
-    return normals
+        raise ValueError(f"flat tetrahedron: the vertex opposite facet {i + 1} "
+                         "lies on its plane")
+    return np.where(side[:, None] > 0, -n, n) / norm[:, None]
 
 
 def dihedrals_of(t: Tetrahedron) -> DihedralSet:
     """Outer dihedral angles via facet normals (angles between outward
     normals of adjacent facets); independent cross-check of dihedrals()."""
     normals = _outward_normals(t)
-    alpha = np.array([
-        np.arccos(np.clip(normals[i] @ normals[j], -1.0, 1.0)) for i, j in FACET_PAIRS
-    ])
+    cosines = np.einsum("ij,ij->i", normals[_FACET_I], normals[_FACET_J])
+    alpha = np.arccos(np.clip(cosines, -1.0, 1.0))
     alpha.flags.writeable = False
     return DihedralSet(alpha)
 
@@ -192,7 +180,7 @@ def stationarity_residual(m: CorrelationMatrix4) -> float:
     at stationary configurations."""
     t = embed(m)
     normals = _outward_normals(t)
-    lengths = np.array([normals[i] @ t.vertices[FACETS[i][0]] for i in range(4)])
+    lengths = np.einsum("ij,ij->i", normals, t.vertices[_FACET_VERTICES[0]])
     if not np.all(lengths > 0):
         raise ValueError("origin is not strictly inside the tetrahedron")
     alpha = dihedrals(m).alpha
@@ -200,10 +188,7 @@ def stationarity_residual(m: CorrelationMatrix4) -> float:
         raise ValueError("flat fold: an outer dihedral angle equals pi")
     # alpha/sin(alpha) -> 1 as alpha -> 0
     ratio = np.where(alpha > 1e-9, alpha / np.sin(np.clip(alpha, 1e-300, None)), 1.0)
-    prods = np.array([
-        lengths[i] * lengths[j] * ratio[idx]
-        for idx, (i, j) in enumerate(FACET_PAIRS)
-    ])
+    prods = lengths[_FACET_I] * lengths[_FACET_J] * ratio
     gamma = float(np.mean(prods))
     return float(np.max(np.abs(prods - gamma)) / gamma)
 
@@ -237,8 +222,8 @@ def f_width(x):
     arr = np.asarray(x, dtype=float)
     if not np.all((-1.0 <= arr) & (arr <= 1.0)):
         raise ValueError("argument must lie in [-1, 1]")
-    out = _f_width_arr(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _f_width_arr(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def f_width_inv(y):
@@ -246,8 +231,8 @@ def f_width_inv(y):
     arr = np.asarray(y, dtype=float)
     if not np.all((0.0 <= arr) & (arr <= 1.0)):
         raise ValueError("argument must lie in [0, 1]")
-    out = _f_inv_arr(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _f_inv_arr(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def h_func(x: float, y: float, z: float) -> float:

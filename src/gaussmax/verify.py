@@ -539,7 +539,7 @@ def bounds_check(m: CorrelationMatrix4) -> ScanReport:
     return ScanReport(
         name="bounds",
         grid="single matrix",
-        passed=bool(lower <= value <= upper or margin > -1e-12),
+        passed=bool(margin > -1e-12),
         worst_margin=float(margin),
         details={"lower": lower, "value": value, "upper": upper},
     )

@@ -79,16 +79,22 @@ class TestEmbedding:
 
         rng = np.random.default_rng(5)
         ms = [random_psd(rng, dim) for dim in (2, 3, 4) for _ in range(100)]
+        ms += [random_psd(rng, 1) for _ in range(100)]
         # -1/3 + 1e-9: smallest eigenvalue 3e-9, above EPS_PSD times the largest
         ms += [CorrelationMatrix4.equicorrelated(r)
                for r in (1.0, 0.5, 0.0, -1.0 / 3.0, -1.0 / 3.0 + 1e-9)]
         for m in ms:
             try:
-                embed(m)
+                v = embed(m).vertices
                 rank4 = False
             except ValueError as exc:
                 rank4 = "rank 4" in str(exc)
             assert rank4 == (rank(m) == 4)
+            if not rank4:
+                # the convention and the Gram matrix hold at every rank
+                assert np.array_equal(v[0], [0.0, 0.0, 1.0])
+                assert v[1][1] == 0.0 and v[1][0] >= 0.0
+                assert np.max(np.abs(v @ v.T - m.matrix())) <= 1e-12
 
     def test_rank1_flat(self):
         t = embed(CorrelationMatrix4.equicorrelated(1.0))
@@ -172,7 +178,7 @@ class TestDihedrals:
         n_zero = int(np.sum(ds.alpha < 1e-6))
         assert n_zero == 2
 
-    def test_normals_reject_coplanar_points(self):
+    def test_normals_reject_coplanar_points(self, rng):
         # each opposite vertex lies on its facet plane, so no facet normal can
         # be oriented: exactly so on z = 0, up to rounding on a rotated copy
         angles = np.array([0.0, 1.1, 2.4, 4.0])
@@ -181,6 +187,13 @@ class TestDihedrals:
         for points in (v, v @ q.T):
             with pytest.raises(ValueError, match="flat tetrahedron"):
                 dihedrals_of(Tetrahedron(points))
+        # a repeated vertex: the first failing facet in F1..F4 order is named,
+        # and within one facet a degenerate triangle before a flat vertex
+        w = random_tetra(rng).vertices
+        with pytest.raises(ValueError, match="flat tetrahedron: the vertex opposite facet 1 "):
+            dihedrals_of(Tetrahedron(w[[0, 1, 2, 2]]))  # F1 flat, F2 degenerate
+        with pytest.raises(ValueError, match="facet 1 is degenerate"):
+            dihedrals_of(Tetrahedron(w[[0, 0, 2, 3]]))
 
     def test_interior_matrix_still_has_dihedrals(self):
         # the formula needs no 3-D realization; interior (rank-4) inputs work
@@ -231,6 +244,12 @@ class TestStationarity:
         angles = np.array([0.0, 1.0, 2.0, 3.0])
         v = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
         with pytest.raises(ValueError):
+            stationarity_residual(corr_of(Tetrahedron(v)))
+
+    def test_origin_outside_errors(self):
+        # four vertices in the upper hemisphere: the origin is outside
+        v = np.array([[0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8], [0.36, 0.48, 0.8]])
+        with pytest.raises(ValueError, match="origin is not strictly inside"):
             stationarity_residual(corr_of(Tetrahedron(v)))
 
 

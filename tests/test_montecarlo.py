@@ -239,9 +239,7 @@ class TestChunkedReduction:
         assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
         assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
 
-    @pytest.mark.parametrize("chunk", [1, 7, 8_192])
-    def test_sorting_network_equals_sort(self, chunk, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    def test_sorting_network_equals_sort(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10_001, 4))
         x[::3, 2] = x[::3, 0]  # ties, as drawn from a matrix with a unit pair
