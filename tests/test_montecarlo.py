@@ -239,13 +239,18 @@ class TestChunkedReduction:
         assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
         assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
 
-    def test_sorting_network_equals_sort(self):
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    def test_sorting_network_equals_sort(self, chunk):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10_001, 4))
         x[::3, 2] = x[::3, 0]  # ties, as drawn from a matrix with a unit pair
         x[::5, 1] = x[::5, 3]
-        # the identity factor transforms exactly, so the network sorts x itself
-        assert np.array_equal(montecarlo._sorted_rows(x, np.eye(4)), np.sort(x, axis=1).T)
+        # the network is fed chunk rows at a time, as a block feeds it (chunk 1
+        # takes the lone-row path); the identity factor transforms exactly, so
+        # the network sorts x itself
+        asc = np.hstack([montecarlo._sorted_rows(x[a:a + chunk], np.eye(4))
+                         for a in range(0, len(x), chunk)])
+        assert np.array_equal(asc, np.sort(x, axis=1).T)
 
 
 class TestBlockScheduler:
