@@ -237,10 +237,8 @@ def _cmd_scan(args) -> int:
         rep = verify.p_inequality_scan(verify.PInequalityGrid(**given("n_theta", "n_u")))
     elif args.kind == "h-monotonicity":
         rep = verify.h_monotonicity_scan(verify.HMonotonicityGrid(**given("n_pairs", "z_steps")))
-    elif args.kind == "p-ordering":
-        rep = verify.p_ordering_scan(**given("n_theta", "n_u"))
     else:
-        raise ValueError(f"unknown scan kind {args.kind!r}")
+        rep = verify.p_ordering_scan(**given("n_theta", "n_u"))
     _emit({"command": "scan", "kind": args.kind, "pass": rep.passed,
            "report": rep.to_json_obj()}, args.pretty)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL

@@ -117,12 +117,10 @@ class CorrelationMatrix4:
         return CorrelationMatrix4(tuple(m[perm[i], perm[j]] for i, j in PAIRS))
 
 
-# A class is an index into the DomainTag values in declaration order.  The
-# domain rule is a table of classes indexed by 4 * invalid + 2 * unit pair +
+# The domain rule is a table of tags indexed by 4 * invalid + 2 * unit pair +
 # positive definite: invalid wins, then a unit pair, then definiteness.
-_TAGS = tuple(DomainTag)
-_INTERIOR, _BOUNDARY, _UNIT_PAIR, _INVALID = range(len(_TAGS))
-_RULE = (_BOUNDARY, _INTERIOR) + (_UNIT_PAIR,) * 2 + (_INVALID,) * 4
+_RULE = ((DomainTag.BOUNDARY_S1, DomainTag.INTERIOR_S) + (DomainTag.DEGENERATE_UNIT_PAIR,) * 2
+         + (DomainTag.INVALID,) * 4)
 
 # A matrix read from its seven slots, the six off-diagonals in storage order
 # and then its unit diagonal: entry (i, j) is slot _SLOTS[i, j].
@@ -169,9 +167,9 @@ def _unit_classes(m: CorrelationMatrix4) -> list[list[int]]:
     return list(classes.values())
 
 
-def _domain_rule(x):
-    """The domain rule: the class (an index into ``_TAGS``) of the six
-    off-diagonals ``x``, from the smallest eigenvalue of their matrix."""
+def _domain_rule(x) -> DomainTag:
+    """The domain rule: the tag of the six off-diagonals ``x``, from the
+    smallest eigenvalue of their matrix."""
     lam_min = float(eigvalsh(_scatter(x))[0])
     invalid = max(map(abs, x)) > 1.0 + EPS_PSD or lam_min < -EPS_PSD
     return _RULE[4 * invalid + 2 * has_unit_pair(x) + (lam_min > EPS_PSD)]
@@ -194,7 +192,7 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     correlation matrix at all.  A unit pair's witness is the first pair in
     storage order whose correlation equals 1."""
     x = m.offdiag
-    tag = _TAGS[_domain_rule(x)]
+    tag = _domain_rule(x)
     if tag is DomainTag.DEGENERATE_UNIT_PAIR:
         i, j = PAIRS[next(t for t, r in enumerate(x) if is_unit(r))]
         return DomainClass(tag, witness=(i + 1, j + 1))
@@ -320,22 +318,22 @@ def _derive(x: tuple[float, ...]) -> CorrDerived:
     floats: one scatter and one eigvalsh for the domain rule, one det for
     a_tilde, the record's formulas on Python floats and one arccos."""
     lpx = [1.0 - v for v in x]
-    k = _domain_rule(x)
-    if k == _INVALID:
+    tag = _domain_rule(x)
+    if tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
     lt = [quad_term(x, t) for t in range(6)]
     slots = [*x, 1.0]  # a_tilde's covariance read from the matrix's slots
     cov = np.array([_anchored(slots[a], slots[b], slots[c])
                     for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
     a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
-    if k == _UNIT_PAIR:
+    if tag is DomainTag.DEGENERATE_UNIT_PAIR:
         cosines = np.full(6, np.nan)
     else:
         cosines = np.array(arccos_arguments(lpx, lt, a_tilde))
     lp, lt, angles = np.array(lpx), np.array(lt), np.arccos(cosines)
     for a in (lp, lt, cosines, angles):
         a.flags.writeable = False
-    return CorrDerived(_TAGS[k], lp, lt, np.float64(a_tilde), cosines, angles)
+    return CorrDerived(tag, lp, lt, np.float64(a_tilde), cosines, angles)
 
 
 # The last matrix ``derive`` was given and its record, read and rebound as
@@ -364,6 +362,12 @@ def derive(m: CorrelationMatrix4) -> CorrDerived:
     record = _derive(m.offdiag)
     _last = (m, record)
     return record
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v scaled to unit length: the operations of
+    ``np.linalg.norm(v, axis=1, keepdims=True)``, without its dispatch."""
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
 
 
 def gram_of_rows(v: np.ndarray) -> CorrelationMatrix4:

@@ -29,12 +29,13 @@ from .corrmat import (
     gram_of_rows,
     json_number,
     rank_of,
+    unit_rows,
 )
 
 # Facets in the fixed order F1..F4 (0-based vertex triples) and the facet
 # pairs indexing the six dihedral angles.
 FACETS: tuple[tuple[int, int, int], ...] = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
-FACET_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+FACET_PAIRS: tuple[tuple[int, int], ...] = PAIRS
 
 # Facet pair (i, j) <-> the unique vertex pair shared by both facets.  The
 # dihedral angle between facets i and j sits along that shared edge.
@@ -45,13 +46,12 @@ EDGE_OF_FACET_PAIR: tuple[int, ...] = tuple(
 
 _UNIT_TOL = 1e-12
 
-# Index arrays for the array passes: the six vertex pairs in storage order, the
-# facets' vertices by position, the vertex opposite each facet (the four
-# indices sum to 6) and the facet pairs.
+# Index arrays for the array passes: the six vertex pairs in storage order
+# (also the facet pairs), the facets' vertices by position and the vertex
+# opposite each facet (the four indices sum to 6).
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
 _FACET_VERTICES = np.array(FACETS).T
 _OPPOSITE = 6 - _FACET_VERTICES.sum(axis=0)
-_FACET_I, _FACET_J = np.array(FACET_PAIRS).T
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def embed(m: CorrelationMatrix4) -> Tetrahedron:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
     r = np.linalg.qr(rows[:, 1:].T, mode="r")
     r *= np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
-    verts = r.T[:, [1, 2, 0]]
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    verts = unit_rows(r.T[:, [1, 2, 0]])
     gram = verts @ verts.T
     if np.max(np.abs(gram - m.matrix())) > 1e-10:
         raise ValueError("embedding failed to reproduce the Gram matrix")
@@ -168,7 +167,7 @@ def dihedrals_of(t: Tetrahedron) -> DihedralSet:
     """Outer dihedral angles via facet normals (angles between outward
     normals of adjacent facets); independent cross-check of dihedrals()."""
     normals = _outward_normals(t)
-    cosines = np.einsum("ij,ij->i", normals[_FACET_I], normals[_FACET_J])
+    cosines = np.einsum("ij,ij->i", normals[_PAIR_I], normals[_PAIR_J])
     alpha = np.arccos(np.clip(cosines, -1.0, 1.0))
     alpha.flags.writeable = False
     return DihedralSet(alpha)
@@ -188,7 +187,7 @@ def stationarity_residual(m: CorrelationMatrix4) -> float:
         raise ValueError("flat fold: an outer dihedral angle equals pi")
     # alpha/sin(alpha) -> 1 as alpha -> 0
     ratio = np.where(alpha > 1e-9, alpha / np.sin(np.clip(alpha, 1e-300, None)), 1.0)
-    prods = lengths[_FACET_I] * lengths[_FACET_J] * ratio
+    prods = lengths[_PAIR_I] * lengths[_PAIR_J] * ratio
     gamma = float(np.mean(prods))
     return float(np.max(np.abs(prods - gamma)) / gamma)
 
@@ -254,10 +253,8 @@ def h_func(x: float, y: float, z: float) -> float:
 
 def _gamma_entries(x, y, z):
     """The off-diagonal entries s, e, xi of Gamma (pairs xy, xz, yz) and its
-    determinant; vectorized in z."""
-    s = f_width_inv(x * y)
-    e = _f_inv_arr(np.asarray(x * z, dtype=float))
-    xi = _f_inv_arr(np.asarray(y * z, dtype=float))
+    determinant; vectorized in z.  Each product must lie in [0, 1]."""
+    s, e, xi = f_width_inv(x * y), f_width_inv(x * z), f_width_inv(y * z)
     return s, e, xi, 1.0 - s * s - e * e - xi * xi + 2.0 * s * e * xi
 
 

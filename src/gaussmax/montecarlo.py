@@ -7,9 +7,8 @@ never on a thread count, GAUSSMAX_THREADS or the BLAS library's
 and each shard into blocks of _BLOCK pairs.  Block k of shard s draws from
 its own SFC64 generator, keyed by SeedSequence(seed, spawn_key=(s, k)), so
 each block is an independent task on the thread pool and its draws do not
-depend on which thread runs it or when.  A shard's sums add its blocks'
-sums in block order, and shard partials are reduced in shard order with
-exact summation.
+depend on which thread runs it or when.  The block sums are added exactly
+(math.fsum), so no order of addition enters the result.
 
 The n draws are n/2 antithetic pairs (x, -x), and the pair is the unit of
 reduction: a statistic f is summed as its pair sums q = f(x) + f(-x), its
@@ -24,9 +23,9 @@ transform of the whole block are held.  Drawing in pieces gives the same
 stream as one call, each transformed column depends on its own draw alone,
 and max, min and the sorting network are exact elementwise operations; the
 block's sums are taken over the whole (k, b) array.  So _CHUNK does not
-change results, while _BLOCK does: it fixes both the keys of the streams
-and the summation order.  Sums of squares are taken with einsum, not BLAS,
-whose dot product splits across its threads.
+change results, while _BLOCK does: it fixes the keys of the streams and
+which pairs each block's float sum adds.  Sums of squares are taken with
+einsum, not BLAS, whose dot product splits across its threads.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
     whose draws x are the rows of ``z @ lt``, and returns a (k, c) array
     whose column j holds the pair sums f(x) + f(-x) of k statistics f at
     draw j, from exact elementwise operations.  Each block is one pool
-    task, submitted up front; the module docstring gives the order of the
-    sums.
+    task and draws from its (seed, s, k) stream; the block sums are added
+    exactly.
     """
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
@@ -161,23 +160,10 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
             q[:, a:a + len(chunk)] = rows
         return q.sum(axis=1), np.einsum("ij,ij->i", q, q)
 
-    keys = [[(shard, k, min(_BLOCK, size - a)) for k, a in enumerate(range(0, size, _BLOCK))]
-            for shard, size in enumerate(sizes) if size]
-    with ThreadPoolExecutor(max_workers=min(thread_count(), sum(map(len, keys)))) as pool:
-        try:
-            tasks = [[pool.submit(block_sums, *key) for key in shard] for shard in keys]
-            parts = []
-            for shard in tasks:
-                s, s2 = shard[0].result()
-                for task in shard[1:]:
-                    a, a2 = task.result()
-                    s += a
-                    s2 += a2
-                parts.append((s, s2))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    sums, squares = zip(*parts)
+    keys = [(shard, k, min(_BLOCK, size - a))
+            for shard, size in enumerate(sizes) for k, a in enumerate(range(0, size, _BLOCK))]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(keys))) as pool:
+        sums, squares = zip(*pool.map(block_sums, *zip(*keys)))
     return (np.array([math.fsum(col) for col in zip(*sums)]),
             np.array([math.fsum(col) for col in zip(*squares)]))
 

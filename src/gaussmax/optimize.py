@@ -33,7 +33,7 @@ import numpy as np
 
 from . import closedform
 from .corrmat import (PAIRS, CorrelationMatrix4, DomainTag, _SLOTS, _check_count, classify,
-                      derive, eigen_factor, gram_of_rows)
+                      derive, eigen_factor, gram_of_rows, unit_rows)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step on the first iteration and after an escape
@@ -98,12 +98,6 @@ def project_elliptope(sym) -> CorrelationMatrix4:
     raise RuntimeError(f"projection did not reach residual {PROJ_TOL} in {PROJ_MAX_ITERS} iterations")
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """The rows of v scaled to unit length: the operations of
-    ``np.linalg.norm(v, axis=1, keepdims=True)``, without its dispatch."""
-    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
-
-
 def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptResult:
     """Backtracking Riemannian gradient ascent on the expected maximum, over
     four unit vectors whose Gram matrix is the correlation matrix."""
@@ -111,7 +105,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
     tag = classify(start).tag
     if tag in (DomainTag.INVALID, DomainTag.DEGENERATE_UNIT_PAIR):
         raise ValueError("start must have all correlations != 1")
-    v = _unit_rows(eigen_factor(start)[1])
+    v = unit_rows(eigen_factor(start)[1])
     m = gram_of_rows(v)
     derived = derive(m)
     value = closedform.value_of(derived)
@@ -122,7 +116,7 @@ def maximize(start: CorrelationMatrix4, cfg: AscentConfig | None = None) -> OptR
         once; a trial with a unit pair scores NaN and is rejected.  Returns
         (rows, matrix, derived, value, eta) or None."""
         while eta > 1e-16:
-            cand = _unit_rows(v + eta * direction)
+            cand = unit_rows(v + eta * direction)
             cand_m = gram_of_rows(cand)
             cand_derived = derive(cand_m)
             cand_val = closedform.value_of(cand_derived)
@@ -204,7 +198,7 @@ def optimal_value() -> float:
 def random_psd(rng: np.random.Generator, dim: int = 4) -> CorrelationMatrix4:
     """Gram matrix of four random unit vectors in R^dim, from one draw of
     4 * dim normals."""
-    return gram_of_rows(_unit_rows(rng.normal(size=(4, dim))))
+    return gram_of_rows(unit_rows(rng.normal(size=(4, dim))))
 
 
 def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> CorrelationMatrix4:

@@ -396,6 +396,15 @@ class TestHFromGammaEntries:
                 h_func(x, y, z)
         assert 0 < raised < len(grid)
 
+    @pytest.mark.parametrize("x, y, z", [
+        (2.0, 0.6, 0.1), (0.6, 0.1, 2.0), (0.1, 2.0, 0.6), (0.6, 0.1, np.array([0.5, 2.0])),
+    ])
+    def test_every_product_is_checked(self, x, y, z):
+        # a product xy, xz or yz above 1 is rejected, not read as a NaN entry
+        for f in (gamma_det, h_func_expanded):
+            with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\]"):
+                f(x, y, z)
+
     def test_equals_the_solve_on_gamma(self):
         admitted = 0
         for x, y, z in self.grid():

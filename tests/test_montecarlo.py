@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -112,9 +113,10 @@ class TestEstimateMax:
         assert a == estimate_max(m, 20_000, 0, shards=2)
 
     def test_golden_value(self):
-        # pins the draw stream (SFC64 keyed by (seed, shard, block)) and the
-        # summation order together; _CHUNK does not enter.  Both values were
-        # recorded when each block got its own generator.
+        # pins the draw stream (SFC64 keyed by (seed, shard, block)) and each
+        # block's float sum; here each shard is one block, and the block sums
+        # are added exactly, so no order of addition enters, nor does _CHUNK.
+        # Both values were recorded when each block got its own generator.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
         assert est.mean == 0.9940831612560901
@@ -303,6 +305,21 @@ class TestBlockScheduler:
         assert not caller.is_alive()
         assert raised == ["second block"]
         assert threading.active_count() == before
+
+
+class TestExactSum:
+    """The block sums are added exactly, whichever thread ran each block."""
+
+    def test_block_sums_are_added_exactly(self, monkeypatch):
+        # 10_000 pairs in one shard: 1,428 blocks of 7 pairs and one of 4,
+        # every pair sum 0.1 whatever the draws
+        monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
+        s, s2 = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
+                                        lambda z, lt: np.full((1, len(z)), 0.1))
+        blocks = [np.full((1, b), 0.1) for b in [7] * 1_428 + [4]]
+        assert s.tolist() == [math.fsum(q.sum(axis=1)[0] for q in blocks)]
+        assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", q, q)[0] for q in blocks)]
 
 
 class TestBlockStreams:

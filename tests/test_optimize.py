@@ -222,12 +222,12 @@ class TestStepGlue:
     def test_unit_rows(self):
         for v in self.row_sets():
             expected = v / np.linalg.norm(v, axis=1, keepdims=True)
-            assert optimize._unit_rows(v).tobytes() == expected.tobytes()
+            assert corrmat.unit_rows(v).tobytes() == expected.tobytes()
 
     def test_gram(self):
         clipped = 0
         for v in self.row_sets():
-            u = optimize._unit_rows(v)
+            u = corrmat.unit_rows(v)
             raw = (u @ u.T)[self.ROWS, self.COLS]
             expected = np.clip(raw, -1.0, 1.0)
             clipped += int(np.sum(raw != expected))
