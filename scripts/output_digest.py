@@ -24,7 +24,9 @@ the default ``p_inequality_scan`` and ``p_ordering_scan``), and ``shared``
 (``montecarlo.sample_factor`` on the inputs, ``geometry.corr_of`` on the
 tetrahedra of ``mean_width_inputs``, ``geometry.h_func`` on the admissible
 points of ``h_grid``, and the reports of the ``hessian`` and ``bounds``
-suites of ``gaussmax verify`` at its default seed).  Two Monte-Carlo
+suites of ``gaussmax verify`` at its default seed), and ``cli`` (the stdout
+bytes and the exit code of ``cli.main`` on each line of ``CLI_ARGV``; stderr
+is not hashed, since only stdout is the command's output).  Two Monte-Carlo
 families hash ``estimate_max`` and ``estimate_order_stats`` on a few matrices
 and ``(n, shards)`` pairs, whose shards run to several blocks: ``mc_mean`` the
 mean and e1..e4, ``mc_se`` every standard error.  A call that raises
@@ -51,7 +53,9 @@ example a checkout of the parent commit against the change:
 Usage: python scripts/output_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 
@@ -64,7 +68,7 @@ from gaussmax.optimize import certify, maximize, random_interior, random_psd
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
             "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans", "shared",
-            "mc_mean", "mc_se")
+            "mc_mean", "mc_se", "cli")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
@@ -92,6 +96,23 @@ MC_MATRICES = (
 # (n, shards, seed): 3 blocks, the last of 8,193 pairs (a one-row last
 # chunk); 2 shards of 2 blocks; one block on the default shard count
 MC_RUNS = ((1_016_386, 1, 5), (3_000_000, 2, 6), (200_000, None, 7))
+# Cheap command lines: each subcommand, then one usage error (a flag of
+# another scan kind) and one domain error (a matrix outside the elliptope).
+CLI_MATRIX = "0.2,-0.1,0.3,0,-0.2,0.1"
+CLI_ARGV = (
+    ("compute", "--corr", CLI_MATRIX),
+    ("--pretty", "compute", "--corr3", "-0.5,-0.5,-0.5"),
+    ("grad", "--corr", CLI_MATRIX),
+    ("hessian", "--corr", CLI_MATRIX),
+    ("mc", "--corr", CLI_MATRIX, "--samples", "20000", "--seed", "3", "--order-stats"),
+    ("meanwidth", "--corr", ",".join([repr(-1.0 / 3.0)] * 6), "--order", "20"),
+    ("dihedrals", "--corr", CLI_MATRIX),
+    ("optimize", "--start", "random", "--seed", "4"),
+    ("verify", "--suite", "identity"),
+    ("scan", "--kind", "u-interval", "--x", "0.4", "--n", "500"),
+    ("scan", "--kind", "p-ordering", "--n-pairs", "3"),
+    ("compute", "--corr", "-0.5,-0.5,-0.5,-0.5,-0.5,-0.5"),
+)
 
 
 def special_matrices() -> list[CorrelationMatrix4]:
@@ -152,6 +173,14 @@ def h_grid() -> list[tuple[float, float, float]]:
     x, y, z = x[inside], y[inside], z[inside]
     keep = geometry.gamma_det(x, y, z) > 0
     return list(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
+
+
+def cli_run(argv) -> tuple[bytes, int]:
+    """The stdout bytes and the exit code of one command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return out.getvalue().encode(), code
 
 
 def _bits(value) -> bytes:
@@ -239,6 +268,8 @@ def digests() -> dict[str, str]:
             _feed(h["mc_mean"], lambda: (est.mean, order.e1, order.e2, order.e3, order.e4))
             _feed(h["mc_se"], lambda: (est.std_error, *order.std_errors,
                                        order.se_third_identity, order.se_second_identity))
+    for argv in CLI_ARGV:
+        _feed(h["cli"], cli_run, argv)
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 

@@ -21,6 +21,7 @@ from .corrmat import (
     CorrelationMatrix4,
     classify,
     load_matrix,
+    parse_entries,
     parse_offdiag_text,
     to_json_obj,
 )
@@ -35,68 +36,44 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 
 def _matrix_from_args(args) -> CorrelationMatrix4:
-    if getattr(args, "corr", None):
+    if args.corr:
         return parse_offdiag_text(args.corr)
-    if getattr(args, "file", None):
+    if args.file:
         return load_matrix(args.file)
     raise ValueError("provide a matrix via --corr or --file")
 
 
-def _tolerances() -> dict:
-    return {
-        "eps_psd": EPS_PSD,
-        "eps_one": EPS_ONE,
-        "eps_clamp": EPS_CLAMP,
-    }
+_TOLERANCES = {"eps_psd": EPS_PSD, "eps_one": EPS_ONE, "eps_clamp": EPS_CLAMP}
 
 
-def _cmd_compute(args) -> int:
+# Each command returns its JSON document; main adds the command name, prints
+# it and exits 1 where it carries "pass": false.
+def _cmd_compute(args) -> dict:
     if args.corr3:
-        parts = [float(p) for p in args.corr3.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--corr3 needs exactly 3 values r12,r13,r23")
-        value = closedform.f_max3(*parts)
-        _emit({"command": "compute", "inputs": {"corr3": parts},
-               "f_max3": value, "tolerances": _tolerances()}, args.pretty)
-        return EXIT_OK
+        r = parse_entries(args.corr3, ("12", "13", "23"))
+        return {"inputs": {"corr3": r}, "f_max3": closedform.f_max3(*r),
+                "tolerances": _TOLERANCES}
     m = _matrix_from_args(args)
-    doc = {
-        "command": "compute",
-        "inputs": to_json_obj(m),
-        "classification": classify(m).tag.value,
-        "f_max": closedform.f_max(m),
-        "tolerances": _tolerances(),
-    }
-    _emit(doc, args.pretty)
-    return EXIT_OK
+    return {"inputs": to_json_obj(m), "classification": classify(m).tag.value,
+            "f_max": closedform.f_max(m), "tolerances": _TOLERANCES}
 
 
-def _cmd_grad(args) -> int:
+def _cmd_grad(args) -> dict:
     m = _matrix_from_args(args)
-    _emit({"command": "grad", "inputs": to_json_obj(m),
-           "gradient": list(closedform.gradient(m)),
-           "tolerances": _tolerances()}, args.pretty)
-    return EXIT_OK
+    return {"inputs": to_json_obj(m), "gradient": list(closedform.gradient(m)),
+            "tolerances": _TOLERANCES}
 
 
-def _cmd_hessian(args) -> int:
+def _cmd_hessian(args) -> dict:
     m = _matrix_from_args(args)
-    h = closedform.hessian(m)
-    _emit({"command": "hessian", "inputs": to_json_obj(m),
-           "hessian": [list(row) for row in h],
-           "tolerances": _tolerances()}, args.pretty)
-    return EXIT_OK
+    return {"inputs": to_json_obj(m), "hessian": [list(row) for row in closedform.hessian(m)],
+            "tolerances": _TOLERANCES}
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> dict:
     m = _matrix_from_args(args)
-    doc = {
-        "command": "mc",
-        "inputs": to_json_obj(m),
-        "samples": args.samples,
-        "seed": args.seed,
-        "shards": args.shards,
-    }
+    doc = {"inputs": to_json_obj(m), "samples": args.samples, "seed": args.seed,
+           "shards": args.shards}
     est = montecarlo.estimate_max(m, args.samples, args.seed, shards=args.shards)
     doc["estimate"] = {"mean": est.mean, "std_error": est.std_error,
                        "n_samples": est.n_samples, "seed": est.seed}
@@ -108,11 +85,10 @@ def _cmd_mc(args) -> int:
             "se_third_identity": os_.se_third_identity,
             "se_second_identity": os_.se_second_identity,
         }
-    _emit(doc, args.pretty)
-    return EXIT_OK
+    return doc
 
 
-def _cmd_meanwidth(args) -> int:
+def _cmd_meanwidth(args) -> dict:
     if args.tetra:
         t = geometry.load_tetrahedron(args.tetra)
         inputs = t.to_json_obj()
@@ -120,24 +96,18 @@ def _cmd_meanwidth(args) -> int:
         m = _matrix_from_args(args)
         t = geometry.embed(m)
         inputs = to_json_obj(m)
-    w = geometry.mean_width(t, quad_order=args.order)
-    _emit({"command": "meanwidth", "inputs": inputs, "quad_order": args.order,
-           "mean_width": w,
-           "gaussian_radial_factor": geometry.GAUSSIAN_RADIAL_FACTOR}, args.pretty)
-    return EXIT_OK
+    return {"inputs": inputs, "quad_order": args.order,
+            "mean_width": geometry.mean_width(t, quad_order=args.order),
+            "gaussian_radial_factor": geometry.GAUSSIAN_RADIAL_FACTOR}
 
 
-def _cmd_dihedrals(args) -> int:
+def _cmd_dihedrals(args) -> dict:
     m = _matrix_from_args(args)
-    ds = geometry.dihedrals(m)
-    _emit({"command": "dihedrals", "inputs": to_json_obj(m),
-           "alpha": list(ds.alpha),
-           "facet_pairs": ["%d%d" % (i + 1, j + 1) for i, j in geometry.FACET_PAIRS]},
-          args.pretty)
-    return EXIT_OK
+    return {"inputs": to_json_obj(m), "alpha": list(geometry.dihedrals(m).alpha),
+            "facet_pairs": ["%d%d" % (i + 1, j + 1) for i, j in geometry.FACET_PAIRS]}
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     if args.file is not None and args.start != "file":
         raise ValueError(f"--file does not apply to --start {args.start}")
     if args.start == "identity":
@@ -150,8 +120,7 @@ def _cmd_optimize(args) -> int:
         start = load_matrix(args.file)
     cfg = optimize.AscentConfig(grad_tol=args.tol, max_iters=args.max_iters)
     res = optimize.maximize(start, cfg)
-    doc = {
-        "command": "optimize",
+    return {
         "inputs": {"start": to_json_obj(start), "seed": args.seed, "tol": args.tol},
         "argmax": to_json_obj(res.argmax),
         "value": res.value,
@@ -159,8 +128,6 @@ def _cmd_optimize(args) -> int:
         "converged": res.converged,
         "trajectory_summary": [list(t) for t in res.trajectory_summary],
     }
-    _emit(doc, args.pretty)
-    return EXIT_OK
 
 
 def _battery(seed: int, count: int) -> list[CorrelationMatrix4]:
@@ -168,80 +135,62 @@ def _battery(seed: int, count: int) -> list[CorrelationMatrix4]:
     return [optimize.random_interior(rng) for _ in range(count)]
 
 
-def _suite_reports(suite: str, seed: int) -> list[verify.ScanReport]:
-    reports: list[verify.ScanReport] = []
-    if suite in ("identity", "all"):
-        reports.append(verify.polynomial_identity())
-    if suite in ("monotonicity", "all"):
-        reports.append(verify.h_monotonicity_scan())
-        reports.append(verify.p_ordering_scan())
-    if suite in ("inequality", "all"):
-        reports.append(verify.p_inequality_scan())
-    if suite in ("nonconcavity", "all"):
-        reports.append(verify.nonconcavity_example())
-    if suite in ("hessian", "all"):
-        for m in _battery(seed, 20):
-            reports.append(verify.euler_relation_check(m))
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(10):
-            reports.append(verify.nonobtuse_hessian_check(verify.sample_nonobtuse_interior(rng)))
-    if suite in ("bounds", "all"):
-        for m in _battery(seed, 20):
-            reports.append(verify.bounds_check(m))
-        for m in (CorrelationMatrix4.identity(),
-                  CorrelationMatrix4.equicorrelated(-1 / 3),
-                  CorrelationMatrix4.equicorrelated(1.0)):
-            reports.append(verify.bounds_check(m))
-    if not reports:
-        raise ValueError(f"unknown suite {suite!r}")
-    return reports
+def _hessian_suite(seed: int) -> list[verify.ScanReport]:
+    rng = np.random.default_rng(seed + 1)
+    return ([verify.euler_relation_check(m) for m in _battery(seed, 20)]
+            + [verify.nonobtuse_hessian_check(verify.sample_nonobtuse_interior(rng))
+               for _ in range(10)])
 
 
-def _cmd_verify(args) -> int:
-    reports = _suite_reports(args.suite, args.seed)
-    ok = all(r.passed for r in reports)
-    doc = {
-        "command": "verify",
-        "suite": args.suite,
-        "pass": ok,
-        "reports": [r.to_json_obj() for r in reports],
-    }
-    if args.suite == "identity":
-        doc["residual"] = 0 if ok else int(reports[0].worst_margin)
-    _emit(doc, args.pretty)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-# The flags each scan kind reads; passing one that another kind reads is a
-# usage error rather than a flag silently ignored.
-_SCAN_FLAGS = {
-    "u-interval": ("x", "y", "n"),
-    "p-inequality": ("n_theta", "n_u"),
-    "h-monotonicity": ("n_pairs", "z_steps"),
-    "p-ordering": ("n_theta", "n_u"),
+# The verification suites in the order "all" runs them: each maps the seed to
+# its reports.  The calls are looked up in verify when a suite runs.
+_SUITES = {
+    "identity": lambda seed: [verify.polynomial_identity()],
+    "monotonicity": lambda seed: [verify.h_monotonicity_scan(), verify.p_ordering_scan()],
+    "inequality": lambda seed: [verify.p_inequality_scan()],
+    "nonconcavity": lambda seed: [verify.nonconcavity_example()],
+    "hessian": _hessian_suite,
+    "bounds": lambda seed: [verify.bounds_check(m) for m in _battery(seed, 20) + [
+        CorrelationMatrix4.identity(), CorrelationMatrix4.equicorrelated(-1 / 3),
+        CorrelationMatrix4.equicorrelated(1.0)]],
 }
 
 
-def _cmd_scan(args) -> int:
-    for name in dict.fromkeys(n for names in _SCAN_FLAGS.values() for n in names):
-        if getattr(args, name) is not None and name not in _SCAN_FLAGS[args.kind]:
+def _suite_reports(suite: str, seed: int) -> list[verify.ScanReport]:
+    if suite == "all":
+        return [r for run in _SUITES.values() for r in run(seed)]
+    return _SUITES[suite](seed)
+
+
+def _cmd_verify(args) -> dict:
+    reports = _suite_reports(args.suite, args.seed)
+    ok = all(r.passed for r in reports)
+    doc = {"suite": args.suite, "pass": ok, "reports": [r.to_json_obj() for r in reports]}
+    if args.suite == "identity":
+        doc["residual"] = 0 if ok else int(reports[0].worst_margin)
+    return doc
+
+
+# Each scan kind: its call on the flags passed (a flag left out takes the
+# scan's own default) and the flags it reads.  Passing a flag that only
+# another kind reads is a usage error rather than a flag silently ignored.
+_SCANS = {
+    "u-interval": (lambda x=0.5, y=0.5, **n: verify.u_interval_scan(x, y, **n), ("x", "y", "n")),
+    "p-inequality": (lambda **g: verify.p_inequality_scan(verify.PInequalityGrid(**g)),
+                     ("n_theta", "n_u")),
+    "h-monotonicity": (lambda **g: verify.h_monotonicity_scan(verify.HMonotonicityGrid(**g)),
+                       ("n_pairs", "z_steps")),
+    "p-ordering": (lambda **g: verify.p_ordering_scan(**g), ("n_theta", "n_u")),
+}
+
+
+def _cmd_scan(args) -> dict:
+    run, reads = _SCANS[args.kind]
+    for name in dict.fromkeys(n for _, names in _SCANS.values() for n in names):
+        if getattr(args, name) is not None and name not in reads:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
-
-    def given(*names):
-        """The flags passed; one left out takes the scan's own default."""
-        return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
-
-    if args.kind == "u-interval":
-        rep = verify.u_interval_scan(**{"x": 0.5, "y": 0.5, **given("x", "y", "n")})
-    elif args.kind == "p-inequality":
-        rep = verify.p_inequality_scan(verify.PInequalityGrid(**given("n_theta", "n_u")))
-    elif args.kind == "h-monotonicity":
-        rep = verify.h_monotonicity_scan(verify.HMonotonicityGrid(**given("n_pairs", "z_steps")))
-    else:
-        rep = verify.p_ordering_scan(**given("n_theta", "n_u"))
-    _emit({"command": "scan", "kind": args.kind, "pass": rep.passed,
-           "report": rep.to_json_obj()}, args.pretty)
-    return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
+    rep = run(**{n: getattr(args, n) for n in reads if getattr(args, n) is not None})
+    return {"kind": args.kind, "pass": rep.passed, "report": rep.to_json_obj()}
 
 
 def _add_matrix_args(p: argparse.ArgumentParser):
@@ -306,15 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   choices=("identity", "monotonicity", "inequality",
-                            "nonconcavity", "hessian", "bounds", "all"))
+    p.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     p.add_argument("--seed", type=int, default=20240401)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="parameterized scans")
-    p.add_argument("--kind", required=True,
-                   choices=("u-interval", "p-inequality", "h-monotonicity", "p-ordering"))
+    p.add_argument("--kind", required=True, choices=tuple(_SCANS))
     # a flag left out takes the scan kind's own default
     p.add_argument("--x", type=float, help="u-interval: x (default 0.5)")
     p.add_argument("--y", type=float, help="u-interval: y (default 0.5)")
@@ -352,10 +298,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        doc = {"command": args.cmd, **args.fn(args)}
+        _emit(doc, args.pretty)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_VERIFY_FAIL if doc.get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

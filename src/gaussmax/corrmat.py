@@ -199,18 +199,6 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     return DomainClass(tag)
 
 
-def rank(m: CorrelationMatrix4) -> int:
-    """Numerical rank: eigenvalues above EPS_PSD times the largest."""
-    return rank_of(eigvalsh(m.matrix()))
-
-
-def rank_of(eigs: np.ndarray) -> int:
-    """The numerical rank rule on a matrix's eigenvalues in ascending order,
-    for a caller that already holds them: those above EPS_PSD times the
-    largest."""
-    return int(np.sum(eigs > EPS_PSD * eigs[-1]))
-
-
 # For each anchor vertex: the other three vertices, in increasing order.
 _OTHERS = tuple(np.array([i for i in range(4) if i != k]) for k in range(4))
 
@@ -386,18 +374,24 @@ def eigen_factor(m: CorrelationMatrix4) -> tuple[np.ndarray, np.ndarray]:
 # text / JSON formats
 
 
-def parse_offdiag_text(text: str) -> CorrelationMatrix4:
-    """Parse 'r12,r13,r14,r23,r24,r34' (one line of six decimals)."""
+def parse_entries(text: str, names: Sequence[str]) -> list[float]:
+    """Parse one comma-separated decimal per entry name; an error names the
+    entry it is about."""
     parts = [p.strip() for p in text.strip().split(",")]
-    if len(parts) != 6:
-        raise ValueError(f"expected 6 comma-separated values, got {len(parts)}")
+    if len(parts) != len(names):
+        raise ValueError(f"expected {len(names)} comma-separated values, got {len(parts)}")
     vals = []
-    for name, p in zip(PAIR_NAMES, parts):
+    for name, p in zip(names, parts):
         try:
             vals.append(float(p))
         except ValueError:
             raise ValueError(f"entry {name}: cannot parse {p!r} as a number") from None
-    return CorrelationMatrix4(tuple(vals))
+    return vals
+
+
+def parse_offdiag_text(text: str) -> CorrelationMatrix4:
+    """Parse 'r12,r13,r14,r23,r24,r34' (one line of six decimals)."""
+    return CorrelationMatrix4(tuple(parse_entries(text, PAIR_NAMES)))
 
 
 def json_number(value, field: str) -> float:

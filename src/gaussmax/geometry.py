@@ -28,7 +28,6 @@ from .corrmat import (
     eigen_factor,
     gram_of_rows,
     json_number,
-    rank_of,
     unit_rows,
 )
 
@@ -106,17 +105,19 @@ class DihedralSet:
 
 
 def embed(m: CorrelationMatrix4) -> Tetrahedron:
-    """Unit vectors in R^3 whose Gram matrix is m (rank <= 3 required).
+    """Unit vectors in R^3 whose Gram matrix is m, a boundary matrix: one the
+    domain rule tags interior has rank 4 and no such realization.
 
     Convention: v1 = (0,0,1); v2 in the xz-plane with x >= 0.  The QR of the
     eigen rows puts v1 on the first axis and v2 in the first plane; R's rows
     flipped to a nonnegative diagonal, with axes (z, x, y), give it at any rank.
     """
-    if classify(m).tag is DomainTag.INVALID:
+    tag = classify(m).tag
+    if tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
-    w, rows = eigen_factor(m)
-    if rank_of(w) > 3:
+    if tag is DomainTag.INTERIOR_S:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
+    _, rows = eigen_factor(m)
     r = np.linalg.qr(rows[:, 1:].T, mode="r")
     r *= np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
     verts = unit_rows(r.T[:, [1, 2, 0]])

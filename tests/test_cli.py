@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gaussmax import verify
 from gaussmax.cli import main
 
 REG = "-0.333333333333,-0.333333333333,-0.333333333333,-0.333333333333,-0.333333333333,-0.333333333333"
@@ -81,6 +82,12 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    def test_unparsable_corr3_names_entry(self, capsys):
+        code, out, err = run(capsys, "compute", "--corr3", "0,abc,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: entry 13: cannot parse 'abc' as a number\n"
 
     def test_invalid_matrix_is_domain_error(self, capsys):
         code, _, err = run(capsys, "compute", "--corr", "-0.5,-0.5,-0.5,-0.5,-0.5,-0.5")
@@ -221,6 +228,26 @@ class TestVerify:
     def test_bounds_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bounds")
         assert code == 0
+
+
+class TestFailingVerification:
+    """One failing report makes its command exit 1, with the whole document
+    on stdout; the verify suite's other report (the H scan) still passes."""
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--kind", "p-ordering", "--n-theta", "2", "--n-u", "2"),
+        ("verify", "--suite", "monotonicity"),
+    ], ids=["scan", "verify"])
+    def test_failing_report_exits_1(self, capsys, monkeypatch, argv):
+        failing = verify.ScanReport(name="p_ordering", grid="stub", passed=False,
+                                    worst_margin=-1.0)
+        monkeypatch.setattr(verify, "p_ordering_scan", lambda **grid: failing)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["command"] == argv[0]
+        assert doc["pass"] is False
 
 
 class TestScan:

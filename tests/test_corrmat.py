@@ -26,7 +26,6 @@ from gaussmax.corrmat import (
     has_unit_pair,
     load_matrix,
     parse_offdiag_text,
-    rank,
     to_json_obj,
     triangle_factor,
 )
@@ -61,7 +60,6 @@ class TestClassify:
         assert abs(eigs[0]) < 1e-14
         cls = classify(m)
         assert cls.tag is DomainTag.BOUNDARY_S1
-        assert rank(m) == 3
 
     def test_unit_pair_with_witness(self):
         m = CorrelationMatrix4((0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
@@ -459,7 +457,7 @@ class TestLinalgBinding:
 
         monkeypatch.setattr(corrmat, "_eigvalsh_lo", not_converging)
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
-        for call in (classify, rank, derive):
+        for call in (classify, derive):
             with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
                 call(CorrelationMatrix4(m.offdiag))
 

@@ -10,7 +10,7 @@ from conftest import F_STAR
 
 from gaussmax import corrmat, geometry
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import PAIRS, CorrelationMatrix4, classify, DomainTag, rank
+from gaussmax.corrmat import PAIRS, CorrelationMatrix4, classify, DomainTag
 from gaussmax.geometry import (
     EDGE_OF_FACET_PAIR,
     FACET_PAIRS,
@@ -83,13 +83,17 @@ class TestEmbedding:
         # -1/3 + 1e-9: smallest eigenvalue 3e-9, above EPS_PSD times the largest
         ms += [CorrelationMatrix4.equicorrelated(r)
                for r in (1.0, 0.5, 0.0, -1.0 / 3.0, -1.0 / 3.0 + 1e-9)]
+        # smallest eigenvalue 1.34e-10: interior by the domain rule, though
+        # within EPS_PSD times the largest
+        ms.append(CorrelationMatrix4((0.9999999949103285, 0.8798789739694715, 0.32940988492868606,
+                                      0.8798316835879966, 0.3293749212265394, 0.44390630789271546)))
         for m in ms:
             try:
                 v = embed(m).vertices
                 rank4 = False
             except ValueError as exc:
                 rank4 = "rank 4" in str(exc)
-            assert rank4 == (rank(m) == 4)
+            assert rank4 == (classify(m).tag is DomainTag.INTERIOR_S)
             if not rank4:
                 # the convention and the Gram matrix hold at every rank
                 assert np.array_equal(v[0], [0.0, 0.0, 1.0])
