@@ -64,6 +64,12 @@ class DomainTag(Enum):
     INVALID = "Invalid"
 
 
+# Module-level aliases: _derive reads these on every call, and a global is
+# read faster than an Enum member lookup.
+_INVALID = DomainTag.INVALID
+_UNIT_PAIR = DomainTag.DEGENERATE_UNIT_PAIR
+
+
 @dataclass(frozen=True)
 class DomainClass:
     tag: DomainTag
@@ -307,14 +313,14 @@ def _derive(x: tuple[float, ...]) -> CorrDerived:
     a_tilde, the record's formulas on Python floats and one arccos."""
     lpx = [1.0 - v for v in x]
     tag = _domain_rule(x)
-    if tag is DomainTag.INVALID:
+    if tag is _INVALID:
         raise ValueError("not a correlation matrix")
     lt = [quad_term(x, t) for t in range(6)]
     slots = [*x, 1.0]  # a_tilde's covariance read from the matrix's slots
     cov = np.array([_anchored(slots[a], slots[b], slots[c])
                     for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
     a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
-    if tag is DomainTag.DEGENERATE_UNIT_PAIR:
+    if tag is _UNIT_PAIR:
         cosines = np.full(6, np.nan)
     else:
         cosines = np.array(arccos_arguments(lpx, lt, a_tilde))

@@ -16,16 +16,19 @@ mean is sum(q) / n and its standard error is that of the mean of the n/2
 pair averages q/2.  The mate -x has the draw's order statistics negated and
 reversed, so e3 = -e2 and e4 = -e1 exactly.
 
-A block draws _CHUNK pairs at a time into one reused buffer, transforms
-them by the factor into a contiguous (4, c) array and writes their pair
-sums into the block's (k, b) array, so that no (b, 4) draws and no
-transform of the whole block are held.  Drawing in pieces gives the same
-stream as one call, each transformed column depends on its own draw alone,
-and max, min and the sorting network are exact elementwise operations; the
-block's sums are taken over the whole (k, b) array.  So _CHUNK does not
-change results, while _BLOCK does: it fixes the keys of the streams and
-which pairs each block's float sum adds.  Sums of squares are taken with
-einsum, not BLAS, whose dot product splits across its threads.
+A block of b = _BLOCK = 65,536 pairs (fewer in a shard's last block)
+draws _CHUNK pairs at a time into one reused buffer, transforms them by the
+factor into a contiguous (4, c) array and writes their pair sums into the
+block's (k, b) array, so that no (b, 4) draws and no transform of the whole
+block are held: a running block holds its (k, b) pair sums, at most 1.5 MiB
+for the three rows of the order statistics, plus one chunk.  Drawing in
+pieces gives the same stream as one call, each transformed column depends
+on its own draw alone, and max, min and the sorting network are exact
+elementwise operations; the block's sums are taken over the whole (k, b)
+array.  So _CHUNK does not change results, while _BLOCK does: it fixes the
+keys of the streams and which pairs each block's float sum adds.  Sums of
+squares are taken with einsum, not BLAS, whose dot product splits across
+its threads.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 from .corrmat import (CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify,
                       eigen_factor)
 
-_BLOCK = 500_000  # pairs per block, one pool task; bounds peak memory
 _CHUNK = 8_192  # pairs drawn at a time; sized to stay in cache
+_BLOCK = 8 * _CHUNK  # 65,536 pairs per block, one pool task; bounds peak memory
 
 
 def thread_count() -> int:

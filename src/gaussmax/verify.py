@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import closedform
@@ -233,7 +232,11 @@ def _p_terms(u, theta, cos, sin):
 
 
 def _p_func_mp(u: float, theta: float) -> float:
-    # near the removable singularity the double-precision form cancels badly
+    # near the removable singularity the double-precision form cancels badly.
+    # mpmath is imported here and in _p_inequality_lhs_mp, its only users, so
+    # that importing gaussmax does not load it
+    import mpmath as mp
+
     with mp.workdps(50):
         num, den = _p_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin)
         return float(num / den)
@@ -285,6 +288,8 @@ def _p_inequality_noise_scale(u: np.ndarray, theta) -> np.ndarray:
 
 
 def _p_inequality_lhs_mp(u: float, theta: float) -> float:
+    import mpmath as mp  # on first use, as in _p_func_mp
+
     with mp.workdps(60):
         return float(_p_inequality_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin))
 

@@ -122,6 +122,18 @@ class TestEstimateMax:
         assert est.mean == 0.9940831612560901
         assert est.std_error == 0.0013935021650408413
 
+    def test_golden_value_multi_block(self):
+        # one shard of 200,000 pairs: three blocks of 65,536 and one of 3,392,
+        # so this pins the block size and the block keys, which the one-block
+        # shards above do not.  Recorded when the block size became 65,536.
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        est = estimate_max(m, 400_000, seed=5, shards=1)
+        assert (est.mean, est.std_error) == (0.994941745935971, 0.0009826930827270808)
+        os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
+        assert (os_.e1, os_.e2) == (0.994941745935971, 0.3003253618904124)
+        assert os_.std_errors[:2] == (0.0009826930827270897, 0.0005768843909215644)
+        assert os_.se_third_identity == 0.003250226487456813
+
 
 class TestOrderStats:
     def test_antithetic_symmetry_is_exact(self, battery20):
@@ -350,7 +362,7 @@ class TestPeakMemory:
     M = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
 
     @pytest.mark.parametrize("estimate, n, shards, limit_mb", [
-        (estimate_order_stats, 2_000_000, 1, 32), (estimate_max, 10_000_000, 5, 16),
+        (estimate_order_stats, 2_000_000, 1, 8), (estimate_max, 10_000_000, 5, 4),
     ])
     def test_peak_traced_memory(self, estimate, n, shards, limit_mb, monkeypatch):
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")

@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import mpmath as mp
 
+from gaussmax import verify
 from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify
 from gaussmax.verify import (
     NONCONCAVITY_OFFDIAG,
@@ -116,6 +120,23 @@ class TestKernelFunctions:
                    - 2 * um * tm**2 * mp.sin(um) * mp.sin(tm))
             oracle = float(num / (tm**2 * (mp.cos(tm) - mp.cos(um)) ** 2))
         assert p_func(u, theta) == pytest.approx(oracle, rel=1e-12)
+
+    def test_mpmath_is_imported_on_first_use(self):
+        # importing gaussmax does not load mpmath; the near-diagonal branch
+        # loads it and gives the value recorded when mpmath was imported with
+        # verify
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        code = ("import sys\n"
+                "import gaussmax, gaussmax.cli\n"
+                "from gaussmax import verify\n"
+                "print('mpmath' in sys.modules)\n"
+                "print(repr(verify.p_func(1.0 + 1e-5, 1.0)), 'mpmath' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "0.412284403038525 True"]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
