@@ -44,7 +44,7 @@ def main():
         print(f"start {k:2d}: iters={res.iterations:5d} conv={res.converged} "
               f"dist={dist:.2e} gap={target - res.value:+.2e}")
     elapsed = time.time() - t0
-    cert = certify(res, n_random=100)
+    cert = certify(res)
     summary = {
         "starts": args.starts,
         "seed": args.seed,

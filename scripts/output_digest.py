@@ -9,10 +9,9 @@ witness), the ``derive`` record, ``f_max``, ``gradient``, ``hessian``,
 each derives it), ``in_a_row`` (``f_max``, ``gradient``, ``hessian`` and
 ``dihedrals`` in a row on one matrix object, so that the last three read
 the record ``derive`` kept from the first), ``maximize`` (every
-``OptResult`` field, then the ``worst_margin`` of ``certify``, then its
-``target`` and ``worst_random_value`` for ``n_random`` 1, 100, 1, 100: each
-count twice, in alternating order, so a score kept from one call is hashed
-where the next call reads it), and ``embed`` (the vertices of
+``OptResult`` field, then the ``worst_margin``, ``target`` and
+``worst_random_value`` of ``certify``, called twice so that the rivals' score
+kept by the first call is hashed where the second reads it), and ``embed`` (the vertices of
 ``geometry.embed`` on a fresh copy of every input; a matrix of rank 4 gives
 its error), and ``mean_width`` (``geometry.mean_width`` at quadrature orders 50
 and 200 on the tetrahedra of ``mean_width_inputs``), and ``width_transfer``
@@ -211,18 +210,16 @@ def digests() -> dict[str, str]:
 
     def derived(m):
         d = derive(m)
-        return (d.tag.value, d.lambda_prime, d.lambda_tilde, float(d.a_tilde), d.cosines)
+        return (d.tag.value, d.lambda_prime, d.lambda_tilde, float(d.a_tilde), d.angles)
 
     def maximized(m):
         res = maximize(m)
-        margin, rivals = None, ()
-        if res.converged:
-            margin = certify(res).worst_margin
-            for n in (1, 100, 1, 100):
-                details = certify(res, n_random=n).details
-                rivals += (details["target"], details["worst_random_value"])
+        cert = ()
+        for _ in range(2 if res.converged else 0):
+            rep = certify(res)
+            cert += (rep.worst_margin, rep.details["target"], rep.details["worst_random_value"])
         return (np.array(res.argmax.offdiag), res.value, res.iterations, res.trajectory_summary,
-                res.converged, res.grad_norm, res.s_min_eig, margin) + rivals
+                res.converged, res.grad_norm, res.s_min_eig) + cert
 
     for m in ms:
         _feed(h["classify"], classified, m)

@@ -2,9 +2,9 @@
 vector, with exact first and second derivatives in the six correlations.
 
 Everything is evaluated from one ``corrmat.CorrDerived`` record: its
-``tag`` picks the branch and its ``angles``, the arccos of its ``cosines``
-taken once by ``derive``, are the outer dihedral angles.  ``value_of``,
-``gradient_of`` and ``hessian_of`` are the formulas on that record, so a
+``tag`` picks the branch and its ``angles``, the arccos taken once by
+``derive``, are the outer dihedral angles.  ``value_of``, ``gradient_of``
+and ``hessian_of`` are the formulas on that record, so a
 caller that already holds it (the ascent, the checks in ``verify``) derives
 once; ``hessian_of`` on a record with zero angles is the Hessian's rational
 part.  ``f_max``, ``gradient`` and ``hessian`` call them on ``derive(m)``,
@@ -108,22 +108,24 @@ def gradient_of(d: CorrDerived) -> np.ndarray:
                      for p, a in zip(d.lambda_prime.tolist(), d.angles.tolist())])
 
 
-def _hessian_tables():
-    """Index tables of ``hessian_of``, built once.  Each triangle factor an
-    entry divides by is named by the storage indices of its three pairs, in
-    the order the entry names the vertices; ``tris`` lists them once."""
-    tris: list[tuple[int, int, int]] = []
+# The four facets i < j < k, each as the storage indices of its pairs (i, j),
+# (i, k), (j, k): ``hessian_of`` evaluates one triangle factor per facet.
+_FACETS = tuple(itertools.combinations(range(4), 3))
+_HESS_TRIS = tuple((PAIR_INDEX[(i, j)], PAIR_INDEX[(i, k)], PAIR_INDEX[(j, k)])
+                   for i, j, k in _FACETS)
 
-    def factor_index(i, j, k):
-        pairs = (PAIR_INDEX[(i, j)], PAIR_INDEX[(i, k)], PAIR_INDEX[(j, k)])
-        if pairs not in tris:
-            tris.append(pairs)
-        return tris.index(pairs)
+
+def _hessian_tables():
+    """Index tables of ``hessian_of``, built once; an entry names a triangle
+    factor it divides by by its facet's index in ``_HESS_TRIS``."""
+
+    def facet(*vertices):
+        return _FACETS.index(tuple(sorted(vertices)))
 
     diag, off = [], []
     for s, (k, l) in enumerate(PAIRS):
         mm, nn = PAIR_COMPLEMENT[s]
-        diag.append((s, factor_index(k, l, mm), factor_index(k, l, nn),
+        diag.append((s, facet(k, l, mm), facet(k, l, nn),
                      PAIR_INDEX[(k, mm)], PAIR_INDEX[(l, mm)],
                      PAIR_INDEX[(k, nn)], PAIR_INDEX[(l, nn)]))
         for t in range(s + 1, 6):
@@ -135,11 +137,11 @@ def _hessian_tables():
             sh = shared.pop()
             i = ({k, l} - {sh}).pop()
             j = ({p, q} - {sh}).pop()
-            off.append((s, t, factor_index(sh, i, j), PAIR_INDEX[(i, j)]))
-    return tris, diag, off
+            off.append((s, t, facet(sh, i, j), PAIR_INDEX[(i, j)]))
+    return diag, off
 
 
-_HESS_TRIS, _HESS_DIAG, _HESS_OFF = _hessian_tables()
+_HESS_DIAG, _HESS_OFF = _hessian_tables()
 
 
 def hessian_of(d: CorrDerived) -> np.ndarray:

@@ -294,17 +294,16 @@ class CorrDerived:
     closed-form value, gradient and Hessian and the dihedral angles read.
 
     ``derive`` fills it.  ``tag`` is the domain class found by its one
-    classification; ``cosines`` are the six arccos arguments of the closed
-    form and ``angles`` their arccos, the outer dihedral angles; both are NaN
-    on a matrix with a unit pair (whose value the closed form does not give).
+    classification; ``angles`` are the arccos of the six ``arccos_arguments``
+    of the closed form, the outer dihedral angles, and NaN on a matrix with a
+    unit pair (whose value the closed form does not give).
     """
 
     tag: DomainTag             # never INVALID: derive raises instead
     lambda_prime: np.ndarray   # six complements 1 - corr, storage order
     lambda_tilde: np.ndarray   # six quadratic combinations, storage order
     a_tilde: float             # sqrt(2 det) of the difference covariance at vertex 2
-    cosines: np.ndarray        # six arccos arguments, storage order
-    angles: np.ndarray         # arccos of the cosines, storage order
+    angles: np.ndarray         # six outer dihedral angles, storage order
 
 
 def _derive(x: tuple[float, ...]) -> CorrDerived:
@@ -321,13 +320,13 @@ def _derive(x: tuple[float, ...]) -> CorrDerived:
                     for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
     a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
     if tag is _UNIT_PAIR:
-        cosines = np.full(6, np.nan)
+        angles = np.full(6, np.nan)
     else:
-        cosines = np.array(arccos_arguments(lpx, lt, a_tilde))
-    lp, lt, angles = np.array(lpx), np.array(lt), np.arccos(cosines)
-    for a in (lp, lt, cosines, angles):
+        angles = np.arccos(arccos_arguments(lpx, lt, a_tilde))
+    lp, lt = np.array(lpx), np.array(lt)
+    for a in (lp, lt, angles):
         a.flags.writeable = False
-    return CorrDerived(tag, lp, lt, np.float64(a_tilde), cosines, angles)
+    return CorrDerived(tag, lp, lt, np.float64(a_tilde), angles)
 
 
 # The last matrix ``derive`` was given and its record, read and rebound as
@@ -370,10 +369,11 @@ def gram_of_rows(v: np.ndarray) -> CorrelationMatrix4:
     return CorrelationMatrix4(tuple(min(max(g[k], -1.0), 1.0) for k in _PAIR_FLAT))
 
 
-def eigen_factor(m: CorrelationMatrix4) -> tuple[np.ndarray, np.ndarray]:
-    """m's eigenvalues w, ascending, and the factor u sqrt(max(w, 0)), u its eigenvectors."""
+def eigen_factor(m: CorrelationMatrix4) -> np.ndarray:
+    """The factor u sqrt(max(w, 0)) of m, w its eigenvalues, ascending, and u
+    its eigenvectors."""
     w, u = np.linalg.eigh(m.matrix())
-    return w, u * np.sqrt(np.clip(w, 0.0, None))
+    return u * np.sqrt(np.clip(w, 0.0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def embed(m: CorrelationMatrix4) -> Tetrahedron:
         raise ValueError("not a correlation matrix")
     if tag is DomainTag.INTERIOR_S:
         raise ValueError("matrix has rank 4: no 3-D unit-vector realization")
-    _, rows = eigen_factor(m)
+    rows = eigen_factor(m)
     r = np.linalg.qr(rows[:, 1:].T, mode="r")
     r *= np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
     verts = unit_rows(r.T[:, [1, 2, 0]])

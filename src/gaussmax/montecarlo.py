@@ -4,10 +4,11 @@ maximum and the four order-statistic means.
 Reproducibility contract: results depend only on (matrix, n, seed, shards) --
 never on a thread count, GAUSSMAX_THREADS or the BLAS library's
 (OPENBLAS_NUM_THREADS).  The n/2 pairs are split evenly over the shards,
-and each shard into blocks of _BLOCK pairs.  Block k of shard s draws from
-its own SFC64 generator, keyed by SeedSequence(seed, spawn_key=(s, k)), so
-each block is an independent task on the thread pool and its draws do not
-depend on which thread runs it or when.  The block sums are added exactly
+each of which needs at least one pair (so shards <= n // 2, else
+ValueError), and each shard into blocks of _BLOCK pairs.  Block k of shard
+s draws from its own SFC64 generator, keyed by SeedSequence(seed,
+spawn_key=(s, k)), so each block is an independent task on the thread pool
+and its draws do not depend on which thread runs it or when.  The block sums are added exactly
 (math.fsum), so no order of addition enters the result.
 
 The n draws are n/2 antithetic pairs (x, -x), and the pair is the unit of
@@ -104,7 +105,7 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
         raise ValueError("not a correlation matrix")
     if cls.tag is DomainTag.INTERIOR_S:
         return np.linalg.cholesky(m.matrix())
-    factor = eigen_factor(m)[1]
+    factor = eigen_factor(m)
     if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         for members in _unit_classes(m):
             factor[members] = factor[members[0]]
@@ -129,6 +130,8 @@ def _check_args(n: int, shards):
     _check_count("n", n, 10_000)
     if shards is not None:
         _check_count("shards", shards, 1)
+        if shards > n // 2:
+            raise ValueError(f"shards must be <= n // 2 = {n // 2}, one pair each, got {shards}")
     if n % 2:
         raise ValueError("antithetic sampling needs an even sample count")
 

@@ -93,9 +93,8 @@ def euler_row_poly(pair: int) -> IntPolynomial6:
         if dfac is None:  # disjoint pairs
             total = total - 2 * (cp[other] * t1 * t2)
         else:
-            # the entry divides by one of the row's two triangles, named here
-            # in its own vertex order; clear it with the other triangle
-            clear = t2 if set(tris[dfac]) == set(tris[d1]) else t1
+            # the entry divides by one of the row's triangles; clear with the other
+            clear = t2 if dfac == d1 else t1
             total = total - 2 * (quad_combination_poly(ij) * cp[other] * clear)
     return total
 
@@ -167,7 +166,10 @@ def base_row_value_at(vals) -> Fraction:
 # derivative balance, numerically
 
 
-def euler_relation_check(m: CorrelationMatrix4, rel_tol: float = 1e-8) -> ScanReport:
+EULER_REL_TOL = 1e-8  # bound on each row's relative residual
+
+
+def euler_relation_check(m: CorrelationMatrix4) -> ScanReport:
     """Residual of sum_kl (1-corr_kl) H[pq, kl] = grad_pq / 2 for all six rows."""
     d = derive(m)
     grad = closedform.gradient_of(d)
@@ -179,10 +181,10 @@ def euler_relation_check(m: CorrelationMatrix4, rel_tol: float = 1e-8) -> ScanRe
     return ScanReport(
         name="euler_relation",
         grid="six rows",
-        passed=bool(np.max(rel) <= rel_tol),
-        worst_margin=float(rel_tol - np.max(rel)),
+        passed=bool(np.max(rel) <= EULER_REL_TOL),
+        worst_margin=float(EULER_REL_TOL - np.max(rel)),
         worst_location=(PAIRS[worst][0] + 1, PAIRS[worst][1] + 1),
-        details={"max_rel_residual": float(np.max(rel)), "rel_tol": rel_tol},
+        details={"max_rel_residual": float(np.max(rel)), "rel_tol": EULER_REL_TOL},
     )
 
 
@@ -219,8 +221,8 @@ def p_limit(theta):
 
 
 def _p_terms(u, theta, cos, sin):
-    """Numerator and denominator of P, over numpy arrays (``np.cos``,
-    ``np.sin``) or mpmath numbers (``mp.cos``, ``mp.sin``)."""
+    """P as the quotient of its numerator and denominator, over numpy arrays
+    (``np.cos``, ``np.sin``) or mpmath numbers (``mp.cos``, ``mp.sin``)."""
     ct, st = cos(theta), sin(theta)
     cu, su = cos(u), sin(u)
     num = (
@@ -228,18 +230,17 @@ def _p_terms(u, theta, cos, sin):
         - (u * u - theta * theta) * st * (ct - cu)
         - 2 * u * theta * theta * su * st
     )
-    return num, theta ** 2 * (ct - cu) ** 2
+    return num / (theta ** 2 * (ct - cu) ** 2)
 
 
-def _p_func_mp(u: float, theta: float) -> float:
-    # near the removable singularity the double-precision form cancels badly.
-    # mpmath is imported here and in _p_inequality_lhs_mp, its only users, so
-    # that importing gaussmax does not load it
+def _high_precision(expr, u: float, theta: float, dps: int) -> float:
+    """``expr(u, theta, cos, sin)``, one of the numpy expressions above,
+    evaluated in mpmath at ``dps`` digits and rounded to a float.  mpmath is
+    imported here, its one use, so that importing gaussmax does not load it."""
     import mpmath as mp
 
-    with mp.workdps(50):
-        num, den = _p_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin)
-        return float(num / den)
+    with mp.workdps(dps):
+        return float(expr(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin))
 
 
 def p_func(u: float, theta: float) -> float:
@@ -249,13 +250,9 @@ def p_func(u: float, theta: float) -> float:
     if u == theta:
         return p_limit(theta)
     if abs(u - theta) < _P_NEAR_BAND:
-        return _p_func_mp(u, theta)
-    return float(_p_func_arr(np.asarray(u, dtype=float), theta))
-
-
-def _p_func_arr(u: np.ndarray, theta) -> np.ndarray:
-    num, den = _p_terms(u, theta, np.cos, np.sin)
-    return num / den
+        # near the removable singularity the double-precision form cancels badly
+        return _high_precision(_p_terms, u, theta, 50)
+    return float(_p_terms(np.asarray(u, dtype=float), theta, np.cos, np.sin))
 
 
 def _p_inequality_terms(u, theta, cos, sin):
@@ -270,10 +267,6 @@ def _p_inequality_terms(u, theta, cos, sin):
     return dc * dc * b1 + dc * b2
 
 
-def _p_inequality_lhs(u: np.ndarray, theta) -> np.ndarray:
-    return _p_inequality_terms(u, theta, np.cos, np.sin)
-
-
 def _p_inequality_noise_scale(u: np.ndarray, theta) -> np.ndarray:
     """Magnitude of the largest cancelling intermediates; the double-precision
     result is only sign-reliable well above ~1e-16 times this."""
@@ -285,13 +278,6 @@ def _p_inequality_noise_scale(u: np.ndarray, theta) -> np.ndarray:
     s2 = (2 * np.abs(u) * theta ** 2 * np.abs(st) * (su * su + 1 + np.abs(ct * cu))
           + (u * u + theta * theta) * theta * np.abs(su) * (st * st + 1 + np.abs(ct * cu)))
     return dc * dc * s1 + dc * s2
-
-
-def _p_inequality_lhs_mp(u: float, theta: float) -> float:
-    import mpmath as mp  # on first use, as in _p_func_mp
-
-    with mp.workdps(60):
-        return float(_p_inequality_terms(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin))
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +416,12 @@ def p_inequality_scan(grid: PInequalityGrid | None = None) -> ScanReport:
     thetas = np.linspace(_P_THETA_MIN, _P_THETA_MAX, grid.n_theta)
     u = np.linspace(0.0, 2 * np.pi - thetas, grid.n_u + 2, axis=-1)[:, 1:-1]
     theta = np.broadcast_to(thetas[:, None], u.shape)
-    vals = _p_inequality_lhs(u, theta)
+    vals = _p_inequality_terms(u, theta, np.cos, np.sin)
     vals[np.abs(u - theta) < _P_DIAG_BAND] = np.inf  # the band is skipped
     # points below the double-precision noise floor get a high-precision
     # re-evaluation so the sign is meaningful, not roundoff
     unsure = np.abs(vals) < 1e-13 * _p_inequality_noise_scale(u, theta)
-    vals[unsure] = [_p_inequality_lhs_mp(float(uj), float(tj))
+    vals[unsure] = [_high_precision(_p_inequality_terms, float(uj), float(tj), 60)
                     for uj, tj in zip(u[unsure], theta[unsure])]
     i = np.unravel_index(np.argmin(vals), vals.shape)
     return ScanReport(
@@ -458,7 +444,7 @@ def p_ordering_scan(n_theta: int = 20, n_u: int = 25) -> ScanReport:
                                    [thetas * 0.98, 2 * np.pi - thetas - gap], n_u, axis=-1), axis=1)
     theta = thetas[:, None]
     # lim - P below theta, P - lim above it (negation is exact)
-    margins = np.sign(u - theta) * (_p_func_arr(u, theta) - p_limit(theta))
+    margins = np.sign(u - theta) * (_p_terms(u, theta, np.cos, np.sin) - p_limit(theta))
     i = np.unravel_index(np.argmin(margins), margins.shape)
     return ScanReport(
         name="p_ordering",
@@ -498,8 +484,9 @@ def nonobtuse_hessian_check(m: CorrelationMatrix4) -> ScanReport:
     diagonal and positive determinant, and its non-diagonal part annihilates
     the complement vector."""
     d = derive(m)
-    # interior dihedral cosine = -outer cosine; nonobtuse means all >= 0
-    if np.any(-d.cosines < 0):
+    # interior dihedral angle = pi - outer angle; nonobtuse means every
+    # outer angle is at least pi/2
+    if np.any(d.angles < np.pi / 2):
         raise ObtuseInputError("tetrahedron has an obtuse dihedral angle")
     neg = -closedform.hessian_of(d)
     # the rational part: the Hessian with its angle terms set to zero
@@ -529,7 +516,7 @@ def sample_nonobtuse_interior(rng: np.random.Generator) -> CorrelationMatrix4:
             d = derive(m)
         except ValueError:  # not positive semidefinite
             continue
-        if d.tag is DomainTag.INTERIOR_S and np.all(-d.cosines >= 1e-6):
+        if d.tag is DomainTag.INTERIOR_S and np.all(-np.cos(d.angles) >= 1e-6):
             return m
     raise RuntimeError("failed to sample a nonobtuse interior matrix")
 

@@ -140,7 +140,7 @@ def test_criterion_07_optimizer_certification():
         worst_dist = max(worst_dist, float(np.max(np.abs(res.argmax.array() + 1.0 / 3.0))))
         worst_val = max(worst_val, abs(res.value - F_STAR))
         last = res
-    cert = certify(last, n_random=100)
+    cert = certify(last)
     rng = np.random.default_rng(31415)
     worst_random = max(f_max(random_psd(rng)) for _ in range(100))
     elapsed = time.time() - t0

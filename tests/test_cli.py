@@ -126,6 +126,12 @@ class TestMC:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_more_shards_than_pairs_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "mc", "--corr", "0,0,0,0,0,0",
+                             "--samples", "10000", "--shards", "5001")
+        assert (code, out) == (2, "")
+        assert "shards must be <= n // 2" in err
+
     def test_order_stats_flag(self, capsys):
         code, out, _ = run(capsys, "mc", "--corr", "0,0,0,0,0,0",
                            "--samples", "100000", "--seed", "1", "--order-stats")

@@ -251,10 +251,10 @@ class TestOneMatrixOnFloats:
                 assert math.isnan(v)
                 continue
             expected = np.sum(np.sqrt(np.clip(d.lambda_prime, 0, None))
-                              * np.arccos(d.cosines)) / (2 * SQRT_PI3)
+                              * d.angles) / (2 * SQRT_PI3)
             assert np.float64(v).tobytes() == expected.tobytes()
             g = gradient_of(d)
-            expected = -np.arccos(d.cosines) / (4 * np.sqrt(np.pi**3 * d.lambda_prime))
+            expected = -d.angles / (4 * np.sqrt(np.pi**3 * d.lambda_prime))
             assert g.dtype == expected.dtype and g.tobytes() == expected.tobytes()
 
     def test_reference_and_edge_rows(self):
@@ -481,6 +481,22 @@ class TestHessian:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             hessian(CorrelationMatrix4.equicorrelated(-1.0 / 3.0))
+
+    def test_one_triangle_factor_per_facet(self, monkeypatch):
+        calls = []
+        form = closedform.triangle_form
+
+        def counting(a, b, c):
+            calls.append((a, b, c))
+            return form(a, b, c)
+
+        monkeypatch.setattr(closedform, "triangle_form", counting)
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        hessian(m)
+        lp = derive(m).lambda_prime
+        # each facet i < j < k once, on the complements of (i, j), (i, k), (j, k)
+        assert calls == [tuple(lp[PAIRS.index(p)] for p in ((i, j), (i, k), (j, k)))
+                         for i, j, k in itertools.combinations(range(4), 3)]
 
 
 class TestQuadrantIntegral:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import F_STAR
+from test_corrmat import REFERENCE
 
 from gaussmax import corrmat, geometry
 from gaussmax.closedform import f_max
@@ -33,6 +35,12 @@ from gaussmax.geometry import (
 ACOS_THIRD = np.arccos(-1.0 / 3.0)
 # u_i = L_i / sqrt(gamma) on the regular simplex
 REGULAR_U = np.sqrt(np.sin(ACOS_THIRD) / ACOS_THIRD)
+
+
+def reference_rows(stratum):
+    """The matrices of one stratum of the reference rows."""
+    return [CorrelationMatrix4(tuple(e["offdiag"]))
+            for e in json.loads(REFERENCE.read_text())["entries"] if e["stratum"] == stratum]
 
 
 def random_tetra(rng):
@@ -173,6 +181,21 @@ class TestDihedrals:
             a1 = dihedrals(m).alpha
             a2 = dihedrals_of(t).alpha
             assert np.max(np.abs(a1 - a2)) <= 1e-9
+
+    def test_rank3_reference_rows_match_face_normals(self):
+        # the record's angles against the normals of the embedded tetrahedron
+        rows = reference_rows("boundary/3")
+        assert len(rows) == 96
+        for m in rows:
+            assert np.max(np.abs(dihedrals(m).alpha - dihedrals_of(embed(m)).alpha)) <= 1e-9
+
+    def test_rank2_reference_rows_have_angles_and_width(self):
+        # flat tetrahedra: no facet normals, but both routes from the matrix run
+        rows = reference_rows("boundary/2")
+        assert len(rows) == 64
+        for m in rows:
+            assert np.all(np.isfinite(dihedrals(m).alpha))
+            assert np.isfinite(mean_width(embed(m)))
 
     def test_coplanar_has_two_zero_outer_angles(self):
         # four distinct points on a great circle: the tetrahedron collapses

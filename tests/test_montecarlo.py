@@ -97,6 +97,9 @@ class TestEstimateMax:
             estimate_max(m, 10_001, seed=0)
         with pytest.raises(ValueError):
             estimate_max(m, 100_000, seed=0, shards=0)
+        # 10,000 draws are 5,000 pairs: every shard needs one
+        with pytest.raises(ValueError, match=r"shards must be <= n // 2 = 5000"):
+            estimate_max(m, 10_000, seed=0, shards=5_001)
 
     @pytest.mark.parametrize("estimate", [estimate_max, estimate_order_stats])
     @pytest.mark.parametrize("name, bad", [

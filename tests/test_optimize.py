@@ -271,7 +271,7 @@ def identity_run():
 class TestCertify:
     def test_certifies_identity_run(self):
         res = maximize(CorrelationMatrix4.identity())
-        rep = certify(res, n_random=50)
+        rep = certify(res)
         assert rep.passed
         assert rep.details["value_ok"] and rep.details["dist_ok"] and rep.details["random_ok"]
         assert rep.details["grad_norm"] == res.grad_norm
@@ -281,7 +281,7 @@ class TestCertify:
         res = maximize(CorrelationMatrix4.identity())
         fake = OptResult(argmax=res.argmax, value=1.2, iterations=res.iterations,
                          trajectory_summary=(), converged=True)
-        rep = certify(fake, n_random=10)
+        rep = certify(fake)
         assert not rep.details["value_ok"]
         assert not rep.passed
 
@@ -290,7 +290,7 @@ class TestCertify:
         fake = OptResult(argmax=CorrelationMatrix4.equicorrelated(-0.30),
                          value=res.value, iterations=res.iterations,
                          trajectory_summary=(), converged=True)
-        rep = certify(fake, n_random=10)
+        rep = certify(fake)
         assert not rep.details["dist_ok"]
         assert not rep.passed
 
@@ -299,16 +299,10 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(res)
 
-    @pytest.mark.parametrize("n", [0, -5])
-    def test_needs_a_random_rival(self, identity_run, n):
-        with pytest.raises(ValueError, match="n_random"):
-            certify(identity_run, n_random=n)
-
-    @pytest.mark.parametrize("n", [1, 10, 100])
-    def test_worst_random_equals_scalar_loop(self, identity_run, n):
+    def test_worst_random_equals_scalar_loop(self, identity_run):
         rng = np.random.default_rng(CERTIFY_SEED)
-        expected = max(f_max(random_psd(rng)) for _ in range(n))
-        assert certify(identity_run, n_random=n).details["worst_random_value"] == expected
+        expected = max(f_max(random_psd(rng)) for _ in range(100))
+        assert certify(identity_run).details["worst_random_value"] == expected
 
     def test_optimal_value_matches_equal_correlation_formula(self):
         assert optimal_value() == pytest.approx(
@@ -316,23 +310,16 @@ class TestCertify:
 
 
 class TestCertifyRivals:
-    """The rivals' scores are a constant of n_random, kept for the process."""
+    """The rivals' scores are a constant, kept for the process."""
 
-    @pytest.mark.parametrize("n", [True, 2.5])
-    def test_count_must_be_an_integer(self, identity_run, n):
-        # True would otherwise share the kept scores of n_random=1
-        certify(identity_run, n_random=1)
-        with pytest.raises(TypeError, match="n_random"):
-            certify(identity_run, n_random=n)
-
-    def test_each_count_gets_its_own_rivals_and_a_fresh_report(self, identity_run):
-        for n in (10, 100, 10, 1):
-            rng = np.random.default_rng(CERTIFY_SEED)
-            expected = max(f_max(random_psd(rng)) for _ in range(n))
-            rep = certify(identity_run, n_random=n)
+    def test_each_call_gets_the_kept_rivals_and_a_fresh_report(self, identity_run):
+        rng = np.random.default_rng(CERTIFY_SEED)
+        expected = max(f_max(random_psd(rng)) for _ in range(100))
+        for _ in range(3):
+            rep = certify(identity_run)
             assert rep.details["worst_random_value"] == expected
             assert rep.details["target"] == optimal_value()
-            assert rep.grid == f"{n} random matrices, seed {CERTIFY_SEED}"
+            assert rep.grid == f"100 random matrices, seed {CERTIFY_SEED}"
             # a caller that edits its report does not edit the next one
             rep.details["worst_random_value"] = rep.details["target"] = float("nan")
 

@@ -15,11 +15,10 @@ from gaussmax.verify import (
     HMonotonicityGrid,
     ObtuseInputError,
     PInequalityGrid,
-    _p_func_arr,
-    _p_func_mp,
-    _p_inequality_lhs,
-    _p_inequality_lhs_mp,
+    _high_precision,
     _p_inequality_noise_scale,
+    _p_inequality_terms,
+    _p_terms,
     bounds_check,
     euler_relation_check,
     h_monotonicity_scan,
@@ -61,7 +60,7 @@ class TestEulerRelation:
                 hi = mid
         m = CorrelationMatrix4(tuple((1 - lo) * base + lo * target))
         assert np.linalg.eigvalsh(m.matrix())[0] == pytest.approx(1e-4, rel=0.2)
-        assert euler_relation_check(m, rel_tol=1e-6).passed
+        assert euler_relation_check(m).details["max_rel_residual"] <= 1e-6
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
@@ -318,20 +317,21 @@ def test_grid_counts_accept_numpy_integers():
 
 class TestPInequality:
     def test_spot_positive(self):
-        assert _p_inequality_lhs(np.array([2.0]), 1.0)[0] > 0
+        assert _p_inequality_terms(np.array([2.0]), 1.0, np.cos, np.sin)[0] > 0
 
     def test_removable_zero_at_diagonal(self):
         # the left side vanishes like a high power of (u - theta)
         theta = 1.0
-        vals = [_p_inequality_lhs(np.array([theta + d]), theta)[0]
+        vals = [_p_inequality_terms(np.array([theta + d]), theta, np.cos, np.sin)[0]
                 for d in (1e-1, 1e-2, 1e-3)]
         assert all(v > 0 for v in vals)
         assert vals[2] < vals[1] < vals[0]
 
     def test_endpoints_vanish_exactly(self):
         theta = 1.2
-        assert _p_inequality_lhs(np.array([0.0]), theta)[0] == 0.0
-        assert abs(_p_inequality_lhs(np.array([2 * np.pi - theta]), theta)[0]) < 1e-13
+        assert _p_inequality_terms(np.array([0.0]), theta, np.cos, np.sin)[0] == 0.0
+        end = _p_inequality_terms(np.array([2 * np.pi - theta]), theta, np.cos, np.sin)
+        assert abs(end[0]) < 1e-13
 
     def test_mpmath_path_evaluates_the_numpy_expression(self):
         # the refinements are the float formulas at high precision: away from
@@ -340,13 +340,15 @@ class TestPInequality:
         for theta in np.linspace(0.05, np.pi - 0.05, 13):
             u = np.linspace(0.0, 2 * np.pi - theta, 33)[1:-1]
             u = u[np.abs(u - theta) > 0.05]
-            p, lhs = _p_func_arr(u, theta), _p_inequality_lhs(u, theta)
+            p = _p_terms(u, theta, np.cos, np.sin)
+            lhs = _p_inequality_terms(u, theta, np.cos, np.sin)
             scale = _p_inequality_noise_scale(u, theta)
             for j, uj in enumerate(u):
-                assert _p_func_mp(float(uj), float(theta)) == pytest.approx(p[j], rel=1e-9)
+                assert _high_precision(_p_terms, float(uj), float(theta), 50) == pytest.approx(
+                    p[j], rel=1e-9)
                 if abs(lhs[j]) > 1e-10 * scale[j]:
-                    assert _p_inequality_lhs_mp(float(uj), float(theta)) == pytest.approx(
-                        lhs[j], rel=1e-9)
+                    assert _high_precision(_p_inequality_terms, float(uj), float(theta),
+                                           60) == pytest.approx(lhs[j], rel=1e-9)
                     checked += 1
         assert checked > 300
 
