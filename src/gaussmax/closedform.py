@@ -4,9 +4,8 @@ vector, with exact first and second derivatives in the six correlations.
 Everything is evaluated from one ``corrmat.CorrDerived`` record: its
 ``tag`` picks the branch and its ``angles``, the arccos taken once by
 ``derive``, are the outer dihedral angles.  ``value_of``, ``gradient_of``
-and ``hessian_of`` are the formulas on that record, so a
-caller that already holds it (the ascent, the checks in ``verify``) derives
-once; ``hessian_of`` on a record with zero angles is the Hessian's rational
+and ``hessian_of`` are the formulas on that record, so a caller that
+already holds it (the ascent, the checks in ``verify``) derives once; ``hessian_of`` on a record with zero angles is the Hessian's rational
 part.  ``f_max``, ``gradient`` and ``hessian`` call them on ``derive(m)``,
 which keeps the last matrix's record: calling them, and
 ``geometry.dihedrals``, in a row on one matrix object derives it once.
@@ -116,8 +115,8 @@ _HESS_TRIS = tuple((PAIR_INDEX[(i, j)], PAIR_INDEX[(i, k)], PAIR_INDEX[(j, k)])
 
 
 def _hessian_tables():
-    """Index tables of ``hessian_of``, built once; an entry names a triangle
-    factor it divides by by its facet's index in ``_HESS_TRIS``."""
+    """Index tables of ``hessian_of``, built once; an entry names each
+    triangle factor it divides by with its facet's index in ``_HESS_TRIS``."""
 
     def facet(*vertices):
         return _FACETS.index(tuple(sorted(vertices)))
