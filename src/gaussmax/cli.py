@@ -18,6 +18,7 @@ from .corrmat import (
     EPS_CLAMP,
     EPS_ONE,
     EPS_PSD,
+    PAIR_NAMES,
     CorrelationMatrix4,
     classify,
     load_matrix,
@@ -104,7 +105,7 @@ def _cmd_meanwidth(args) -> dict:
 def _cmd_dihedrals(args) -> dict:
     m = _matrix_from_args(args)
     return {"inputs": to_json_obj(m), "alpha": list(geometry.dihedrals(m).alpha),
-            "facet_pairs": ["%d%d" % (i + 1, j + 1) for i, j in geometry.FACET_PAIRS]}
+            "facet_pairs": list(PAIR_NAMES)}
 
 
 def _cmd_optimize(args) -> dict:
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
     try:
         doc = {"command": args.cmd, **args.fn(args)}
         _emit(doc, args.pretty)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_VERIFY_FAIL if doc.get("pass") is False else EXIT_OK

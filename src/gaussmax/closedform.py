@@ -31,6 +31,7 @@ from .corrmat import (
     _unit_classes,
     classify,
     derive,
+    eigvalsh,
     has_unit_pair,
     triangle_form,
 )
@@ -58,7 +59,7 @@ def f_max3(r12: float, r13: float, r23: float) -> float:
     if not np.all(np.isfinite((r12, r13, r23))):
         raise ValueError("correlations must be finite")
     mat = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
-    if np.linalg.eigvalsh(mat)[0] < -EPS_PSD:
+    if eigvalsh(mat)[0] < -EPS_PSD:
         raise ValueError("3x3 correlation matrix is not positive semidefinite")
     return _f_max3_value((r12, r13, r23))
 
@@ -107,40 +108,23 @@ def gradient_of(d: CorrDerived) -> np.ndarray:
                      for p, a in zip(d.lambda_prime.tolist(), d.angles.tolist())])
 
 
-# The four facets i < j < k, each as the storage indices of its pairs (i, j),
-# (i, k), (j, k): ``hessian_of`` evaluates one triangle factor per facet.
-_FACETS = tuple(itertools.combinations(range(4), 3))
+# Index tables of ``hessian_of``, built once.  The four facets i < j < k, each
+# as the storage indices of its pairs (i, j), (i, k), (j, k): ``hessian_of``
+# evaluates one triangle factor per facet.  Facet f omits vertex 3 - f, and
+# an entry names each triangle factor it divides by with that index.
 _HESS_TRIS = tuple((PAIR_INDEX[(i, j)], PAIR_INDEX[(i, k)], PAIR_INDEX[(j, k)])
-                   for i, j, k in _FACETS)
-
-
-def _hessian_tables():
-    """Index tables of ``hessian_of``, built once; an entry names each
-    triangle factor it divides by with its facet's index in ``_HESS_TRIS``."""
-
-    def facet(*vertices):
-        return _FACETS.index(tuple(sorted(vertices)))
-
-    diag, off = [], []
-    for s, (k, l) in enumerate(PAIRS):
-        mm, nn = PAIR_COMPLEMENT[s]
-        diag.append((s, facet(k, l, mm), facet(k, l, nn),
-                     PAIR_INDEX[(k, mm)], PAIR_INDEX[(l, mm)],
-                     PAIR_INDEX[(k, nn)], PAIR_INDEX[(l, nn)]))
-        for t in range(s + 1, 6):
-            p, q = PAIRS[t]
-            shared = {k, l} & {p, q}
-            if not shared:  # disjoint pairs
-                off.append((s, t, None, None))
-                continue
-            sh = shared.pop()
-            i = ({k, l} - {sh}).pop()
-            j = ({p, q} - {sh}).pop()
-            off.append((s, t, facet(sh, i, j), PAIR_INDEX[(i, j)]))
-    return diag, off
-
-
-_HESS_DIAG, _HESS_OFF = _hessian_tables()
+                   for i, j, k in itertools.combinations(range(4), 3))
+# Diagonal entry of pair (k, l) with complement (m, n): it divides by the
+# facets omitting n and m, and reads (k, m), (l, m), (k, n), (l, n).
+_HESS_DIAG = tuple((s, 3 - n, 3 - m, PAIR_INDEX[(k, m)], PAIR_INDEX[(l, m)],
+                    PAIR_INDEX[(k, n)], PAIR_INDEX[(l, n)])
+                   for s, ((k, l), (m, n)) in enumerate(zip(PAIRS, PAIR_COMPLEMENT)))
+# Off-diagonal entries s < t.  Two pairs u, v that share a vertex divide by
+# facet 3 - o = sum(u | v) - 3, o = 6 - sum(u | v) the vertex in neither, and
+# read the pair u ^ v of their other two vertices; disjoint pairs divide by none.
+_HESS_OFF = tuple((s, t, sum(u | v) - 3, PAIR_INDEX[tuple(u ^ v)]) if u & v
+                  else (s, t, None, None)
+                  for (s, u), (t, v) in itertools.combinations(enumerate(map(set, PAIRS)), 2))
 
 
 def hessian_of(d: CorrDerived) -> np.ndarray:

@@ -205,28 +205,26 @@ def classify(m: CorrelationMatrix4) -> DomainClass:
     return DomainClass(tag)
 
 
-# For each anchor vertex: the other three vertices, in increasing order.
-_OTHERS = tuple(np.array([i for i in range(4) if i != k]) for k in range(4))
+# For each anchor vertex k: the slots of (i, j), (i, k) and (j, k) for each
+# entry (i, j) of the anchored difference covariance, i and j running over
+# the other three vertices in increasing order; row by row.
+_ANCHOR_SLOTS = tuple(tuple((int(_SLOTS[i, j]), int(_SLOTS[i, k]), int(_SLOTS[j, k]))
+                            for i in range(4) if i != k for j in range(4) if j != k)
+                      for k in range(4))
 
 
-def _anchored(rij, ri, rj):
-    """Entry (i, j) of the anchored difference covariance from the correlation
-    of i and j and those of i and of j with the anchor."""
-    return rij - ri - rj + 1.0
-
-
-# The slots of (i, j), (i, 1) and (j, 1) for each entry of the anchored
-# covariance at vertex 1, whose det gives a_tilde; row by row.
-_A_TILDE_SLOTS = tuple((int(_SLOTS[i, j]), int(_SLOTS[i, 1]), int(_SLOTS[j, 1]))
-                       for i in _OTHERS[1] for j in _OTHERS[1])
+def _anchored_cov(slots, anchor: int) -> np.ndarray:
+    """The anchored difference covariance at vertex ``anchor`` from a matrix's
+    seven slots: entry (i, j) is r_ij - r_i - r_j + 1, r_i the correlation of
+    i with the anchor."""
+    return np.array([slots[a] - slots[b] - slots[c] + 1.0
+                     for a, b, c in _ANCHOR_SLOTS[anchor]]).reshape(3, 3)
 
 
 def complement_cov(m: CorrelationMatrix4, anchor: int) -> np.ndarray:
     """Covariance of (X_l1 - X_k, X_l2 - X_k, X_l3 - X_k) for anchor vertex k
     (0-based), l1 < l2 < l3 the remaining vertices."""
-    mat, idx = m.matrix(), _OTHERS[anchor]
-    col = mat[idx, anchor]
-    return _anchored(mat[idx[:, None], idx], col[:, None], col[None, :])
+    return _anchored_cov([*m.offdiag, 1.0], anchor)
 
 
 def quad_term(x: Sequence, t: int, one=1.0):
@@ -315,10 +313,7 @@ def _derive(x: tuple[float, ...]) -> CorrDerived:
     if tag is _INVALID:
         raise ValueError("not a correlation matrix")
     lt = [quad_term(x, t) for t in range(6)]
-    slots = [*x, 1.0]  # a_tilde's covariance read from the matrix's slots
-    cov = np.array([_anchored(slots[a], slots[b], slots[c])
-                    for a, b, c in _A_TILDE_SLOTS]).reshape(3, 3)
-    a_tilde = math.sqrt(max(2.0 * _det(cov), 0.0))
+    a_tilde = math.sqrt(max(2.0 * _det(_anchored_cov([*x, 1.0], 1)), 0.0))
     if tag is _UNIT_PAIR:
         angles = np.full(6, np.nan)
     else:

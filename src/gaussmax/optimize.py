@@ -33,7 +33,7 @@ import numpy as np
 
 from . import closedform
 from .corrmat import (PAIRS, CorrelationMatrix4, DomainTag, _SLOTS, _check_count, classify,
-                      derive, eigen_factor, gram_of_rows, unit_rows)
+                      derive, eigen_factor, eigvalsh, gram_of_rows, unit_rows)
 from .verify import ScanReport
 
 STEP_INIT = 4.0   # first trial step on the first iteration and after an escape
@@ -205,7 +205,7 @@ def random_psd(rng: np.random.Generator, dim: int = 4) -> CorrelationMatrix4:
 def random_interior(rng: np.random.Generator, min_eig: float = 0.05) -> CorrelationMatrix4:
     for _ in range(10_000):
         m = random_psd(rng)
-        if np.linalg.eigvalsh(m.matrix())[0] > min_eig:
+        if eigvalsh(m.matrix())[0] > min_eig:
             return m
     raise RuntimeError("failed to sample an interior matrix")
 

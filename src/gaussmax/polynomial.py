@@ -105,20 +105,6 @@ class IntPolynomial6:
             return "IntPolynomial6(0)"
         return f"IntPolynomial6({len(self._terms)} terms, degree {self.degree()})"
 
-    def relabel(self, var_map: Iterable[int]) -> "IntPolynomial6":
-        """Substitute variable i by variable var_map[i]."""
-        vmap = tuple(var_map)
-        if sorted(vmap) != list(range(6)):
-            raise ValueError("var_map must be a permutation of 0..5")
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coef in self._terms.items():
-            new = [0] * 6
-            for i, e in enumerate(exps):
-                new[vmap[i]] += e
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coef
-        return IntPolynomial6(out)
-
     def evaluate(self, values: Iterable[Fraction]) -> Fraction:
         vals = tuple(Fraction(v) for v in values)
         if len(vals) != 6:

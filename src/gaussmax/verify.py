@@ -15,6 +15,7 @@ import numpy as np
 
 from . import closedform
 from .corrmat import (
+    PAIR_NAMES,
     PAIRS,
     CorrelationMatrix4,
     DomainTag,
@@ -138,14 +139,11 @@ def base_row_poly_literal() -> IntPolynomial6:
 
 def polynomial_identity() -> ScanReport:
     """Exact expansion of the balance polynomial for all six base pairs."""
-    literal = base_row_poly_literal()
-    generated = euler_row_poly(0)
-    details = {"literal_matches_generated": literal == generated}
-    leftover = 0
-    for pair in range(6):
-        p = euler_row_poly(pair)
-        details[f"row_{PAIRS[pair][0] + 1}{PAIRS[pair][1] + 1}_terms"] = p.num_terms()
-        leftover += p.num_terms()
+    rows = [euler_row_poly(pair) for pair in range(6)]
+    details = {"literal_matches_generated": base_row_poly_literal() == rows[0]}
+    for name, p in zip(PAIR_NAMES, rows):
+        details[f"row_{name}_terms"] = p.num_terms()
+    leftover = sum(p.num_terms() for p in rows)
     passed = leftover == 0 and details["literal_matches_generated"]
     return ScanReport(
         name="polynomial_identity",
@@ -233,13 +231,17 @@ def _p_terms(u, theta, cos, sin):
     return num / (theta ** 2 * (ct - cu) ** 2)
 
 
-def _high_precision(expr, u: float, theta: float, dps: int) -> float:
+_HIGH_PRECISION_DPS = 60  # mpmath digits of the refinements
+
+
+def _high_precision(expr, u: float, theta: float) -> float:
     """``expr(u, theta, cos, sin)``, one of the numpy expressions above,
-    evaluated in mpmath at ``dps`` digits and rounded to a float.  mpmath is
-    imported here, its one use, so that importing gaussmax does not load it."""
+    evaluated in mpmath at ``_HIGH_PRECISION_DPS`` digits and rounded to a
+    float.  mpmath is imported here, its one use, so that importing gaussmax
+    does not load it."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(_HIGH_PRECISION_DPS):
         return float(expr(mp.mpf(u), mp.mpf(theta), mp.cos, mp.sin))
 
 
@@ -251,7 +253,7 @@ def p_func(u: float, theta: float) -> float:
         return p_limit(theta)
     if abs(u - theta) < _P_NEAR_BAND:
         # near the removable singularity the double-precision form cancels badly
-        return _high_precision(_p_terms, u, theta, 50)
+        return _high_precision(_p_terms, u, theta)
     return float(_p_terms(np.asarray(u, dtype=float), theta, np.cos, np.sin))
 
 
@@ -421,7 +423,7 @@ def p_inequality_scan(grid: PInequalityGrid | None = None) -> ScanReport:
     # points below the double-precision noise floor get a high-precision
     # re-evaluation so the sign is meaningful, not roundoff
     unsure = np.abs(vals) < 1e-13 * _p_inequality_noise_scale(u, theta)
-    vals[unsure] = [_high_precision(_p_inequality_terms, float(uj), float(tj), 60)
+    vals[unsure] = [_high_precision(_p_inequality_terms, float(uj), float(tj))
                     for uj, tj in zip(u[unsure], theta[unsure])]
     i = np.unravel_index(np.argmin(vals), vals.shape)
     return ScanReport(

@@ -66,6 +66,14 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error: entry 12:")
 
+    def test_truncated_json_file_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "truncated.json"
+        p.write_text('{"offdiag": [0, 0, 0')
+        code, out, err = run(capsys, "compute", "--file", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Expecting")
+
     @pytest.mark.parametrize("entry, bad", [("12", True), ("34", "0.5")])
     def test_json_entry_must_be_a_number(self, capsys, tmp_path, entry, bad):
         off = [0.0] * 6

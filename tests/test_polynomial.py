@@ -56,11 +56,6 @@ class TestRing:
         v = IntPolynomial6.variable(2)
         assert (v * v * v).degree() == 3
 
-    def test_relabel(self):
-        p = IntPolynomial6.variable(0) * IntPolynomial6.variable(1)
-        q = p.relabel([5, 4, 2, 3, 1, 0])
-        assert q == IntPolynomial6.variable(5) * IntPolynomial6.variable(4)
-
 
 class TestBalanceIdentity:
     def test_literal_transcription_matches_generated_row(self):

@@ -344,11 +344,11 @@ class TestPInequality:
             lhs = _p_inequality_terms(u, theta, np.cos, np.sin)
             scale = _p_inequality_noise_scale(u, theta)
             for j, uj in enumerate(u):
-                assert _high_precision(_p_terms, float(uj), float(theta), 50) == pytest.approx(
+                assert _high_precision(_p_terms, float(uj), float(theta)) == pytest.approx(
                     p[j], rel=1e-9)
                 if abs(lhs[j]) > 1e-10 * scale[j]:
-                    assert _high_precision(_p_inequality_terms, float(uj), float(theta),
-                                           60) == pytest.approx(lhs[j], rel=1e-9)
+                    assert _high_precision(_p_inequality_terms, float(uj),
+                                           float(theta)) == pytest.approx(lhs[j], rel=1e-9)
                     checked += 1
         assert checked > 300
 
