@@ -19,16 +19,19 @@ and 200 on the tetrahedra of ``mean_width_inputs``), and ``width_transfer``
 points 10^-k from them, and the runs and endpoints of ``u_interval_scan`` on
 ``U_SCANS`` seeded pairs), ``h_scan`` (the worst margin, its location and the
 pair count of a small ``h_monotonicity_scan``), ``scans`` (the reports of
-the default ``p_inequality_scan`` and ``p_ordering_scan``), and ``shared``
-(``montecarlo.sample_factor`` on the inputs, ``geometry.corr_of`` on the
-tetrahedra of ``mean_width_inputs``, ``geometry.h_func`` on the admissible
-points of ``h_grid``, and the reports of the ``hessian`` and ``bounds``
-suites of ``gaussmax verify`` at its default seed), and ``cli`` (the stdout
-bytes and the exit code of ``cli.main`` on each line of ``CLI_ARGV``; stderr
-is not hashed, since only stdout is the command's output).  Two Monte-Carlo
-families hash ``estimate_max`` and ``estimate_order_stats`` on a few matrices
-and ``(n, shards)`` pairs, whose shards run to several blocks: ``mc_mean`` the
-mean and e1..e4, ``mc_se`` every standard error.  A call that raises
+the default ``p_inequality_scan`` and ``p_ordering_scan``), ``shared``
+(``geometry.corr_of`` on the tetrahedra of ``mean_width_inputs``,
+``geometry.h_func`` on the admissible points of ``h_grid``, and the reports
+of the ``hessian`` and ``bounds`` suites of ``gaussmax verify`` at its
+default seed), ``sample_factor`` (``montecarlo.sample_factor`` on the
+inputs), and ``cli`` (the stdout bytes and the exit code of ``cli.main`` on
+each line of ``CLI_ARGV``; stderr is not hashed, since only stdout is the
+command's output).  Four Monte-Carlo families hash ``estimate_max`` and
+``estimate_order_stats`` on ``MC_MATRICES`` with ``MC_RUNS``, whose shards
+run to several blocks: ``mc_mean_full`` and ``mc_mean_singular`` the mean
+and e1..e4, ``mc_se_full`` and ``mc_se_singular`` every standard error, on
+the full-rank and the singular matrices apart, since a singular matrix
+draws one normal per pair for each unit of its rank.  A call that raises
 contributes its exception type and message instead of a value.  Two trees
 whose digests agree give bit-identical outputs on every input below.
 
@@ -61,13 +64,14 @@ import pathlib
 import numpy as np
 
 from gaussmax import cli, closedform, geometry, montecarlo, verify
-from gaussmax.corrmat import CorrelationMatrix4, classify, derive
+from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify, derive
 from gaussmax.optimize import certify, maximize, random_interior, random_psd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = ("classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
             "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans", "shared",
-            "mc_mean", "mc_se", "cli")
+            "sample_factor", "mc_mean_full", "mc_se_full", "mc_mean_singular", "mc_se_singular",
+            "cli")
 # The one-matrix calls, each hashed alone and then all four in a row.
 CALLS = (("f_max", closedform.f_max), ("gradient", closedform.gradient),
          ("hessian", closedform.hessian), ("dihedrals", lambda m: geometry.dihedrals(m).alpha))
@@ -88,13 +92,13 @@ DEGENERATE_POINTS = (
 )
 MC_MATRICES = (
     CorrelationMatrix4.identity(),
-    CorrelationMatrix4.equicorrelated(-1.0 / 3.0),  # rank 3: eigen factor
+    CorrelationMatrix4.equicorrelated(-1.0 / 3.0),  # rank 3
     CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
     CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)),  # rank 2
 )
-# (n, shards, seed): 3 blocks, the last of 8,193 pairs (a one-row last
-# chunk); 2 shards of 2 blocks; one block on the default shard count
-MC_RUNS = ((1_016_386, 1, 5), (3_000_000, 2, 6), (200_000, None, 7))
+# (n, shards, seed): 3 blocks, the last of 16,385 pairs (a one-row last
+# chunk); 2 shards of 12 blocks; 2 blocks on the default shard count (one)
+MC_RUNS = ((294_914, 1, 5), (3_000_000, 2, 6), (200_000, None, 7))
 # Cheap command lines: each subcommand, then one usage error (a flag of
 # another scan kind) and one domain error (a matrix outside the elliptope).
 CLI_MATRIX = "0.2,-0.1,0.3,0,-0.2,0.1"
@@ -249,7 +253,7 @@ def digests() -> dict[str, str]:
     for rep in (verify.p_inequality_scan(), verify.p_ordering_scan()):
         _feed(h["scans"], lambda: json.dumps(rep.to_json_obj(), sort_keys=True))
     for m in ms:
-        _feed(h["shared"], montecarlo.sample_factor, m)
+        _feed(h["sample_factor"], montecarlo.sample_factor, m)
     for t in mean_width_inputs():
         _feed(h["shared"], lambda t: np.array(geometry.corr_of(t).offdiag), t)
     for x, y, z in h_grid():
@@ -259,12 +263,13 @@ def digests() -> dict[str, str]:
         for rep in cli._suite_reports(suite, seed):
             _feed(h["shared"], lambda: json.dumps(rep.to_json_obj(), sort_keys=True))
     for m in MC_MATRICES:
+        rank = "full" if classify(m).tag is DomainTag.INTERIOR_S else "singular"
         for n, shards, seed in MC_RUNS:
             est = montecarlo.estimate_max(m, n, seed, shards=shards)
             order = montecarlo.estimate_order_stats(m, n, seed, shards=shards)
-            _feed(h["mc_mean"], lambda: (est.mean, order.e1, order.e2, order.e3, order.e4))
-            _feed(h["mc_se"], lambda: (est.std_error, *order.std_errors,
-                                       order.se_third_identity, order.se_second_identity))
+            _feed(h[f"mc_mean_{rank}"], lambda: (est.mean, order.e1, order.e2, order.e3, order.e4))
+            _feed(h[f"mc_se_{rank}"], lambda: (est.std_error, *order.std_errors,
+                                               order.se_third_identity, order.se_second_identity))
     for argv in CLI_ARGV:
         _feed(h["cli"], cli_run, argv)
     return {name: h[name].hexdigest() for name in FAMILIES}

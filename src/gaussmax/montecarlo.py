@@ -8,50 +8,55 @@ each of which needs at least one pair (so shards <= n // 2, else
 ValueError), and each shard into blocks of _BLOCK pairs.  Block k of shard
 s draws from its own SFC64 generator, keyed by SeedSequence(seed,
 spawn_key=(s, k)), so each block is an independent task on the thread pool
-and its draws do not depend on which thread runs it or when.  The block sums are added exactly
-(math.fsum), so no order of addition enters the result.
+and its draws do not depend on which thread runs it or when.  The block
+sums are added exactly (math.fsum), so no order of addition enters the
+result.
 
-The n draws are n/2 antithetic pairs (x, -x), and the pair is the unit of
-reduction: a statistic f is summed as its pair sums q = f(x) + f(-x), its
-mean is sum(q) / n and its standard error is that of the mean of the n/2
-pair averages q/2.  The mate -x has the draw's order statistics negated and
-reversed, so e3 = -e2 and e4 = -e1 exactly.
+A draw is x = L z for the 4 x r factor L of ``sample_factor``, r the
+matrix's rank (4 inside the elliptope), so each pair takes r standard
+normals.  The n draws are n/2 antithetic pairs (x, -x), and the pair is the
+unit of reduction: a statistic f is summed as its pair sums
+q = f(x) + f(-x), its mean is sum(q) / n and its standard error is that of
+the mean of the n/2 pair averages q/2.  The mate -x has the draw's order
+statistics negated and reversed, so e3 = -e2 and e4 = -e1 exactly.
 
-A block of b = _BLOCK = 65,536 pairs (fewer in a shard's last block)
-draws _CHUNK pairs at a time into one reused buffer, transforms them by the
-factor into a contiguous (4, c) array and writes their pair sums into the
-block's (k, b) array, so that no (b, 4) draws and no transform of the whole
-block are held: a running block holds its (k, b) pair sums, at most 1.5 MiB
-for the three rows of the order statistics, plus one chunk.  Drawing in
-pieces gives the same stream as one call, each transformed column depends
-on its own draw alone, and max, min and the sorting network are exact
-elementwise operations; the block's sums are taken over the whole (k, b)
-array.  So _CHUNK does not change results, while _BLOCK does: it fixes the
-keys of the streams and which pairs each block's float sum adds.  Sums of
-squares are taken with einsum, not BLAS, whose dot product splits across
-its threads.
+A block of b = _BLOCK = 65,536 pairs (fewer in a shard's last block) draws
+_CHUNK pairs at a time, transforms them by the factor into a (4, c) array
+and writes their pair sums straight into the block's (k, b) array.  Each
+pool worker allocates these three buffers once per call and reuses them for
+every block it runs, so a running block holds its (k, b) pair sums, at most
+1.5 MiB for the three rows of the order statistics, plus one chunk, and no
+chunk allocates.  Drawing in pieces gives the same stream as one call, each
+transformed column depends on its own draw alone, and max, min and the
+sorting network are exact elementwise operations; the block's sums are
+taken over the whole (k, b) array.  So _CHUNK does not change results,
+while _BLOCK does: it fixes the keys of the streams and which pairs each
+block's float sum adds.  Sums of squares are taken with einsum, not BLAS,
+whose dot product splits across its threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import (CorrelationMatrix4, DomainTag, _check_count, _unit_classes, classify,
-                      eigen_factor)
+from .corrmat import (EPS_PSD, CorrelationMatrix4, DomainTag, _check_count, _unit_classes,
+                      classify)
 
-_CHUNK = 8_192  # pairs drawn at a time; sized to stay in cache
-_BLOCK = 8 * _CHUNK  # 65,536 pairs per block, one pool task; bounds peak memory
+_CHUNK = 16_384  # pairs drawn at a time; its draws and transform (1 MiB) stay in L2 cache
+_BLOCK = 65_536  # pairs per block, one pool task; bounds peak memory
 
 
 def thread_count() -> int:
-    """Worker threads, capped by the GAUSSMAX_THREADS env var (0 = auto).  A
-    value that is not an integer is ignored with a RuntimeWarning."""
+    """Worker threads, capped by the GAUSSMAX_THREADS env var (0 = auto: the
+    CPUs this process may run on, at most 8).  A value that is not an
+    integer is ignored with a RuntimeWarning."""
     raw = os.environ.get("GAUSSMAX_THREADS", "0")
     try:
         cap = int(raw)
@@ -59,9 +64,11 @@ def thread_count() -> int:
         warnings.warn(f"GAUSSMAX_THREADS={raw!r} is not an integer; using the automatic "
                       "thread count", RuntimeWarning, stacklevel=2)
         cap = 0
-    if cap <= 0:
-        return min(8, os.cpu_count() or 1)
-    return cap
+    if cap > 0:
+        return cap
+    if hasattr(os, "sched_getaffinity"):  # where the OS can tell
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -96,16 +103,20 @@ class OrderStats:
 
 
 def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
-    """4x4 factor L with L @ L.T equal to the matrix: Cholesky when positive
-    definite, eigen-based with eigenvalues clipped at 0 otherwise.  The
-    members of a unit class are one variable, drawn from one row: the first
-    member's."""
+    """4 x r factor L with L @ L.T equal to the matrix, r its rank, so that a
+    draw L z takes r standard normals: the Cholesky factor (r = 4) when
+    positive definite, else the eigen factor u sqrt(w) without the columns
+    of eigenvalue w <= EPS_PSD, the bound ``classify`` puts on the smallest
+    eigenvalue.  The members of a unit class are one variable, drawn from
+    one row: the first member's."""
     cls = classify(m)
     if cls.tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
     if cls.tag is DomainTag.INTERIOR_S:
         return np.linalg.cholesky(m.matrix())
-    factor = eigen_factor(m)
+    w, u = np.linalg.eigh(m.matrix())
+    keep = w > EPS_PSD
+    factor = u[:, keep] * np.sqrt(w[keep])
     if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:
         for members in _unit_classes(m):
             factor[members] = factor[members[0]]
@@ -137,117 +148,129 @@ def _check_args(n: int, shards):
 
 
 def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
-                 pair_rows) -> tuple[np.ndarray, np.ndarray]:
+                 pair_rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-row sums of the pair sums q and of q**2 over n/2 antithetic
     pairs.
 
-    ``pair_rows(z, lt)`` takes one chunk of standard normals z, shape (c, 4),
-    whose draws x are the rows of ``z @ lt``, and returns a (k, c) array
-    whose column j holds the pair sums f(x) + f(-x) of k statistics f at
-    draw j, from exact elementwise operations.  Each block is one pool
-    task and draws from its (seed, s, k) stream; the block sums are added
-    exactly.
+    ``pair_rows(x, out)`` takes one chunk of draws x, a (4, c) array whose
+    column j is draw j, and writes into the (k, c) array out, column j, the
+    pair sums f(x) + f(-x) of k statistics f at draw j, from exact
+    elementwise operations; it may overwrite x.  Each block is one pool
+    task and draws from its (seed, shard, block) stream into its worker's
+    buffers; the block sums are added exactly.
     """
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
-    lt = sample_factor(m).T
+    factor = sample_factor(m)
+    r = factor.shape[1]
     sizes = _shard_sizes(n // 2, nshards)
+    local = threading.local()
 
     def block_sums(shard: int, block: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        if not hasattr(local, "buffers"):  # one set per worker, reused by its blocks
+            local.buffers = (np.empty(_CHUNK * r), np.empty(4 * _CHUNK), np.empty(k * _BLOCK))
+        zs, xs, qs = local.buffers
         rng = _block_rng(seed, shard, block)
-        z = np.empty((min(_CHUNK, b), 4))
-        q = None
+        q = qs[:k * b].reshape(k, b)
         for a in range(0, b, _CHUNK):
-            chunk = z[:min(_CHUNK, b - a)]
-            rng.standard_normal(out=chunk)
-            rows = pair_rows(chunk, lt)
-            if q is None:  # the first chunk tells the number of statistics
-                q = np.empty((len(rows), b))
-            q[:, a:a + len(chunk)] = rows
+            c = min(_CHUNK, b - a)
+            z = zs[:c * r].reshape(c, r)
+            x = xs[:4 * c].reshape(4, c)
+            rng.standard_normal(out=z)
+            _transform(factor, z, x)
+            pair_rows(x, q[:, a:a + c])
         return q.sum(axis=1), np.einsum("ij,ij->i", q, q)
 
-    keys = [(shard, k, min(_BLOCK, size - a))
-            for shard, size in enumerate(sizes) for k, a in enumerate(range(0, size, _BLOCK))]
+    keys = [(shard, block, min(_BLOCK, size - a))
+            for shard, size in enumerate(sizes) for block, a in enumerate(range(0, size, _BLOCK))]
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(keys))) as pool:
         sums, squares = zip(*pool.map(block_sums, *zip(*keys)))
     return (np.array([math.fsum(col) for col in zip(*sums)]),
             np.array([math.fsum(col) for col in zip(*squares)]))
 
 
-def _mean_se(s: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _mean_se(s: np.ndarray, s2: np.ndarray, n: int) -> tuple[list[float], list[float]]:
     """Means and standard errors of n draws' statistics from the sums s and
     s2 of their pair sums q and of q**2: the mean is s / n, and the n/2 pair
     averages q/2 have variance s2 / (2n) - mean**2."""
     mean = s / n
     var = np.maximum(s2 / (2 * n) - mean ** 2, 0.0)
-    return mean, np.sqrt(2 * var / n)
+    return mean.tolist(), np.sqrt(2 * var / n).tolist()
 
 
-def _transposed(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """``(z @ lt).T``, a contiguous (4, c) array whose rows max, min and the
-    sorting network read.
+def _transform(factor: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """Write ``factor @ z.T`` into the contiguous (4, c) array out: column j
+    is the draw of the normals in row j of z, and max, min and the sorting
+    network read its rows.
 
     Each column depends on its own draw alone, whatever the chunk, except
     that numpy multiplies a lone row by a vector kernel whose bits differ:
     a lone row is multiplied together with a copy of itself.
     """
     if len(z) == 1:
-        return (lt.T @ np.repeat(z, 2, axis=0).T)[:, :1].copy()
-    return lt.T @ z.T
+        out[:] = (factor @ np.repeat(z, 2, axis=0).T)[:, :1]
+    else:
+        np.matmul(factor, z.T, out=out)
 
 
-def _max_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (1, c) pair sums of the maximum, max(x) + max(-x) = max(x) - min(x)."""
-    return np.ptp(_transposed(z, lt), axis=0, keepdims=True)
+def _max_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """The pair sums of the maximum, max(x) + max(-x) = max(x) - min(x),
+    into out[0]; the minimum is kept in x[0]."""
+    hi, lo = out[0], x[0]
+    np.maximum(x[0], x[1], out=hi)
+    np.minimum(x[0], x[1], out=lo)
+    for row in x[2:]:
+        np.maximum(hi, row, out=hi)
+        np.minimum(lo, row, out=lo)
+    np.subtract(hi, lo, out=hi)
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
     """Sample mean of max(X_1..X_4) over n draws (n/2 antithetic pairs)."""
-    mean, se = _mean_se(*_sample_sums(m, n, seed, shards, _max_rows), n)
-    return MCEstimate(mean=float(mean[0]), std_error=float(se[0]), n_samples=n, seed=seed)
+    (mean,), (se,) = _mean_se(*_sample_sums(m, n, seed, shards, _max_rows, 1), n)
+    return MCEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
 
 
-def _sorted_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (4, c) array ``np.sort(z @ lt, axis=1).T``, from a 5-comparator
-    sorting network of np.minimum/np.maximum over contiguous rows."""
-    t = _transposed(z, lt)
-    u = np.empty_like(t)
-    asc = np.empty_like(t)
-    np.minimum(t[0], t[1], out=u[0])
-    np.maximum(t[0], t[1], out=u[1])
-    np.minimum(t[2], t[3], out=u[2])
-    np.maximum(t[2], t[3], out=u[3])
-    # t is free from here on and holds the two middle candidates
-    np.minimum(u[0], u[2], out=asc[0])
-    np.maximum(u[0], u[2], out=t[0])
-    np.minimum(u[1], u[3], out=t[1])
-    np.maximum(u[1], u[3], out=asc[3])
-    np.minimum(t[0], t[1], out=asc[1])
-    np.maximum(t[0], t[1], out=asc[2])
-    return asc
+def _sorted_rows(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of the (4, c) array x sorted elementwise, ascending, by a
+    5-comparator network of np.minimum/np.maximum in place: four rows of x
+    and work, one spare row of c values, hold them in a shuffled order."""
+    np.minimum(x[0], x[1], out=work)
+    np.maximum(x[0], x[1], out=x[1])
+    np.minimum(x[2], x[3], out=x[0])
+    np.maximum(x[2], x[3], out=x[3])
+    # the two minima are in work and x[0], the two maxima in x[1] and x[3]
+    np.minimum(work, x[0], out=x[2])
+    np.maximum(work, x[0], out=x[0])
+    np.minimum(x[1], x[3], out=work)
+    np.maximum(x[1], x[3], out=x[3])
+    # x[2] and x[3] hold the extremes, x[0] and work the middle two
+    np.minimum(x[0], work, out=x[1])
+    np.maximum(x[0], work, out=x[0])
+    return x[2], x[1], x[0], x[3]
 
 
-def _order_stat_rows(z: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """The (3, b) pair sums of e1, e2 and e2 + 3 e1, built in place in the
-    sorted rows: the mate -x sorts to -x reversed, so they are x(1) - x(4),
-    x(2) - x(3) and (x(2) - x(3)) + 3 (x(1) - x(4)) in descending order."""
-    asc = _sorted_rows(z, lt)
-    np.subtract(asc[3], asc[0], out=asc[0])
-    np.subtract(asc[2], asc[1], out=asc[1])
-    np.multiply(asc[0], 3.0, out=asc[2])
-    asc[2] += asc[1]
-    return asc[:3]
+def _order_stat_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """The (3, c) pair sums of e1, e2 and e2 + 3 e1 into out: the mate -x
+    sorts to -x reversed, so they are x(1) - x(4), x(2) - x(3) and
+    (x(2) - x(3)) + 3 (x(1) - x(4)) in descending order.  The network's
+    spare row is out[2], written last."""
+    lo, low2, high2, hi = _sorted_rows(x, out[2])
+    np.subtract(hi, lo, out=out[0])
+    np.subtract(high2, low2, out=out[1])
+    np.multiply(out[0], 3.0, out=out[2])
+    out[2] += out[1]
 
 
 def estimate_order_stats(m: CorrelationMatrix4, n: int, seed: int,
                          shards: int | None = None) -> OrderStats:
     """Means of the four order statistics over n draws (antithetic pairs)."""
     (e1, e2, _), (se1, se2, se_identity) = _mean_se(
-        *_sample_sums(m, n, seed, shards, _order_stat_rows), n)
+        *_sample_sums(m, n, seed, shards, _order_stat_rows, 3), n)
     return OrderStats(
         e1=e1, e2=e2, e3=-e2, e4=-e1,
         std_errors=(se1, se2, se2, se1),
-        se_third_identity=float(se_identity),
-        se_second_identity=float(se_identity),
+        se_third_identity=se_identity,
+        se_second_identity=se_identity,
         n_samples=n, seed=seed,
     )

@@ -565,7 +565,8 @@ def test_output_digest_script_runs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     families = ["classify", "derive", "f_max", "gradient", "hessian", "dihedrals", "in_a_row",
                 "maximize", "embed", "mean_width", "width_transfer", "h_scan", "scans", "shared",
-                "mc_mean", "mc_se", "cli"]
+                "sample_factor", "mc_mean_full", "mc_se_full", "mc_mean_singular",
+                "mc_se_singular", "cli"]
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == families
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}", line) for line in lines)

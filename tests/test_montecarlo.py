@@ -28,6 +28,19 @@ class TestSampleFactor:
         l = sample_factor(CorrelationMatrix4.identity())
         assert np.allclose(l @ l.T, np.eye(4), atol=1e-14)
 
+    @pytest.mark.parametrize("m, rank, atol", [
+        (CorrelationMatrix4.identity(), 4, 1e-14),
+        (CorrelationMatrix4.equicorrelated(-1.0 / 3.0), 3, 1e-10),
+        (CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)), 2, 1e-14),
+        (CorrelationMatrix4.equicorrelated(1.0), 1, 1e-12),
+    ])
+    def test_one_column_per_unit_of_rank(self, m, rank, atol):
+        # a pair draws one normal per column, so a singular matrix's factor
+        # drops the columns of its zero eigenvalues
+        l = sample_factor(m)
+        assert l.shape == (4, rank)
+        assert np.max(np.abs(l @ l.T - m.matrix())) <= atol
+
     def test_rank3_boundary(self):
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
         l = sample_factor(m)
@@ -61,9 +74,21 @@ class TestEstimateMax:
 
     def test_malformed_thread_cap_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("GAUSSMAX_THREADS", "abc")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         with pytest.warns(RuntimeWarning, match="'abc'"):
             n = thread_count()
-        assert n == min(8, os.cpu_count() or 1)
+        assert n == 3
+
+    @pytest.mark.parametrize("cpus, cpu_count, expected", [(16, 64, 8), (None, 6, 6), (None, None, 1)])
+    def test_auto_thread_count_is_usable_cpus_up_to_8(self, cpus, cpu_count, expected, monkeypatch):
+        # the CPUs this process may run on where the OS can tell, else all
+        monkeypatch.setenv("GAUSSMAX_THREADS", "0")
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert thread_count() == expected
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -136,6 +161,27 @@ class TestEstimateMax:
         assert (os_.e1, os_.e2) == (0.994941745935971, 0.3003253618904124)
         assert os_.std_errors[:2] == (0.0009826930827270897, 0.0005768843909215644)
         assert os_.se_third_identity == 0.003250226487456813
+
+    def test_golden_value_rank3(self):
+        # the all -1/3 maximizer has rank 3, so each pair draws 3 normals;
+        # pins the eigen factor without its null column as well as the streams.
+        # Recorded when singular matrices began to draw one normal per unit
+        # of rank.
+        m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
+        est = estimate_max(m, 400_000, seed=5, shards=1)
+        assert (est.mean, est.std_error) == (1.1887816468487862, 0.0011368976370538303)
+        os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
+        assert (os_.e1, os_.e2) == (1.1887816468487862, 0.3437066135606185)
+        assert os_.std_errors[:2] == (0.0011368976370538303, 0.0006458251218036075)
+        assert os_.se_third_identity == 0.003717140976471802
+
+    def test_results_are_python_floats(self):
+        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+        est = estimate_max(m, 20_000, seed=5)
+        os_ = estimate_order_stats(m, 20_000, seed=5)
+        values = [est.mean, est.std_error, os_.e1, os_.e2, os_.e3, os_.e4, *os_.std_errors,
+                  os_.se_third_identity, os_.se_second_identity]
+        assert all(type(v) is float for v in values), [type(v) for v in values]
 
 
 class TestOrderStats:
@@ -247,14 +293,18 @@ class TestChunkedReduction:
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_chunk_size_is_invisible(self, chunk, monkeypatch):
-        # 10_000 is a multiple of none of the chunk sizes, the default included
+        # 10_000 is a multiple of none of the chunk sizes, the default included;
+        # a rank-4 and a rank-3 matrix, which draws 3 normals per pair
         monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
-        m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
-        ref_max = estimate_max(m, 50_000, seed=3, shards=2)
-        ref_os = estimate_order_stats(m, 50_000, seed=3, shards=2)
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
-        assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
+        default = montecarlo._CHUNK
+        for m in (CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
+                  CorrelationMatrix4.equicorrelated(-1.0 / 3.0)):
+            monkeypatch.setattr(montecarlo, "_CHUNK", default)
+            ref_max = estimate_max(m, 50_000, seed=3, shards=2)
+            ref_os = estimate_order_stats(m, 50_000, seed=3, shards=2)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
+            assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
 
     @pytest.mark.parametrize("chunk", [1, 7, 8192])
     def test_sorting_network_equals_sort(self, chunk):
@@ -265,8 +315,12 @@ class TestChunkedReduction:
         # the network is fed chunk rows at a time, as a block feeds it (chunk 1
         # takes the lone-row path); the identity factor transforms exactly, so
         # the network sorts x itself
-        asc = np.hstack([montecarlo._sorted_rows(x[a:a + chunk], np.eye(4))
-                         for a in range(0, len(x), chunk)])
+        def sorted_chunk(z):
+            t = np.empty((4, len(z)))
+            montecarlo._transform(np.eye(4), z, t)
+            return np.vstack(montecarlo._sorted_rows(t, np.empty(len(z))))
+
+        asc = np.hstack([sorted_chunk(x[a:a + chunk]) for a in range(0, len(x), chunk)])
         assert np.array_equal(asc, np.sort(x, axis=1).T)
 
 
@@ -299,10 +353,10 @@ class TestBlockScheduler:
         calls = itertools.count()
         max_rows = montecarlo._max_rows
 
-        def fail_on_second_block(z, lt):
+        def fail_on_second_block(x, out):
             if next(calls) == 1:
                 raise RuntimeError("second block")
-            return max_rows(z, lt)
+            max_rows(x, out)
 
         monkeypatch.setattr(montecarlo, "_max_rows", fail_on_second_block)
         before = threading.active_count()
@@ -331,7 +385,7 @@ class TestExactSum:
         monkeypatch.setattr(montecarlo, "_BLOCK", 7)
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")
         s, s2 = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
-                                        lambda z, lt: np.full((1, len(z)), 0.1))
+                                        lambda x, out: out.fill(0.1), 1)
         blocks = [np.full((1, b), 0.1) for b in [7] * 1_428 + [4]]
         assert s.tolist() == [math.fsum(q.sum(axis=1)[0] for q in blocks)]
         assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", q, q)[0] for q in blocks)]
@@ -357,25 +411,54 @@ class TestBlockStreams:
         firsts = {montecarlo._block_rng(5, s, k).standard_normal(4).tobytes() for s, k in keys}
         assert len(firsts) == len(keys)
 
+    @pytest.mark.parametrize("off, rank", [
+        ((0.2, -0.1, 0.3, 0.0, -0.2, 0.1), 4),
+        ((-1.0 / 3.0,) * 6, 3),
+        ((1.0, 0.5, 0.5, 0.5, 0.5, 1.0), 2),
+        ((1.0,) * 6, 1),
+    ])
+    def test_each_pair_draws_rank_normals(self, off, rank, monkeypatch):
+        # 12,500 pairs per shard: blocks of 10,000 and 2,500 pairs, the first
+        # drawn in chunks of 4,096, 4,096 and 1,808 pairs
+        monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 4_096)
+        shapes = []
+        block_rng = montecarlo._block_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                shapes.append(out.shape)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: Spy(block_rng(*key)))
+        estimate_max(CorrelationMatrix4(off), 50_000, 3, shards=2)
+        expected = [(4_096, rank), (4_096, rank), (1_808, rank), (2_500, rank)] * 2
+        assert sorted(shapes) == sorted(expected)
+
 
 class TestPeakMemory:
-    """A running block holds its (k, b) pair sums and one chunk of draws:
-    no (b, 4) draws and no (4, b) transform of the block."""
-
-    M = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
+    """Each worker holds one buffer set, reused by all its blocks: a block's
+    (k, b) pair sums and one chunk of draws and of their transform; no
+    (b, r) draws and no (4, b) transform of the block."""
 
     @pytest.mark.parametrize("estimate, n, shards, limit_mb", [
         (estimate_order_stats, 2_000_000, 1, 8), (estimate_max, 10_000_000, 5, 4),
     ])
     def test_peak_traced_memory(self, estimate, n, shards, limit_mb, monkeypatch):
+        # a rank-4 matrix and a rank-3 one, whose draw buffer is smaller
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")
-        tracemalloc.start()
-        try:
-            estimate(self.M, n, 7, shards=shards)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit_mb * 2 ** 20, peak / 2 ** 20
+        for m in (CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
+                  CorrelationMatrix4.equicorrelated(-1.0 / 3.0)):
+            tracemalloc.start()
+            try:
+                estimate(m, n, 7, shards=shards)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mb * 2 ** 20, (m, peak / 2 ** 20)
 
 
 def test_blas_thread_count_does_not_change_results():
