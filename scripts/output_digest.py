@@ -30,8 +30,10 @@ command's output).  Four Monte-Carlo families hash ``estimate_max`` and
 ``estimate_order_stats`` on ``MC_MATRICES`` with ``MC_RUNS``, whose shards
 run to several blocks: ``mc_mean_full`` and ``mc_mean_singular`` the mean
 and e1..e4, ``mc_se_full`` and ``mc_se_singular`` every standard error, on
-the full-rank and the singular matrices apart, since a singular matrix
-draws one normal per pair for each unit of its rank.  A call that raises
+the full-rank and the singular matrices apart, so that a change to the
+sampling of one class shows apart from the other (every matrix draws one
+normal per pair for each unit of its simplex's affine rank, the rank of
+its centred matrix, which is 3 for every full-rank one).  A call that raises
 contributes its exception type and message instead of a value.  Two trees
 whose digests agree give bit-identical outputs on every input below.
 

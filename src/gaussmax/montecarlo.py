@@ -12,9 +12,13 @@ and its draws do not depend on which thread runs it or when.  The block
 sums are added exactly (math.fsum), so no order of addition enters the
 result.
 
-A draw is x = L z for the 4 x r factor L of ``sample_factor``, r the
-matrix's rank (4 inside the elliptope), so each pair takes r standard
-normals.  The n draws are n/2 antithetic pairs (x, -x), and the pair is the
+Both pair statistics below, max - min and the gaps x(1) - x(4) and
+x(2) - x(3), are unchanged when one constant is added to every coordinate
+of x.  So a draw is the centred vector x = F z, X less its mean, for the
+4 x r factor F of ``sample_factor``, r the affine rank of the matrix's
+simplex (3 inside the elliptope, where X has 4 coordinates), and each pair
+takes r standard normals; every pair statistic has the distribution it has
+on X.  The n draws are n/2 antithetic pairs (x, -x), and the pair is the
 unit of reduction: a statistic f is summed as its pair sums
 q = f(x) + f(-x), its mean is sum(q) / n and its standard error is that of
 the mean of the n/2 pair averages q/2.  The mate -x has the draw's order
@@ -103,18 +107,19 @@ class OrderStats:
 
 
 def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
-    """4 x r factor L with L @ L.T equal to the matrix, r its rank, so that a
-    draw L z takes r standard normals: the Cholesky factor (r = 4) when
-    positive definite, else the eigen factor u sqrt(w) without the columns
-    of eigenvalue w <= EPS_PSD, the bound ``classify`` puts on the smallest
-    eigenvalue.  The members of a unit class are one variable, drawn from
-    one row: the first member's."""
+    """4 x r factor F of the centred matrix P M P, P = I - 11'/4: F @ F.T
+    equals P M P, and F z is distributed as P X, the draw X less its mean.
+    It is the eigen factor u sqrt(w) without the columns of eigenvalue
+    w <= EPS_PSD, the bound ``classify`` puts on the smallest eigenvalue,
+    so its columns sum to 0 and r is the affine rank of the simplex whose
+    vertices have Gram matrix M: 3 inside the elliptope, at most 3 on it,
+    0 for all ones.  A draw F z takes r standard normals.  The members of a
+    unit class are one variable, drawn from one row: the first member's."""
     cls = classify(m)
     if cls.tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
-    if cls.tag is DomainTag.INTERIOR_S:
-        return np.linalg.cholesky(m.matrix())
-    w, u = np.linalg.eigh(m.matrix())
+    p = np.eye(4) - 0.25
+    w, u = np.linalg.eigh(p @ m.matrix() @ p)
     keep = w > EPS_PSD
     factor = u[:, keep] * np.sqrt(w[keep])
     if cls.tag is DomainTag.DEGENERATE_UNIT_PAIR:

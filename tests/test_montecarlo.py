@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -14,49 +15,81 @@ from conftest import F_IID4
 
 from gaussmax import montecarlo
 from gaussmax.closedform import f_max
-from gaussmax.corrmat import CorrelationMatrix4, _unit_classes
+from gaussmax.corrmat import CorrelationMatrix4, _unit_classes, gram_of_rows
 from gaussmax.montecarlo import (
     estimate_max,
     estimate_order_stats,
     sample_factor,
     thread_count,
 )
+from gaussmax.optimize import random_psd
+
+
+# P M P, the matrix of the centred vector X - mean(X), which ``sample_factor``
+# factors
+CENTRE = np.eye(4) - 0.25
+# four unit vectors at polar angle 1: a flat tetrahedron in the plane
+# z = cos 1, so a rank-3 matrix whose simplex has affine rank 2
+_AZIMUTHS = np.array([0.3, 1.7, 2.9, 4.4])
+FLAT = gram_of_rows(np.stack([np.sin(1.0) * np.cos(_AZIMUTHS), np.sin(1.0) * np.sin(_AZIMUTHS),
+                              np.full(4, np.cos(1.0))], axis=1))
+
+
+def centred(m: CorrelationMatrix4) -> np.ndarray:
+    return CENTRE @ m.matrix() @ CENTRE
 
 
 class TestSampleFactor:
     def test_identity(self):
         l = sample_factor(CorrelationMatrix4.identity())
-        assert np.allclose(l @ l.T, np.eye(4), atol=1e-14)
+        assert np.allclose(l @ l.T, CENTRE, atol=1e-14)
 
     @pytest.mark.parametrize("m, rank, atol", [
-        (CorrelationMatrix4.identity(), 4, 1e-14),
+        (CorrelationMatrix4.identity(), 3, 1e-14),
         (CorrelationMatrix4.equicorrelated(-1.0 / 3.0), 3, 1e-10),
-        (CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)), 2, 1e-14),
-        (CorrelationMatrix4.equicorrelated(1.0), 1, 1e-12),
+        (CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)), 1, 1e-14),
+        (CorrelationMatrix4.equicorrelated(1.0), 0, 1e-12),
+        (FLAT, 2, 1e-14),
     ])
     def test_one_column_per_unit_of_rank(self, m, rank, atol):
-        # a pair draws one normal per column, so a singular matrix's factor
-        # drops the columns of its zero eigenvalues
+        # a pair draws one normal per column, and the centred matrix has
+        # the rank of the simplex's affine hull: its factor drops the
+        # columns of its zero eigenvalues, the all-ones direction among them
         l = sample_factor(m)
         assert l.shape == (4, rank)
-        assert np.max(np.abs(l @ l.T - m.matrix())) <= atol
+        assert np.max(np.abs(l @ l.T - centred(m)), initial=0.0) <= atol
+        assert np.max(np.abs(l.sum(axis=0)), initial=0.0) <= 1e-12
 
     def test_rank3_boundary(self):
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
         l = sample_factor(m)
-        assert np.max(np.abs(l @ l.T - m.matrix())) <= 1e-10
+        assert np.max(np.abs(l @ l.T - centred(m))) <= 1e-10
         assert np.linalg.matrix_rank(l, tol=1e-8) == 3
 
     def test_rank1_all_ones(self):
+        # the four coordinates are one variable, so the centred vector is 0
         m = CorrelationMatrix4.equicorrelated(1.0)
         l = sample_factor(m)
-        assert np.max(np.abs(l @ l.T - m.matrix())) <= 1e-12
-        assert np.linalg.matrix_rank(l, tol=1e-8) == 1
+        assert l.shape == (4, 0)
+        assert np.max(np.abs(l @ l.T - centred(m))) <= 1e-12
 
     def test_interior_battery(self, battery20):
         for m in battery20:
             l = sample_factor(m)
-            assert np.max(np.abs(l @ l.T - m.matrix())) <= 1e-12
+            assert l.shape == (4, 3)
+            assert np.max(np.abs(l @ l.T - centred(m))) <= 1e-12
+            assert np.max(np.abs(l.sum(axis=0))) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_row_distances_are_the_simplex_edges(self, dim):
+        # centring moves the simplex, not its shape: rows i and j of the
+        # factor lie 2 (1 - r_ij) apart, squared
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            m = random_psd(rng, dim)
+            l = sample_factor(m)
+            d2 = np.sum((l[:, None, :] - l[None, :, :]) ** 2, axis=2)
+            assert np.max(np.abs(d2 - 2 * (1 - m.matrix()))) <= 1e-12
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +147,11 @@ class TestEstimateMax:
         est = estimate_max(m, 2_000_000, seed=12)
         assert abs(est.mean - f_max(m)) <= 4 * est.std_error
 
+    def test_flat_tetrahedron(self):
+        # rank 3, but a pair draws 2 normals: the simplex is flat
+        est = estimate_max(FLAT, 2_000_000, seed=13)
+        assert abs(est.mean - f_max(FLAT)) <= 4 * est.std_error
+
     def test_argument_validation(self):
         m = CorrelationMatrix4.identity()
         with pytest.raises(ValueError):
@@ -144,36 +182,38 @@ class TestEstimateMax:
         # pins the draw stream (SFC64 keyed by (seed, shard, block)) and each
         # block's float sum; here each shard is one block, and the block sums
         # are added exactly, so no order of addition enters, nor does _CHUNK.
-        # Both values were recorded when each block got its own generator.
+        # Both values were recorded when draws became the centred vector, 3
+        # normals per pair inside the elliptope.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
-        assert est.mean == 0.9940831612560901
-        assert est.std_error == 0.0013935021650408413
+        assert est.mean == 0.9949643609167039
+        assert est.std_error == 0.0013920765959339958
 
     def test_golden_value_multi_block(self):
         # one shard of 200,000 pairs: three blocks of 65,536 and one of 3,392,
         # so this pins the block size and the block keys, which the one-block
-        # shards above do not.  Recorded when the block size became 65,536.
+        # shards above do not.  Recorded when draws became the centred vector.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 400_000, seed=5, shards=1)
-        assert (est.mean, est.std_error) == (0.994941745935971, 0.0009826930827270808)
+        assert (est.mean, est.std_error) == (0.9950053643617525, 0.0009844868205850256)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
-        assert (os_.e1, os_.e2) == (0.994941745935971, 0.3003253618904124)
-        assert os_.std_errors[:2] == (0.0009826930827270897, 0.0005768843909215644)
-        assert os_.se_third_identity == 0.003250226487456813
+        assert (os_.e1, os_.e2) == (0.9950053643617525, 0.3008397074470153)
+        assert os_.std_errors[:2] == (0.000984486820585025, 0.0005779988219270671)
+        assert os_.se_third_identity == 0.0032571264621534834
 
     def test_golden_value_rank3(self):
-        # the all -1/3 maximizer has rank 3, so each pair draws 3 normals;
-        # pins the eigen factor without its null column as well as the streams.
-        # Recorded when singular matrices began to draw one normal per unit
-        # of rank.
+        # the all -1/3 maximizer is on the boundary, and its simplex, the
+        # regular tetrahedron, has affine rank 3, so each pair draws 3 normals;
+        # pins the eigen factor of the centred matrix without its null column
+        # as well as the streams.  Recorded when draws became the centred
+        # vector.
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
         est = estimate_max(m, 400_000, seed=5, shards=1)
-        assert (est.mean, est.std_error) == (1.1887816468487862, 0.0011368976370538303)
+        assert (est.mean, est.std_error) == (1.1888611445990287, 0.0011369815034464996)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
-        assert (os_.e1, os_.e2) == (1.1887816468487862, 0.3437066135606185)
-        assert os_.std_errors[:2] == (0.0011368976370538303, 0.0006458251218036075)
-        assert os_.se_third_identity == 0.003717140976471802
+        assert (os_.e1, os_.e2) == (1.1888611445990287, 0.34328921951381935)
+        assert os_.std_errors[:2] == (0.0011369815034464933, 0.0006448923324560214)
+        assert os_.se_third_identity == 0.0037169123673241452
 
     def test_results_are_python_floats(self):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -279,7 +319,7 @@ class TestUnitPairs:
         l = sample_factor(m)
         for members in _unit_classes(m):
             assert all(np.array_equal(l[i], l[members[0]]) for i in members)
-        assert np.max(np.abs(l @ l.T - m.matrix())) <= 1e-14
+        assert np.max(np.abs(l @ l.T - centred(m)), initial=0.0) <= 1e-14
         est = estimate_max(m, 100_000, seed=3)
         os_ = estimate_order_stats(m, 100_000, seed=3)
         # every class has two or four members, so the top two coordinates tie
@@ -294,7 +334,7 @@ class TestChunkedReduction:
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_chunk_size_is_invisible(self, chunk, monkeypatch):
         # 10_000 is a multiple of none of the chunk sizes, the default included;
-        # a rank-4 and a rank-3 matrix, which draws 3 normals per pair
+        # an interior and a boundary matrix, each drawing 3 normals per pair
         monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
         default = montecarlo._CHUNK
         for m in (CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
@@ -322,6 +362,23 @@ class TestChunkedReduction:
 
         asc = np.hstack([sorted_chunk(x[a:a + chunk]) for a in range(0, len(x), chunk)])
         assert np.array_equal(asc, np.sort(x, axis=1).T)
+
+
+class TestShiftInvariance:
+    """A draw is the centred vector X - mean(X): both reducers read only
+    differences of coordinates, so one constant added to every coordinate
+    of a draw does not change its pair sums."""
+
+    @pytest.mark.parametrize("reduce, k", [(montecarlo._max_rows, 1),
+                                           (montecarlo._order_stat_rows, 3)])
+    def test_pair_sums_ignore_a_shift_per_draw(self, reduce, k):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4, 10_001))
+        shifted = x + 3 * rng.standard_normal(10_001)  # one constant per column
+        q, q_shifted = np.empty((k, 10_001)), np.empty((k, 10_001))
+        reduce(x, q)
+        reduce(shifted, q_shifted)
+        assert np.max(np.abs(q - q_shifted)) <= 1e-12
 
 
 class TestBlockScheduler:
@@ -412,14 +469,16 @@ class TestBlockStreams:
         assert len(firsts) == len(keys)
 
     @pytest.mark.parametrize("off, rank", [
-        ((0.2, -0.1, 0.3, 0.0, -0.2, 0.1), 4),
+        ((0.2, -0.1, 0.3, 0.0, -0.2, 0.1), 3),
         ((-1.0 / 3.0,) * 6, 3),
-        ((1.0, 0.5, 0.5, 0.5, 0.5, 1.0), 2),
-        ((1.0,) * 6, 1),
+        ((1.0, 0.5, 0.5, 0.5, 0.5, 1.0), 1),
+        ((1.0,) * 6, 0),
     ])
     def test_each_pair_draws_rank_normals(self, off, rank, monkeypatch):
-        # 12,500 pairs per shard: blocks of 10,000 and 2,500 pairs, the first
-        # drawn in chunks of 4,096, 4,096 and 1,808 pairs
+        # one normal per unit of the simplex's affine rank.  12,500 pairs per
+        # shard: blocks of 10,000 and 2,500 pairs, the first drawn in chunks
+        # of 4,096, 4,096 and 1,808 pairs.  At rank 0 every chunk still asks
+        # for a (c, 0) array of normals, which takes nothing from the stream.
         monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
         monkeypatch.setattr(montecarlo, "_CHUNK", 4_096)
         shapes = []
@@ -448,10 +507,14 @@ class TestPeakMemory:
         (estimate_order_stats, 2_000_000, 1, 8), (estimate_max, 10_000_000, 5, 4),
     ])
     def test_peak_traced_memory(self, estimate, n, shards, limit_mb, monkeypatch):
-        # a rank-4 matrix and a rank-3 one, whose draw buffer is smaller
+        # an interior and a boundary matrix, each drawing 3 normals per pair,
+        # and the flat tetrahedron, which draws 2.  Each call runs once
+        # untraced first, so that the one-time allocations of a process's
+        # first Monte-Carlo call (imports, caches) are not counted.
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")
         for m in (CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
-                  CorrelationMatrix4.equicorrelated(-1.0 / 3.0)):
+                  CorrelationMatrix4.equicorrelated(-1.0 / 3.0), FLAT):
+            estimate(m, n, 7, shards=shards)
             tracemalloc.start()
             try:
                 estimate(m, n, 7, shards=shards)
@@ -479,3 +542,16 @@ def test_blas_thread_count_does_not_change_results():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+def test_mc_convergence_script_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "mc_convergence.py")],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == [10_000, 100_000, 1_000_000, 10_000_000]
+    assert all(len(row) == 4 and math.isfinite(float(row[3])) for row in rows)
