@@ -28,7 +28,7 @@ inputs), and ``cli`` (the stdout bytes and the exit code of ``cli.main`` on
 each line of ``CLI_ARGV``; stderr is not hashed, since only stdout is the
 command's output).  Four Monte-Carlo families hash ``estimate_max`` and
 ``estimate_order_stats`` on ``MC_MATRICES`` with ``MC_RUNS``, whose shards
-run to several blocks: ``mc_mean_full`` and ``mc_mean_singular`` the mean
+run to several blocks, and so to several chunks, each summed apart: ``mc_mean_full`` and ``mc_mean_singular`` the mean
 and e1..e4, ``mc_se_full`` and ``mc_se_singular`` every standard error, on
 the full-rank and the singular matrices apart, so that a change to the
 sampling of one class shows apart from the other (every matrix draws one

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .corrmat import (
     PAIR_INDEX,
@@ -289,7 +288,11 @@ def mean_width(t: Tetrahedron, quad_order: int = 50) -> float:
     latitude circle the support function max_i(a_i cos(phi) + b_i sin(phi) +
     c_i) is a piecewise sinusoid, integrated exactly arc by arc between the
     crossings of each pair of sinusoids.  All latitudes go in one array pass.
+    leggauss is imported here, its one use, so that importing gaussmax does
+    not load numpy.polynomial.
     """
+    from numpy.polynomial.legendre import leggauss
+
     _check_count("quad_order", quad_order, 1)
     nodes, weights = leggauss(quad_order)
     v = t.vertices

@@ -8,7 +8,7 @@ each of which needs at least one pair (so shards <= n // 2, else
 ValueError), and each shard into blocks of _BLOCK pairs.  Block k of shard
 s draws from its own SFC64 generator, keyed by SeedSequence(seed,
 spawn_key=(s, k)), so each block is an independent task on the thread pool
-and its draws do not depend on which thread runs it or when.  The block
+and its draws do not depend on which thread runs it or when.  The chunk
 sums are added exactly (math.fsum), so no order of addition enters the
 result.
 
@@ -25,27 +25,28 @@ the mean of the n/2 pair averages q/2.  The mate -x has the draw's order
 statistics negated and reversed, so e3 = -e2 and e4 = -e1 exactly.
 
 A block of b = _BLOCK = 65,536 pairs (fewer in a shard's last block) draws
-_CHUNK pairs at a time, transforms them by the factor into a (4, c) array
-and writes their pair sums straight into the block's (k, b) array.  Each
-pool worker allocates these three buffers once per call and reuses them for
-every block it runs, so a running block holds its (k, b) pair sums, at most
-1.5 MiB for the three rows of the order statistics, plus one chunk, and no
+_CHUNK = 16,384 pairs at a time (fewer in its last chunk), transforms them
+by the factor into a (4, c) array and writes their pair sums into a (k, c)
+array.  Each pool worker allocates these three buffers once per call and
+reuses them for every chunk of every block it runs, so a running block
+holds one chunk of draws, of their transform and of their pair sums, and no
 chunk allocates.  Drawing in pieces gives the same stream as one call, each
 transformed column depends on its own draw alone, and max, min and the
-sorting network are exact elementwise operations; the block's sums are
-taken over the whole (k, b) array.  So _CHUNK does not change results,
-while _BLOCK does: it fixes the keys of the streams and which pairs each
-block's float sum adds.  Sums of squares are taken with einsum, not BLAS,
-whose dot product splits across its threads.
+sorting network are exact elementwise operations.  Each chunk's pair sums
+and sums of squares are taken in numpy over its (k, c) array, and these
+chunk sums are added exactly.  So both _CHUNK and _BLOCK fix results:
+_BLOCK the keys of the streams and _CHUNK which pairs each float sum adds.
+Sums of squares are taken with einsum, not BLAS, whose dot product splits
+across its threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,21 +54,22 @@ import numpy as np
 from .corrmat import (EPS_PSD, CorrelationMatrix4, DomainTag, _check_count, _unit_classes,
                       classify)
 
-_CHUNK = 16_384  # pairs drawn at a time; its draws and transform (1 MiB) stay in L2 cache
-_BLOCK = 65_536  # pairs per block, one pool task; bounds peak memory
+_CHUNK = 16_384  # pairs drawn and summed at a time; its buffers (1.25 MiB at k = 3) stay in L2
+_BLOCK = 65_536  # pairs per block, one pool task and one stream
 
 
 def thread_count() -> int:
     """Worker threads, capped by the GAUSSMAX_THREADS env var (0 = auto: the
     CPUs this process may run on, at most 8).  A value that is not an
-    integer is ignored with a RuntimeWarning."""
+    integer, or is negative, is ignored with a RuntimeWarning."""
     raw = os.environ.get("GAUSSMAX_THREADS", "0")
     try:
         cap = int(raw)
     except ValueError:
-        warnings.warn(f"GAUSSMAX_THREADS={raw!r} is not an integer; using the automatic "
-                      "thread count", RuntimeWarning, stacklevel=2)
-        cap = 0
+        cap = -1
+    if cap < 0:
+        warnings.warn(f"GAUSSMAX_THREADS={raw!r} is not a non-negative integer; using the "
+                      "automatic thread count", RuntimeWarning, stacklevel=2)
     if cap > 0:
         return cap
     if hasattr(os, "sched_getaffinity"):  # where the OS can tell
@@ -161,9 +163,13 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
     column j is draw j, and writes into the (k, c) array out, column j, the
     pair sums f(x) + f(-x) of k statistics f at draw j, from exact
     elementwise operations; it may overwrite x.  Each block is one pool
-    task and draws from its (seed, shard, block) stream into its worker's
-    buffers; the block sums are added exactly.
+    task and draws from its (seed, shard, block) stream, chunk by chunk,
+    into its worker's buffers; each chunk's sums are taken in numpy, and
+    all chunk sums are added exactly.  ThreadPoolExecutor is imported here,
+    its one use, so that importing gaussmax does not load it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
     factor = sample_factor(m)
@@ -171,25 +177,27 @@ def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
     sizes = _shard_sizes(n // 2, nshards)
     local = threading.local()
 
-    def block_sums(shard: int, block: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        if not hasattr(local, "buffers"):  # one set per worker, reused by its blocks
-            local.buffers = (np.empty(_CHUNK * r), np.empty(4 * _CHUNK), np.empty(k * _BLOCK))
+    def block_sums(shard: int, block: int, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        if not hasattr(local, "buffers"):  # one set per worker, reused by its chunks
+            local.buffers = (np.empty(_CHUNK * r), np.empty(4 * _CHUNK), np.empty(k * _CHUNK))
         zs, xs, qs = local.buffers
         rng = _block_rng(seed, shard, block)
-        q = qs[:k * b].reshape(k, b)
+        sums = []
         for a in range(0, b, _CHUNK):
             c = min(_CHUNK, b - a)
             z = zs[:c * r].reshape(c, r)
             x = xs[:4 * c].reshape(4, c)
+            q = qs[:k * c].reshape(k, c)
             rng.standard_normal(out=z)
             _transform(factor, z, x)
-            pair_rows(x, q[:, a:a + c])
-        return q.sum(axis=1), np.einsum("ij,ij->i", q, q)
+            pair_rows(x, q)
+            sums.append((q.sum(axis=1), np.einsum("ij,ij->i", q, q)))
+        return sums
 
     keys = [(shard, block, min(_BLOCK, size - a))
             for shard, size in enumerate(sizes) for block, a in enumerate(range(0, size, _BLOCK))]
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(keys))) as pool:
-        sums, squares = zip(*pool.map(block_sums, *zip(*keys)))
+        sums, squares = zip(*itertools.chain.from_iterable(pool.map(block_sums, *zip(*keys))))
     return (np.array([math.fsum(col) for col in zip(*sums)]),
             np.array([math.fsum(col) for col in zip(*squares)]))
 

@@ -105,10 +105,11 @@ class TestEstimateMax:
         c = estimate_max(m, 100_000, seed=43)
         assert c.mean != a.mean
 
-    def test_malformed_thread_cap_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("GAUSSMAX_THREADS", "abc")
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_malformed_thread_cap_warns_and_falls_back(self, raw, monkeypatch):
+        monkeypatch.setenv("GAUSSMAX_THREADS", raw)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        with pytest.warns(RuntimeWarning, match="'abc'"):
+        with pytest.warns(RuntimeWarning, match=f"'{raw}'"):
             n = thread_count()
         assert n == 3
 
@@ -180,40 +181,41 @@ class TestEstimateMax:
 
     def test_golden_value(self):
         # pins the draw stream (SFC64 keyed by (seed, shard, block)) and each
-        # block's float sum; here each shard is one block, and the block sums
-        # are added exactly, so no order of addition enters, nor does _CHUNK.
-        # Both values were recorded when draws became the centred vector, 3
-        # normals per pair inside the elliptope.
+        # chunk's float sum; here each shard is one block of 33,334 or 33,333
+        # pairs, so three chunks, and the chunk sums are added exactly, so no
+        # order of addition enters.  Both values were recorded when each
+        # chunk's sums became the unit of summation.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
-        assert est.mean == 0.9949643609167039
-        assert est.std_error == 0.0013920765959339958
+        assert est.mean == 0.9949643609167037
+        assert est.std_error == 0.0013920765959339976
 
     def test_golden_value_multi_block(self):
         # one shard of 200,000 pairs: three blocks of 65,536 and one of 3,392,
         # so this pins the block size and the block keys, which the one-block
-        # shards above do not.  Recorded when draws became the centred vector.
+        # shards above do not.  Recorded when each chunk's sums became the
+        # unit of summation.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 400_000, seed=5, shards=1)
         assert (est.mean, est.std_error) == (0.9950053643617525, 0.0009844868205850256)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
         assert (os_.e1, os_.e2) == (0.9950053643617525, 0.3008397074470153)
-        assert os_.std_errors[:2] == (0.000984486820585025, 0.0005779988219270671)
-        assert os_.se_third_identity == 0.0032571264621534834
+        assert os_.std_errors[:2] == (0.000984486820585025, 0.000577998821927066)
+        assert os_.se_third_identity == 0.0032571264621535055
 
     def test_golden_value_rank3(self):
         # the all -1/3 maximizer is on the boundary, and its simplex, the
         # regular tetrahedron, has affine rank 3, so each pair draws 3 normals;
         # pins the eigen factor of the centred matrix without its null column
-        # as well as the streams.  Recorded when draws became the centred
-        # vector.
+        # as well as the streams.  Recorded when each chunk's sums became the
+        # unit of summation.
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
         est = estimate_max(m, 400_000, seed=5, shards=1)
         assert (est.mean, est.std_error) == (1.1888611445990287, 0.0011369815034464996)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
         assert (os_.e1, os_.e2) == (1.1888611445990287, 0.34328921951381935)
-        assert os_.std_errors[:2] == (0.0011369815034464933, 0.0006448923324560214)
-        assert os_.se_third_identity == 0.0037169123673241452
+        assert os_.std_errors[:2] == (0.0011369815034464991, 0.0006448923324560197)
+        assert os_.se_third_identity == 0.003716912367324112
 
     def test_results_are_python_floats(self):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -328,23 +330,20 @@ class TestUnitPairs:
 
 
 class TestChunkedReduction:
-    """The reducers read each block in transposed chunks of _CHUNK draws; the
-    chunk size must not show in any result."""
+    """The reducers read each block in transposed chunks of _CHUNK draws, and
+    each chunk's pair sums are summed in numpy, the chunk sums exactly."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    def test_chunk_size_is_invisible(self, chunk, monkeypatch):
-        # 10_000 is a multiple of none of the chunk sizes, the default included;
-        # an interior and a boundary matrix, each drawing 3 normals per pair
-        monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
-        default = montecarlo._CHUNK
-        for m in (CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
-                  CorrelationMatrix4.equicorrelated(-1.0 / 3.0)):
-            monkeypatch.setattr(montecarlo, "_CHUNK", default)
-            ref_max = estimate_max(m, 50_000, seed=3, shards=2)
-            ref_os = estimate_order_stats(m, 50_000, seed=3, shards=2)
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            assert estimate_max(m, 50_000, seed=3, shards=2) == ref_max
-            assert estimate_order_stats(m, 50_000, seed=3, shards=2) == ref_os
+    def test_chunk_sums_are_added_exactly(self, monkeypatch):
+        # 10_000 pairs in one shard: 500 blocks of 20 pairs, each read in
+        # chunks of 7, 7 and 6 pairs, every pair sum 0.1 whatever the draws
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 20)
+        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
+        s, s2 = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
+                                        lambda x, out: out.fill(0.1), 1)
+        chunks = [np.full((1, c), 0.1) for c in [7, 7, 6] * 500]
+        assert s.tolist() == [math.fsum(q.sum(axis=1)[0] for q in chunks)]
+        assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", q, q)[0] for q in chunks)]
 
     @pytest.mark.parametrize("chunk", [1, 7, 8192])
     def test_sorting_network_equals_sort(self, chunk):
@@ -499,12 +498,12 @@ class TestBlockStreams:
 
 
 class TestPeakMemory:
-    """Each worker holds one buffer set, reused by all its blocks: a block's
-    (k, b) pair sums and one chunk of draws and of their transform; no
-    (b, r) draws and no (4, b) transform of the block."""
+    """Each worker holds one buffer set, reused by all its blocks and chunks:
+    one chunk of draws, of their transform and of their (k, c) pair sums; no
+    (b, r) draws, no (4, b) transform and no (k, b) pair sums of a block."""
 
     @pytest.mark.parametrize("estimate, n, shards, limit_mb", [
-        (estimate_order_stats, 2_000_000, 1, 8), (estimate_max, 10_000_000, 5, 4),
+        (estimate_order_stats, 2_000_000, 1, 3), (estimate_max, 10_000_000, 5, 2.5),
     ])
     def test_peak_traced_memory(self, estimate, n, shards, limit_mb, monkeypatch):
         # an interior and a boundary matrix, each drawing 3 normals per pair,

@@ -8,8 +8,9 @@ import pytest
 
 import mpmath as mp
 
-from gaussmax import verify
+from gaussmax import geometry, verify
 from gaussmax.corrmat import CorrelationMatrix4, DomainTag, classify
+from gaussmax.montecarlo import estimate_max
 from gaussmax.verify import (
     NONCONCAVITY_OFFDIAG,
     HMonotonicityGrid,
@@ -123,19 +124,31 @@ class TestKernelFunctions:
     def test_mpmath_is_imported_on_first_use(self):
         # importing gaussmax does not load mpmath; the near-diagonal branch
         # loads it and gives the value recorded when mpmath was imported with
-        # verify
+        # verify.  Nor does it load numpy.polynomial or concurrent.futures,
+        # which mean_width and the Monte-Carlo calls load and then give the
+        # values they give here.
         src = os.path.dirname(os.path.dirname(verify.__file__))
         code = ("import sys\n"
                 "import gaussmax, gaussmax.cli\n"
-                "from gaussmax import verify\n"
-                "print('mpmath' in sys.modules)\n"
-                "print(repr(verify.p_func(1.0 + 1e-5, 1.0)), 'mpmath' in sys.modules)\n")
+                "from gaussmax import geometry, verify\n"
+                "from gaussmax.corrmat import CorrelationMatrix4\n"
+                "from gaussmax.montecarlo import estimate_max\n"
+                "lazy = ('mpmath', 'numpy.polynomial', 'concurrent.futures')\n"
+                "print([name in sys.modules for name in lazy])\n"
+                "print(repr(verify.p_func(1.0 + 1e-5, 1.0)), 'mpmath' in sys.modules)\n"
+                "print(repr(geometry.mean_width(geometry.Tetrahedron.regular(), 50)),"
+                " 'numpy.polynomial' in sys.modules)\n"
+                "print(repr(estimate_max(CorrelationMatrix4.identity(), 20_000, 0)),"
+                " 'concurrent.futures' in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "0.412284403038525 True"]
+        width = geometry.mean_width(geometry.Tetrahedron.regular(), 50)
+        est = estimate_max(CorrelationMatrix4.identity(), 20_000, 0)
+        assert proc.stdout.splitlines() == ["[False, False, False]", "0.412284403038525 True",
+                                            f"{width!r} True", f"{est!r} True"]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
