@@ -28,12 +28,14 @@ inputs), and ``cli`` (the stdout bytes and the exit code of ``cli.main`` on
 each line of ``CLI_ARGV``; stderr is not hashed, since only stdout is the
 command's output).  Four Monte-Carlo families hash ``estimate_max`` and
 ``estimate_order_stats`` on ``MC_MATRICES`` with ``MC_RUNS``, whose shards
-run to several blocks, and so to several chunks, each summed apart: ``mc_mean_full`` and ``mc_mean_singular`` the mean
-and e1..e4, ``mc_se_full`` and ``mc_se_singular`` every standard error, on
+run to several blocks, and so to several chunks, each summed apart, two of
+them ending in a partial orbit: ``mc_mean_full`` and ``mc_mean_singular``
+the mean and e1..e4, ``mc_se_full`` and ``mc_se_singular`` every standard error, on
 the full-rank and the singular matrices apart, so that a change to the
-sampling of one class shows apart from the other (every matrix draws one
-normal per pair for each unit of its simplex's affine rank, the rank of
-its centred matrix, which is 3 for every full-rank one).  A call that raises
+sampling of one class shows apart from the other (every matrix draws 3
+normals per orbit of 12 pairs, its factor padded with zero columns from the
+affine rank of its simplex, the rank of its centred matrix, which is 3 for
+every full-rank one).  A call that raises
 contributes its exception type and message instead of a value.  Two trees
 whose digests agree give bit-identical outputs on every input below.
 
@@ -98,8 +100,10 @@ MC_MATRICES = (
     CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)),
     CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)),  # rank 2
 )
-# (n, shards, seed): 3 blocks, the last of 16,385 pairs (a one-row last
-# chunk); 2 shards of 12 blocks; 2 blocks on the default shard count (one)
+# (n, shards, seed): 3 blocks of 49,152 pairs and a last block of 1 pair, a
+# lone partial orbit; 2 shards of 15 blocks and one of 12,720 pairs (1,060
+# whole orbits); 2 blocks and one of 1,696 pairs (141 orbits and a partial
+# orbit of 4 pairs) on the default shard count (one)
 MC_RUNS = ((294_914, 1, 5), (3_000_000, 2, 6), (200_000, None, 7))
 # Cheap command lines: each subcommand, then one usage error (a flag of
 # another scan kind) and one domain error (a matrix outside the elliptope).

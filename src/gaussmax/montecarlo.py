@@ -3,8 +3,8 @@ maximum and the four order-statistic means.
 
 Reproducibility contract: results depend only on (matrix, n, seed, shards) --
 never on a thread count, GAUSSMAX_THREADS or the BLAS library's
-(OPENBLAS_NUM_THREADS).  The n/2 pairs are split evenly over the shards,
-each of which needs at least one pair (so shards <= n // 2, else
+(OPENBLAS_NUM_THREADS).  The n/2 antithetic pairs are split evenly over the
+shards, each of which needs at least one pair (so shards <= n // 2, else
 ValueError), and each shard into blocks of _BLOCK pairs.  Block k of shard
 s draws from its own SFC64 generator, keyed by SeedSequence(seed,
 spawn_key=(s, k)), so each block is an independent task on the thread pool
@@ -15,29 +15,47 @@ result.
 Both pair statistics below, max - min and the gaps x(1) - x(4) and
 x(2) - x(3), are unchanged when one constant is added to every coordinate
 of x.  So a draw is the centred vector x = F z, X less its mean, for the
-4 x r factor F of ``sample_factor``, r the affine rank of the matrix's
-simplex (3 inside the elliptope, where X has 4 coordinates), and each pair
-takes r standard normals; every pair statistic has the distribution it has
-on X.  The n draws are n/2 antithetic pairs (x, -x), and the pair is the
-unit of reduction: a statistic f is summed as its pair sums
-q = f(x) + f(-x), its mean is sum(q) / n and its standard error is that of
-the mean of the n/2 pair averages q/2.  The mate -x has the draw's order
-statistics negated and reversed, so e3 = -e2 and e4 = -e1 exactly.
+4 x r factor F of ``sample_factor``, r <= 3 the affine rank of the
+matrix's simplex, zero-padded to 4 x 3: z is 3 standard normals whatever
+the rank, and every pair statistic has the distribution it has on X.  A
+pair (x, -x) has the pair sum q = f(x) + f(-x) of a statistic f.  The mate
+-x has the draw's order statistics negated and reversed, so e3 = -e2 and
+e4 = -e1 exactly.
 
-A block of b = _BLOCK = 65,536 pairs (fewer in a shard's last block) draws
-_CHUNK = 16,384 pairs at a time (fewer in its last chunk), transforms them
-by the factor into a (4, c) array and writes their pair sums into a (k, c)
-array.  Each pool worker allocates these three buffers once per call and
-reuses them for every chunk of every block it runs, so a running block
-holds one chunk of draws, of their transform and of their pair sums, and no
-chunk allocates.  Drawing in pieces gives the same stream as one call, each
-transformed column depends on its own draw alone, and max, min and the
-sorting network are exact elementwise operations.  Each chunk's pair sums
-and sums of squares are taken in numpy over its (k, c) array, and these
-chunk sums are added exactly.  So both _CHUNK and _BLOCK fix results:
-_BLOCK the keys of the streams and _CHUNK which pairs each float sum adds.
-Sums of squares are taken with einsum, not BLAS, whose dot product splits
-across its threads.
+One draw z serves an orbit of 12 pairs.  The 12 signed cyclic
+permutations g = C^a diag(1, +-1, +-1) of R^3 (C the cyclic shift,
+a = 0, 1, 2) are orthogonal, so each g z is again a standard normal draw
+and (F g z, -F g z) an antithetic pair; with their negations they are a
+group of 24 signed permutation matrices.  Every pair sum is positively
+homogeneous of degree 1 in z, and |z| is independent of z / |z|, so
+replacing |z| by its mean E|z| = GAUSSIAN_RADIAL_FACTOR, that is scaling
+the pair sums by E|z| / |z|, keeps their expectation (conditional Monte
+Carlo): the radial factorisation E[max X] = (E|G| / 2) w of the mean width
+w, taken with no closed form.  The radius step matters: without it the 12
+images are nearly perfectly correlated.  An orbit o of m_o pairs (12, or
+fewer in a block's last orbit) is the unit of reduction, with the orbit
+sum Q_o = (E|z| / |z|) (q(g_1 z) + ... + q(g_m z)) of its first m = m_o
+images.  A statistic's mean is sum(Q) / n; its standard error, over the
+independent orbits, is sqrt(sum (Q_o - 2 m_o mean)**2) / n.
+
+A block of b pairs (b = _BLOCK = 49,152, fewer in a shard's last block) is
+b // 12 whole orbits, drawn _CHUNK = 1,536 orbits at a time (fewer in its
+last chunk), then, if 12 does not divide b, one partial orbit of the
+b % 12 pairs left, drawn alone.  _BLOCK is a multiple of 12, so only a
+shard whose pair count is not ends in a partial orbit.  A chunk of c
+orbits draws a (3, c) array, transforms it in one (48, 3) @ (3, c) matmul
+into a (48, c) array, which the reducers read as 4 rows of 12 c images,
+writes the images' pair sums into a (k, 12 c) array and the orbit sums
+into a (k, c) array.  Each pool worker allocates these buffers once per
+call (1.07 MiB at k = 3) and reuses them for every chunk of every block it
+runs; a chunk allocates nothing larger than a mask of c booleans.  Drawing
+in pieces gives the same stream as one call, each transformed column
+depends on its own draw alone, and max, min and the sorting network are
+exact elementwise operations.  Each chunk's sums of Q, Q**2 and m Q are
+taken in numpy over its (k, c) array, and these chunk sums are added
+exactly.  So both _CHUNK and _BLOCK fix results: _BLOCK the keys of the
+streams and _CHUNK which orbits each float sum adds.  Sums of squares are
+taken with einsum, not BLAS, whose dot product splits across its threads.
 """
 
 from __future__ import annotations
@@ -53,9 +71,22 @@ import numpy as np
 
 from .corrmat import (EPS_PSD, CorrelationMatrix4, DomainTag, _check_count, _unit_classes,
                       classify)
+from .geometry import GAUSSIAN_RADIAL_FACTOR
 
-_CHUNK = 16_384  # pairs drawn and summed at a time; its buffers (1.25 MiB at k = 3) stay in L2
-_BLOCK = 65_536  # pairs per block, one pool task and one stream
+_CHUNK = 1_536  # orbits drawn and reduced at a time; its buffers (1.07 MiB at k = 3) stay in L2
+_BLOCK = 49_152  # pairs per block (4,096 orbits), one pool task and one stream
+
+
+def _orbit_maps() -> np.ndarray:
+    """The 12 signed cyclic permutations C^a diag(1, +-1, +-1) of R^3, a
+    (12, 3, 3) array: (C^a z)_i = z_(i - a mod 3)."""
+    shift = np.roll(np.eye(3), 1, axis=0)
+    return np.array([np.linalg.matrix_power(shift, a) @ np.diag([1.0, s, t])
+                     for a in range(3) for s in (1.0, -1.0) for t in (1.0, -1.0)])
+
+
+_ORBIT_MAPS = _orbit_maps()
+_ORBIT = len(_ORBIT_MAPS)  # antithetic pairs per draw
 
 
 def thread_count() -> int:
@@ -89,11 +120,11 @@ class MCEstimate:
 class OrderStats:
     """Estimated means of the order statistics, largest (e1) to smallest (e4).
 
-    Every standard error is taken over the n/2 antithetic pairs, and
+    Every standard error is taken over the independent orbits, and
     e3 = -e2, e4 = -e1, std_errors = (se1, se2, se2, se1).
     se_third_identity and se_second_identity are the standard errors of the
     in-sample residuals e3 - 3*e1 and e2 + 3*e1 used by the order-statistic
-    identity checks; they are equal, as the residuals' pair sums are each
+    identity checks; they are equal, as the residuals' orbit sums are each
     other's negation.
     """
 
@@ -115,8 +146,9 @@ def sample_factor(m: CorrelationMatrix4) -> np.ndarray:
     w <= EPS_PSD, the bound ``classify`` puts on the smallest eigenvalue,
     so its columns sum to 0 and r is the affine rank of the simplex whose
     vertices have Gram matrix M: 3 inside the elliptope, at most 3 on it,
-    0 for all ones.  A draw F z takes r standard normals.  The members of a
-    unit class are one variable, drawn from one row: the first member's."""
+    0 for all ones.  Monte Carlo pads it with zero columns to 4 x 3, so a
+    draw takes 3 standard normals whatever r.  The members of a unit class
+    are one variable, drawn from one row: the first member's."""
     cls = classify(m)
     if cls.tag is DomainTag.INVALID:
         raise ValueError("not a correlation matrix")
@@ -154,67 +186,89 @@ def _check_args(n: int, shards):
         raise ValueError("antithetic sampling needs an even sample count")
 
 
-def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
-                 pair_rows, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-row sums of the pair sums q and of q**2 over n/2 antithetic
-    pairs.
+def _orbit_factor(factor: np.ndarray) -> np.ndarray:
+    """The (48, 3) array whose row 12 i + j is row i of F g_j, F the 4 x r
+    factor padded with zero columns to 4 x 3 and g_j the j-th orbit map:
+    its product with a draw z is the 12 images F g_j z, coordinate-major."""
+    padded = np.zeros((4, 3))
+    padded[:, :factor.shape[1]] = factor
+    return (padded @ _ORBIT_MAPS).transpose(1, 0, 2).reshape(4 * _ORBIT, 3)
 
-    ``pair_rows(x, out)`` takes one chunk of draws x, a (4, c) array whose
-    column j is draw j, and writes into the (k, c) array out, column j, the
-    pair sums f(x) + f(-x) of k statistics f at draw j, from exact
-    elementwise operations; it may overwrite x.  Each block is one pool
-    task and draws from its (seed, shard, block) stream, chunk by chunk,
-    into its worker's buffers; each chunk's sums are taken in numpy, and
-    all chunk sums are added exactly.  ThreadPoolExecutor is imported here,
-    its one use, so that importing gaussmax does not load it.
+
+def _sample_sums(m: CorrelationMatrix4, n: int, seed: int, shards: int | None,
+                 pair_rows, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Exact per-row sums, over the orbits o of n/2 antithetic pairs, of the
+    orbit sums Q_o, of Q_o**2 and of m_o Q_o, m_o the orbit's pair count,
+    and the sum of m_o**2.
+
+    ``pair_rows(x, out)`` takes the images of one chunk of draws, a (4, w)
+    array whose column j is image j, and writes into the (k, w) array out,
+    column j, the pair sums f(x) + f(-x) of k statistics f at image j, from
+    exact elementwise operations; it may overwrite x.  Each block is one
+    pool task and draws from its (seed, shard, block) stream, chunk by
+    chunk, into its worker's buffers; each chunk's sums are taken in numpy,
+    and all chunk sums are added exactly.  ThreadPoolExecutor is imported
+    here, its one use, so that importing gaussmax does not load it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     _check_args(n, shards)
     nshards = shards if shards is not None else _default_shards(n)
-    factor = sample_factor(m)
-    r = factor.shape[1]
+    images = _orbit_factor(sample_factor(m))
     sizes = _shard_sizes(n // 2, nshards)
     local = threading.local()
 
-    def block_sums(shard: int, block: int, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def block_sums(shard: int, block: int, b: int) -> list[tuple[np.ndarray, ...]]:
         if not hasattr(local, "buffers"):  # one set per worker, reused by its chunks
-            local.buffers = (np.empty(_CHUNK * r), np.empty(4 * _CHUNK), np.empty(k * _CHUNK))
-        zs, xs, qs = local.buffers
+            rows = (3, 4 * _ORBIT, k * _ORBIT, k, 1)  # draws, images, pair sums, orbit sums, scales
+            local.buffers = tuple(np.empty(r * _CHUNK) for r in rows)
+        zs, xs, qs, orbits, radii = local.buffers
         rng = _block_rng(seed, shard, block)
+        full, rest = divmod(b, _ORBIT)
+        pieces = [(min(_CHUNK, full - a), _ORBIT) for a in range(0, full, _CHUNK)]
+        pieces += [(1, rest)] if rest else []
         sums = []
-        for a in range(0, b, _CHUNK):
-            c = min(_CHUNK, b - a)
-            z = zs[:c * r].reshape(c, r)
-            x = xs[:4 * c].reshape(4, c)
-            q = qs[:k * c].reshape(k, c)
+        for c, pairs in pieces:
+            z = zs[:3 * c].reshape(3, c)  # column j is draw j
+            x = xs[:4 * _ORBIT * c].reshape(4 * _ORBIT, c)
+            q = qs[:k * _ORBIT * c].reshape(k, _ORBIT * c)
+            o = orbits[:k * c].reshape(k, c)
+            scale = radii[:c]
             rng.standard_normal(out=z)
-            _transform(factor, z, x)
-            pair_rows(x, q)
-            sums.append((q.sum(axis=1), np.einsum("ij,ij->i", q, q)))
+            _transform(images, z.T, x)
+            pair_rows(x.reshape(4, _ORBIT * c), q)
+            q.reshape(k, _ORBIT, c)[:, :pairs].sum(axis=1, out=o)
+            np.sqrt(np.einsum("ij,ij->j", z, z, out=scale), out=scale)
+            # E|z| / |z|; a zero draw has zero pair sums and keeps scale 0
+            np.divide(GAUSSIAN_RADIAL_FACTOR, scale, out=scale, where=scale > 0)
+            o *= scale
+            s = o.sum(axis=1)
+            sums.append((s, np.einsum("ij,ij->i", o, o), pairs * s))
         return sums
 
     keys = [(shard, block, min(_BLOCK, size - a))
             for shard, size in enumerate(sizes) for block, a in enumerate(range(0, size, _BLOCK))]
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(keys))) as pool:
-        sums, squares = zip(*itertools.chain.from_iterable(pool.map(block_sums, *zip(*keys))))
-    return (np.array([math.fsum(col) for col in zip(*sums)]),
-            np.array([math.fsum(col) for col in zip(*squares)]))
+        chunks = itertools.chain.from_iterable(pool.map(block_sums, *zip(*keys)))
+        sums = [np.array([math.fsum(col) for col in zip(*stat)]) for stat in zip(*chunks)]
+    mm = sum(b // _ORBIT * _ORBIT ** 2 + (b % _ORBIT) ** 2 for _, _, b in keys)
+    return (*sums, mm)
 
 
-def _mean_se(s: np.ndarray, s2: np.ndarray, n: int) -> tuple[list[float], list[float]]:
-    """Means and standard errors of n draws' statistics from the sums s and
-    s2 of their pair sums q and of q**2: the mean is s / n, and the n/2 pair
-    averages q/2 have variance s2 / (2n) - mean**2."""
+def _mean_se(s: np.ndarray, s2: np.ndarray, sm: np.ndarray, mm: int,
+             n: int) -> tuple[list[float], list[float]]:
+    """Means and standard errors of n draws' statistics from the sums, over
+    the orbits o, of Q_o, Q_o**2 and m_o Q_o and of m_o**2: the mean is
+    s / n, an orbit of m_o pairs has expectation 2 m_o mean, and the
+    standard error is sqrt(sum (Q_o - 2 m_o mean)**2) / n."""
     mean = s / n
-    var = np.maximum(s2 / (2 * n) - mean ** 2, 0.0)
-    return mean.tolist(), np.sqrt(2 * var / n).tolist()
+    resid = np.maximum(s2 - 4 * mean * sm + 4 * mean ** 2 * mm, 0.0)
+    return mean.tolist(), (np.sqrt(resid) / n).tolist()
 
 
 def _transform(factor: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """Write ``factor @ z.T`` into the contiguous (4, c) array out: column j
-    is the draw of the normals in row j of z, and max, min and the sorting
-    network read its rows.
+    """Write ``factor @ z.T`` into the contiguous array out: column j is the
+    transform of the normals in row j of z.
 
     Each column depends on its own draw alone, whatever the chunk, except
     that numpy multiplies a lone row by a vector kernel whose bits differ:
@@ -239,7 +293,9 @@ def _max_rows(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def estimate_max(m: CorrelationMatrix4, n: int, seed: int, shards: int | None = None) -> MCEstimate:
-    """Sample mean of max(X_1..X_4) over n draws (n/2 antithetic pairs)."""
+    """Mean of max(X_1..X_4) over n draws: n/2 antithetic pairs in orbits of
+    12, one draw of 3 normals per orbit, each pair sum scaled by E|z| / |z|;
+    the standard error is taken over the orbits."""
     (mean,), (se,) = _mean_se(*_sample_sums(m, n, seed, shards, _max_rows, 1), n)
     return MCEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
 
@@ -277,7 +333,9 @@ def _order_stat_rows(x: np.ndarray, out: np.ndarray) -> None:
 
 def estimate_order_stats(m: CorrelationMatrix4, n: int, seed: int,
                          shards: int | None = None) -> OrderStats:
-    """Means of the four order statistics over n draws (antithetic pairs)."""
+    """Means of the four order statistics over n draws: n/2 antithetic pairs
+    in orbits of 12, one draw of 3 normals per orbit, each pair sum scaled by
+    E|z| / |z|; the standard errors are taken over the orbits."""
     (e1, e2, _), (se1, se2, se_identity) = _mean_se(
         *_sample_sums(m, n, seed, shards, _order_stat_rows, 3), n)
     return OrderStats(

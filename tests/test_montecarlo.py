@@ -13,7 +13,7 @@ import pytest
 
 from conftest import F_IID4
 
-from gaussmax import montecarlo
+from gaussmax import geometry, montecarlo
 from gaussmax.closedform import f_max
 from gaussmax.corrmat import CorrelationMatrix4, _unit_classes, gram_of_rows
 from gaussmax.montecarlo import (
@@ -22,7 +22,7 @@ from gaussmax.montecarlo import (
     sample_factor,
     thread_count,
 )
-from gaussmax.optimize import random_psd
+from gaussmax.optimize import random_interior, random_psd
 
 
 # P M P, the matrix of the centred vector X - mean(X), which ``sample_factor``
@@ -52,9 +52,9 @@ class TestSampleFactor:
         (FLAT, 2, 1e-14),
     ])
     def test_one_column_per_unit_of_rank(self, m, rank, atol):
-        # a pair draws one normal per column, and the centred matrix has
-        # the rank of the simplex's affine hull: its factor drops the
-        # columns of its zero eigenvalues, the all-ones direction among them
+        # the centred matrix has the rank of the simplex's affine hull: its
+        # factor drops the columns of its zero eigenvalues, the all-ones
+        # direction among them
         l = sample_factor(m)
         assert l.shape == (4, rank)
         assert np.max(np.abs(l @ l.T - centred(m)), initial=0.0) <= atol
@@ -149,7 +149,8 @@ class TestEstimateMax:
         assert abs(est.mean - f_max(m)) <= 4 * est.std_error
 
     def test_flat_tetrahedron(self):
-        # rank 3, but a pair draws 2 normals: the simplex is flat
+        # rank 3, but the simplex is flat: its factor has 2 columns, and
+        # the orbit maps mix in the zero column it is padded with
         est = estimate_max(FLAT, 2_000_000, seed=13)
         assert abs(est.mean - f_max(FLAT)) <= 4 * est.std_error
 
@@ -180,42 +181,43 @@ class TestEstimateMax:
         assert a == estimate_max(m, 20_000, 0, shards=2)
 
     def test_golden_value(self):
-        # pins the draw stream (SFC64 keyed by (seed, shard, block)) and each
-        # chunk's float sum; here each shard is one block of 33,334 or 33,333
-        # pairs, so three chunks, and the chunk sums are added exactly, so no
-        # order of addition enters.  Both values were recorded when each
-        # chunk's sums became the unit of summation.
+        # pins the draw stream (SFC64 keyed by (seed, shard, block)), the
+        # orbit maps, the radius step and each chunk's float sum; here each
+        # shard is one block of 33,334 or 33,333 pairs, so 2,777 orbits in two
+        # chunks and a partial orbit of 10 or 9 pairs, and the chunk sums are
+        # added exactly, so no order of addition enters.  Both values were
+        # recorded when the orbit became the unit of reduction.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 200_000, seed=5, shards=3)
-        assert est.mean == 0.9949643609167037
-        assert est.std_error == 0.0013920765959339976
+        assert est.mean == 0.9953655424586876
+        assert est.std_error == 0.00016738016901006957
 
     def test_golden_value_multi_block(self):
-        # one shard of 200,000 pairs: three blocks of 65,536 and one of 3,392,
+        # one shard of 200,000 pairs: four blocks of 49,152 and one of 3,392,
         # so this pins the block size and the block keys, which the one-block
-        # shards above do not.  Recorded when each chunk's sums became the
-        # unit of summation.
+        # shards above do not.  Recorded when the orbit became the unit of
+        # reduction.
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
         est = estimate_max(m, 400_000, seed=5, shards=1)
-        assert (est.mean, est.std_error) == (0.9950053643617525, 0.0009844868205850256)
+        assert (est.mean, est.std_error) == (0.9951146365474802, 0.00012038690738132467)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
-        assert (os_.e1, os_.e2) == (0.9950053643617525, 0.3008397074470153)
-        assert os_.std_errors[:2] == (0.000984486820585025, 0.000577998821927066)
-        assert os_.se_third_identity == 0.0032571264621535055
+        assert (os_.e1, os_.e2) == (0.9951146365474802, 0.3003670664440176)
+        assert os_.std_errors[:2] == (0.00012038690738132467, 0.00018789054225539815)
+        assert os_.se_third_identity == 0.0003516796217881736
 
     def test_golden_value_rank3(self):
         # the all -1/3 maximizer is on the boundary, and its simplex, the
-        # regular tetrahedron, has affine rank 3, so each pair draws 3 normals;
-        # pins the eigen factor of the centred matrix without its null column
-        # as well as the streams.  Recorded when each chunk's sums became the
-        # unit of summation.
+        # regular tetrahedron, has affine rank 3, so its factor needs no zero
+        # column; pins the eigen factor of the centred matrix without its null
+        # column as well as the streams.  Recorded when the orbit became the
+        # unit of reduction.
         m = CorrelationMatrix4.equicorrelated(-1.0 / 3.0)
         est = estimate_max(m, 400_000, seed=5, shards=1)
-        assert (est.mean, est.std_error) == (1.1888611445990287, 0.0011369815034464996)
+        assert (est.mean, est.std_error) == (1.1886594899448715, 9.602343755344827e-05)
         os_ = estimate_order_stats(m, 400_000, seed=5, shards=1)
-        assert (os_.e1, os_.e2) == (1.1888611445990287, 0.34328921951381935)
-        assert os_.std_errors[:2] == (0.0011369815034464991, 0.0006448923324560197)
-        assert os_.se_third_identity == 0.003716912367324112
+        assert (os_.e1, os_.e2) == (1.1886594899448715, 0.34295146057544623)
+        assert os_.std_errors[:2] == (9.602343755344827e-05, 0.00025374616335700566)
+        assert os_.se_third_identity == 0.00020701335391933742
 
     def test_results_are_python_floats(self):
         m = CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1))
@@ -329,21 +331,39 @@ class TestUnitPairs:
         assert abs(est.mean - f_max(m)) <= 4 * est.std_error
 
 
+class ConstantDraws:
+    """Stands in for a block's generator: every normal it draws is value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def standard_normal(self, out):
+        out.fill(self.value)
+
+
 class TestChunkedReduction:
-    """The reducers read each block in transposed chunks of _CHUNK draws, and
-    each chunk's pair sums are summed in numpy, the chunk sums exactly."""
+    """The reducers read each block in chunks of _CHUNK orbits, each chunk's
+    orbit sums are summed in numpy, and the chunk sums are added exactly."""
 
     def test_chunk_sums_are_added_exactly(self, monkeypatch):
-        # 10_000 pairs in one shard: 500 blocks of 20 pairs, each read in
-        # chunks of 7, 7 and 6 pairs, every pair sum 0.1 whatever the draws
+        # 10_000 pairs in one shard: 50 blocks of 200 pairs, each 16 whole
+        # orbits in chunks of 7, 7 and 2 and a partial orbit of 8 pairs.
+        # Every pair sum is 0.1 and every draw is (1, 1, 1), of radius
+        # sqrt(3), so an orbit of m pairs sums to the numpy sum of m 0.1s
+        # times E|z| / sqrt(3).
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        monkeypatch.setattr(montecarlo, "_BLOCK", 20)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 200)
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: ConstantDraws(1.0))
         monkeypatch.setenv("GAUSSMAX_THREADS", "2")
-        s, s2 = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
-                                        lambda x, out: out.fill(0.1), 1)
-        chunks = [np.full((1, c), 0.1) for c in [7, 7, 6] * 500]
-        assert s.tolist() == [math.fsum(q.sum(axis=1)[0] for q in chunks)]
-        assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", q, q)[0] for q in chunks)]
+        s, s2, sm, mm = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
+                                                lambda x, out: out.fill(0.1), 1)
+        scale = geometry.GAUSSIAN_RADIAL_FACTOR / math.sqrt(3.0)
+        chunks = [(m, np.full((1, m, c), 0.1).sum(axis=1) * scale)
+                  for m, c in [(12, 7), (12, 7), (12, 2), (8, 1)] * 50]
+        assert s.tolist() == [math.fsum(o.sum(axis=1)[0] for _, o in chunks)]
+        assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", o, o)[0] for _, o in chunks)]
+        assert sm.tolist() == [math.fsum(m * o.sum(axis=1)[0] for m, o in chunks)]
+        assert mm == 50 * (16 * 12 ** 2 + 8 ** 2)
 
     @pytest.mark.parametrize("chunk", [1, 7, 8192])
     def test_sorting_network_equals_sort(self, chunk):
@@ -361,6 +381,75 @@ class TestChunkedReduction:
 
         asc = np.hstack([sorted_chunk(x[a:a + chunk]) for a in range(0, len(x), chunk)])
         assert np.array_equal(asc, np.sort(x, axis=1).T)
+
+
+class TestOrbits:
+    """One draw of 3 normals serves the 12 antithetic pairs of its orbit
+    under the signed cyclic permutations, each scaled by E|z| / |z|."""
+
+    def test_orbit_maps_with_their_negations_are_a_group(self):
+        maps = montecarlo._ORBIT_MAPS
+        assert maps.shape == (12, 3, 3)
+        group = np.concatenate([maps, -maps])
+        for g in group:  # signed permutation matrices
+            assert np.array_equal(np.abs(g).sum(axis=0), np.ones(3))
+            assert np.array_equal(np.abs(g).sum(axis=1), np.ones(3))
+            assert set(np.unique(g)) <= {-1.0, 0.0, 1.0}
+        keys = {g.astype(int).tobytes() for g in group}  # -0.0 and 0.0 alike
+        assert len(keys) == 24  # so no two of the 12 are equal up to sign
+        assert all((a @ b).astype(int).tobytes() in keys for a in group for b in group)
+
+    def test_radial_factor_is_the_mean_radius_in_3d(self):
+        # one copy of the constant, the one the mean width uses
+        assert montecarlo.GAUSSIAN_RADIAL_FACTOR is geometry.GAUSSIAN_RADIAL_FACTOR
+        expected = math.sqrt(2) * math.gamma(2.0) / math.gamma(1.5)
+        assert montecarlo.GAUSSIAN_RADIAL_FACTOR == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [CorrelationMatrix4((1.0, 0.5, 0.5, 0.5, 0.5, 1.0)), FLAT,
+                                   CorrelationMatrix4.equicorrelated(-1.0 / 3.0)])
+    def test_orbit_factor_rows_are_the_images(self, m):
+        # row 12 i + j of the stacked factor is row i of F g_j, F padded
+        # with zero columns to 4 x 3
+        f = sample_factor(m)
+        padded = np.hstack([f, np.zeros((4, 3 - f.shape[1]))])
+        stacked = montecarlo._orbit_factor(f)
+        for j, g in enumerate(montecarlo._ORBIT_MAPS):
+            assert np.array_equal(stacked[j::12], padded @ g)
+
+    @pytest.mark.parametrize("estimate", [estimate_max, estimate_order_stats])
+    def test_zero_draw_is_finite(self, estimate, monkeypatch):
+        # a zero draw has radius 0 and zero pair sums: its orbit sums are 0,
+        # not 0 * inf
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: ConstantDraws(0.0))
+        result = estimate(CorrelationMatrix4((0.2, -0.1, 0.3, 0.0, -0.2, 0.1)), 20_000, 0)
+        values = [v for v in vars(result).values() if isinstance(v, float)]
+        values += list(getattr(result, "std_errors", ()))
+        assert values and all(v == 0.0 for v in values), result
+
+
+class TestOrbitEfficiency:
+    """At equal n, the orbit estimate's standard error is well below that of
+    plain antithetic pairs, each drawing its own normals."""
+
+    @staticmethod
+    def plain_antithetic_se(m: CorrelationMatrix4, n: int) -> float:
+        # SE at n draws of the mean of pair averages (max(x) - min(x)) / 2,
+        # x = F z, from the spread of 250,000 pairs
+        rng = np.random.default_rng(99)
+        f = sample_factor(m)
+        q = np.ptp(f @ rng.standard_normal((f.shape[1], 250_000)), axis=0)
+        return float(np.std(q / 2) / math.sqrt(n / 2))
+
+    @pytest.mark.parametrize("m", [
+        CorrelationMatrix4.identity(),
+        CorrelationMatrix4.equicorrelated(-1.0 / 3.0),
+        random_interior(np.random.default_rng(17), min_eig=0.05),
+        random_psd(np.random.default_rng(18), 3),
+    ], ids=["identity", "minus_third", "interior", "rank3_psd"])
+    def test_se_is_at_most_0_6_of_plain(self, m):
+        n = 2_000_000
+        est = estimate_max(m, n, seed=19)
+        assert est.std_error <= 0.6 * self.plain_antithetic_se(m, n)
 
 
 class TestShiftInvariance:
@@ -432,21 +521,6 @@ class TestBlockScheduler:
         assert threading.active_count() == before
 
 
-class TestExactSum:
-    """The block sums are added exactly, whichever thread ran each block."""
-
-    def test_block_sums_are_added_exactly(self, monkeypatch):
-        # 10_000 pairs in one shard: 1,428 blocks of 7 pairs and one of 4,
-        # every pair sum 0.1 whatever the draws
-        monkeypatch.setattr(montecarlo, "_BLOCK", 7)
-        monkeypatch.setenv("GAUSSMAX_THREADS", "2")
-        s, s2 = montecarlo._sample_sums(CorrelationMatrix4.identity(), 20_000, 0, 1,
-                                        lambda x, out: out.fill(0.1), 1)
-        blocks = [np.full((1, b), 0.1) for b in [7] * 1_428 + [4]]
-        assert s.tolist() == [math.fsum(q.sum(axis=1)[0] for q in blocks)]
-        assert s2.tolist() == [math.fsum(np.einsum("ij,ij->i", q, q)[0] for q in blocks)]
-
-
 class TestBlockStreams:
     """Block k of shard s draws from its own generator, keyed by
     (seed, s, k), one chunk at a time."""
@@ -467,19 +541,20 @@ class TestBlockStreams:
         firsts = {montecarlo._block_rng(5, s, k).standard_normal(4).tobytes() for s, k in keys}
         assert len(firsts) == len(keys)
 
-    @pytest.mark.parametrize("off, rank", [
-        ((0.2, -0.1, 0.3, 0.0, -0.2, 0.1), 3),
-        ((-1.0 / 3.0,) * 6, 3),
-        ((1.0, 0.5, 0.5, 0.5, 0.5, 1.0), 1),
-        ((1.0,) * 6, 0),
+    @pytest.mark.parametrize("off", [
+        (0.2, -0.1, 0.3, 0.0, -0.2, 0.1),
+        (-1.0 / 3.0,) * 6,
+        (1.0, 0.5, 0.5, 0.5, 0.5, 1.0),
+        (1.0,) * 6,
     ])
-    def test_each_pair_draws_rank_normals(self, off, rank, monkeypatch):
-        # one normal per unit of the simplex's affine rank.  12,500 pairs per
-        # shard: blocks of 10,000 and 2,500 pairs, the first drawn in chunks
-        # of 4,096, 4,096 and 1,808 pairs.  At rank 0 every chunk still asks
-        # for a (c, 0) array of normals, which takes nothing from the stream.
-        monkeypatch.setattr(montecarlo, "_BLOCK", 10_000)
-        monkeypatch.setattr(montecarlo, "_CHUNK", 4_096)
+    def test_each_orbit_draws_three_normals(self, off, monkeypatch):
+        # the factor is padded to 4 x 3, so an orbit draws 3 normals whatever
+        # the simplex's affine rank (3, 3, 1 and 0 here).  12,500 pairs per
+        # shard: blocks of 9,996 and 2,504 pairs, the first 833 orbits drawn
+        # in chunks of 400, 400 and 33, the second 208 orbits in one chunk and
+        # then a partial orbit of 8 pairs, drawn alone.
+        monkeypatch.setattr(montecarlo, "_BLOCK", 9_996)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 400)
         shapes = []
         block_rng = montecarlo._block_rng
 
@@ -493,7 +568,7 @@ class TestBlockStreams:
 
         monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: Spy(block_rng(*key)))
         estimate_max(CorrelationMatrix4(off), 50_000, 3, shards=2)
-        expected = [(4_096, rank), (4_096, rank), (1_808, rank), (2_500, rank)] * 2
+        expected = [(3, 400), (3, 400), (3, 33), (3, 208), (3, 1)] * 2
         assert sorted(shapes) == sorted(expected)
 
 
@@ -551,6 +626,14 @@ def test_mc_convergence_script_runs():
         [sys.executable, str(root / "scripts" / "mc_convergence.py")],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    header, *lines = proc.stdout.splitlines()[1:]
+    assert header.split()[-1] == "se*sqrt(n)"
+    rows = [line.split() for line in lines]
     assert [int(row[0]) for row in rows] == [10_000, 100_000, 1_000_000, 10_000_000]
-    assert all(len(row) == 4 and math.isfinite(float(row[3])) for row in rows)
+    assert all(len(row) == 5 and math.isfinite(float(row[3])) for row in rows)
+    # the spread per sample is the printed SE (3 digits) times sqrt(n), and
+    # does not grow or shrink with n
+    per_sample = [float(row[4]) for row in rows]
+    assert all(abs(float(row[2]) * math.sqrt(int(row[0])) - v) <= 0.005 * v
+               for row, v in zip(rows, per_sample))
+    assert 0 < min(per_sample) and max(per_sample) <= 1.5 * min(per_sample)
